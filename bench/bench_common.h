@@ -42,10 +42,6 @@ struct BenchConfig {
   int threads = 0;     // 0 = hardware_concurrency
   int batch_size = 1;  // graphs per SGD step (1 = legacy accumulation loop)
   int grad_accum = 1;  // batches merged per Adam step (gives shards work)
-  bool fused = false;  // fused message-passing executor (bit-identical knob;
-                       // see gnn/mp_executor.h)
-  bool arena = false;  // per-batch scratch arenas for tape temporaries
-                       // (batched training + serving/DSE scratch)
   // Serving knobs (bench_serving; see serve/serving_batcher.h ServeConfig).
   int max_batch = 8;            // graphs per serving forward pass
   int batch_window_us = 200;    // micro-batch collection window (int: the
@@ -115,11 +111,6 @@ inline void print_bench_usage(std::ostream& os) {
         "  --batch-size=N         graphs per SGD step (1 = legacy\n"
         "                         accumulation loop; >1 = GraphBatch unions)\n"
         "  --grad-accum=N         mini-batches merged per Adam step\n"
-        "  --fused=0|1            route message passing through the fused\n"
-        "                         gather-matmul-scatter executor (results\n"
-        "                         are bit-identical either way)\n"
-        "  --arena=0|1            back per-batch tape temporaries with\n"
-        "                         bump-pointer scratch arenas\n"
         "serving flags (bench_serving):\n"
         "  --max-batch=N          graphs per serving forward pass (1\n"
         "                         disables micro-batching)\n"
@@ -205,8 +196,6 @@ inline BenchConfig parse_bench_config(int argc, const char* const* argv) {
   cfg.threads = flags.get_int("threads", cfg.threads);
   cfg.batch_size = flags.get_int("batch-size", cfg.batch_size);
   cfg.grad_accum = flags.get_int("grad-accum", cfg.grad_accum);
-  cfg.fused = flags.get_bool("fused", cfg.fused);
-  cfg.arena = flags.get_bool("arena", cfg.arena);
   cfg.max_batch = flags.get_int("max-batch", cfg.max_batch);
   cfg.batch_window_us = flags.get_int("batch-window-us", cfg.batch_window_us);
   cfg.clients = flags.get_int("clients", cfg.clients);
@@ -251,7 +240,6 @@ inline ModelConfig model_config(const BenchConfig& cfg) {
   mc.hidden = cfg.hidden;
   mc.layers = cfg.layers;
   mc.dropout = cfg.dropout;
-  mc.fused = cfg.fused;
   return mc;
 }
 
@@ -265,7 +253,6 @@ inline TrainConfig train_config(const BenchConfig& cfg) {
   // count (the Trainer's determinism contract), so this only decides where
   // epoch work may run, never what the tables report.
   tc.shards = cfg.threads;
-  tc.arena = cfg.arena;
   tc.seed = cfg.seed;
   tc.obs.metrics = cfg.obs;
   tc.obs.trace = cfg.obs || !cfg.trace_out.empty();

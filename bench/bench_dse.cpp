@@ -157,7 +157,6 @@ int run(int argc, const char* const* argv) {
   dse.front_metrics = {Metric::kLut, Metric::kFf};
   dse.rank_metric = Metric::kLut;
   dse.top_k = explicit_topk ? cfg.dse_topk : std::max(1, n / 4);
-  dse.arena = cfg.arena;
   const Explorer explorer(space, direct, dse);
   std::cout << "\n-- design space --\n  gemm, " << n
             << " candidates (unroll x bitwidth x clock x uncertainty), "
@@ -204,7 +203,6 @@ int run(int argc, const char* const* argv) {
   SchedulerConfig sc;
   sc.max_batch = cfg.max_batch;
   sc.batch_window_us = cfg.batch_window_us;
-  sc.arena = cfg.arena;
   const ServingScorer serving(
       {{Metric::kLut, &models.lut}, {Metric::kFf, &models.ff}}, sc);
   const Explorer served_explorer(space, serving, dse);
@@ -343,7 +341,6 @@ int run(int argc, const char* const* argv) {
       SchedulerConfig row_sc;
       row_sc.max_batch = max_batch;
       row_sc.batch_window_us = cfg.batch_window_us;
-      row_sc.arena = cfg.arena;
       const ServingScorer row_scorer(
           {{Metric::kLut, &models.lut}, {Metric::kFf, &models.ff}}, row_sc);
       const Explorer row_explorer(space, row_scorer, dse);

@@ -492,10 +492,10 @@ int run(int argc, const char* const* argv) {
   };
   const long w = cfg.batch_window_us;
   const std::vector<Row> rows = {
-      {"max-batch=1 (no batching)", {1, 0, cfg.arena}},
-      {"max-batch=N, window=0", {cfg.max_batch, 0, cfg.arena}},
-      {"max-batch=N, window=W", {cfg.max_batch, w, cfg.arena}},
-      {"max-batch=N, window=5W", {cfg.max_batch, 5 * w, cfg.arena}},
+      {"max-batch=1 (no batching)", {1, 0}},
+      {"max-batch=N, window=0", {cfg.max_batch, 0}},
+      {"max-batch=N, window=W", {cfg.max_batch, w}},
+      {"max-batch=N, window=5W", {cfg.max_batch, 5 * w}},
   };
 
   TextTable table({"serving config", "graphs/s", "avg batch", "p50 us",
@@ -570,14 +570,12 @@ int run(int argc, const char* const* argv) {
   ServeConfig batcher_sc;
   batcher_sc.max_batch = cfg.max_batch;
   batcher_sc.batch_window_us = cfg.batch_window_us;
-  batcher_sc.arena = cfg.arena;
   batcher_sc.obs = obs_config(cfg);
   SchedulerConfig shared_sc;
   shared_sc.workers = sched_workers;
   shared_sc.max_batch = cfg.max_batch;
   shared_sc.batch_window_us = cfg.batch_window_us;
   shared_sc.adaptive_window = true;
-  shared_sc.arena = cfg.arena;
   shared_sc.obs = obs_config(cfg);
   // Admission control is what makes goodput survive saturation: bound the
   // queue at roughly one in-flight batch per worker so an ACCEPTED request

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "gnn/graph_batch.h"
-#include "support/arena.h"
 #include "support/parallel.h"
 #include "train/feature_cache.h"
 
@@ -396,9 +395,6 @@ double QorPredictor::evaluate_mape(const std::vector<Sample>& samples,
     }
     pred.assign(idx.size(), 0.0);
     parallel_shards(plan.num_batches(), [&](int b) {
-      // Per-chunk tape temporaries live in this worker's scratch arena.
-      const ArenaScope scratch(train_cfg_.arena ? &thread_scratch_arena()
-                                                : nullptr);
       const BatchPlan::Item& item = plan.item(b);
       const std::vector<float> encoded =
           regressor_->predict_batch(item.batch().merged, item.features());

@@ -7,7 +7,6 @@
 
 #include "hls/hls_flow.h"
 #include "obs/trace.h"
-#include "support/arena.h"
 #include "support/check.h"
 #include "support/parallel.h"
 
@@ -203,14 +202,7 @@ void Explorer::score_round(std::vector<DseCandidate>& candidates,
     samples.push_back(&candidates[static_cast<std::size_t>(i)].sample);
   }
   for (Metric m : metrics) {
-    std::vector<ScoreResult> pred;
-    {
-      // One scoring call's tape temporaries per arena reset; the results
-      // use std::allocator and survive the scope.
-      const ArenaScope scratch(cfg_.arena ? &thread_scratch_arena()
-                                          : nullptr);
-      pred = scorer_.score(m, samples);
-    }
+    const std::vector<ScoreResult> pred = scorer_.score(m, samples);
     GNNHLS_CHECK_EQ(pred.size(), subset.size(), "scorer output size");
     for (std::size_t j = 0; j < subset.size(); ++j) {
       DseCandidate& c = candidates[static_cast<std::size_t>(subset[j])];

@@ -206,8 +206,8 @@ class PredictorScorer : public ModelScorerBase {
 /// serve/scheduler.h).
 class ServingScorer : public ModelScorerBase {
  public:
-  /// `cfg.workers`/`max_batch`/`batch_window_us`/`adaptive_window`/`arena`
-  /// apply to the shared scheduler; admission knobs (max_queue, deadlines)
+  /// `cfg.workers`/`max_batch`/`batch_window_us`/`adaptive_window` apply
+  /// to the shared scheduler; admission knobs (max_queue, deadlines)
   /// are left off — DSE scoring must answer every sample.
   explicit ServingScorer(ModelTable table, SchedulerConfig cfg = {});
   /// Compat constructor (pre-ModelTable signature).
@@ -258,12 +258,6 @@ struct DseConfig {
   int top_k = 4;
   /// Model-in-the-loop knobs (active_halving only).
   ActiveConfig active;
-  /// Back each scoring round's forward temporaries with the exploring
-  /// thread's scratch arena, reset per batched scorer call
-  /// (support/arena.h). Covers the PredictorScorer path (which runs the
-  /// forward inline); the ServingScorer's worker manages its own arena via
-  /// ServeConfig::arena. Execution-only: results are unchanged.
-  bool arena = false;
   /// Observability knobs (obs/obs_config.h): obs.trace emits
   /// halving_round / score_round / synthesize spans when the process-wide
   /// TraceCollector is active. Execution-only: DseResult is unchanged.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "gnn/mp_executor.h"
-
 namespace gnnhls {
 
 std::string gnn_kind_name(GnnKind kind) {
@@ -56,10 +54,82 @@ namespace {
 // has to respect gt.graph_id / gt.num_graphs. Per-node and per-edge ops
 // are batch-oblivious since union edges never cross member graphs.
 //
-// Aggregation itself lives in gnn/mp_executor.h: every encoder routes its
-// message passing through mp_aggregate_sum / mp_aggregate_mean /
-// mp_gcn_propagate / mp_relational_aggregate, which pick the fused or the
-// reference composition according to cfg_.fused (bit-identical either way).
+// Aggregations are compositions of the primitive tape ops over the
+// partitions cached on GraphTensors. Hand-assembled tensors without cached
+// partitions (or relation views) take the on-demand path of the same ops,
+// with identical results.
+
+/// out_v = sum_{(u,v) in E} x_u; an empty edge set yields zeros.
+Var aggregate_sum(Tape& t, const GraphTensors& gt, const Var& x) {
+  if (gt.src.empty()) return t.affine(x, 0.0F, 0.0F);
+  return t.scatter_add_rows(t.gather_rows(x, gt.src, gt.src_part), gt.dst,
+                            gt.num_nodes, gt.dst_part);
+}
+
+/// out_v = mean_{(u,v) in E} x_u; nodes without in-edges yield zeros.
+Var aggregate_mean(Tape& t, const GraphTensors& gt, const Var& x) {
+  if (gt.src.empty()) return t.affine(x, 0.0F, 0.0F);
+  return t.segment_mean(t.gather_rows(x, gt.src, gt.src_part), gt.dst,
+                        gt.num_nodes, gt.dst_part);
+}
+
+/// GCN propagation D^-1/2 (A+I) D^-1/2 x with the precomputed gcn_coeff /
+/// gcn_self_coeff.
+Var gcn_propagate(Tape& t, const GraphTensors& gt, const Var& x) {
+  const Var self = t.scale_rows(x, gt.gcn_self_coeff);
+  if (gt.src.empty()) return self;
+  const Var msgs =
+      t.scale_rows(t.gather_rows(x, gt.src, gt.src_part), gt.gcn_coeff);
+  return t.add(t.scatter_add_rows(msgs, gt.dst, gt.num_nodes, gt.dst_part),
+               self);
+}
+
+/// Calls fn(r, src, dst, src_part, dst_part) for every non-empty relation
+/// in relation order, with the endpoint views and partitions cached by
+/// GraphTensors::build_partitions(), or views rebuilt locally (and null
+/// partitions) for hand-assembled tensors.
+template <typename Fn>
+void for_each_relation(const GraphTensors& gt, Fn&& fn) {
+  const bool have_views = gt.relation_src.size() == gt.relation_edges.size() &&
+                          gt.relation_dst.size() == gt.relation_edges.size();
+  for (std::size_t r = 0; r < gt.relation_edges.size(); ++r) {
+    const auto& edge_ids = gt.relation_edges[r];
+    if (edge_ids.empty()) continue;
+    if (have_views && !gt.relation_src[r].empty()) {
+      fn(r, gt.relation_src[r], gt.relation_dst[r], gt.relation_src_part[r],
+         gt.relation_dst_part[r]);
+      continue;
+    }
+    std::vector<int> src, dst;
+    src.reserve(edge_ids.size());
+    dst.reserve(edge_ids.size());
+    for (int e : edge_ids) {
+      src.push_back(gt.src[static_cast<std::size_t>(e)]);
+      dst.push_back(gt.dst[static_cast<std::size_t>(e)]);
+    }
+    fn(r, src, dst, SegmentPartitionPtr(), SegmentPartitionPtr());
+  }
+}
+
+/// Per-relation transformed aggregation (RGCN mean_normalize=true, GGNN
+/// false): out_v = sum_r reduce_{(u,v) in E_r} W_r x_u over the non-empty
+/// relations; zeros when there is none.
+Var relational_aggregate(Tape& t, const GraphTensors& gt, const Var& h,
+                         const std::vector<std::unique_ptr<Linear>>& rel_lins,
+                         bool mean_normalize) {
+  Var acc;
+  for_each_relation(gt, [&](std::size_t r, const std::vector<int>& src,
+                            const std::vector<int>& dst,
+                            const SegmentPartitionPtr& sp,
+                            const SegmentPartitionPtr& dp) {
+    const Var msgs = rel_lins[r]->forward(t, t.gather_rows(h, src, sp));
+    const Var agg = mean_normalize
+                        ? t.segment_mean(msgs, dst, gt.num_nodes, dp)
+                        : t.scatter_add_rows(msgs, dst, gt.num_nodes, dp);
+    acc = acc.valid() ? t.add(acc, agg) : agg;
+  });
+  return acc.valid() ? acc : t.affine(h, 0.0F, 0.0F);
+}
 
 // ----- GCN -----
 
@@ -94,8 +164,7 @@ class GcnEncoder : public GnnEncoder {
         h = t.add(h, t.broadcast_rows_by_segment(virt, gt.graph_id,
                                                  gt.graph_part));
       }
-      h = t.relu(
-          convs_[l]->forward(t, mp_gcn_propagate(t, gt, h, cfg_.fused)));
+      h = t.relu(convs_[l]->forward(t, gcn_propagate(t, gt, h)));
       h = t.dropout(h, cfg_.dropout, rng, training);
       if (with_virtual_) {
         virt = t.relu(virtual_mlps_[l]->forward(
@@ -129,7 +198,7 @@ class SgcEncoder : public GnnEncoder {
              bool training) const override {
     Var h = x;
     for (int k = 0; k < cfg_.layers; ++k) {
-      h = mp_gcn_propagate(t, gt, h, cfg_.fused);
+      h = gcn_propagate(t, gt, h);
     }
     h = linear_->forward(t, h);
     return t.dropout(h, cfg_.dropout, rng, training);
@@ -163,7 +232,7 @@ class SageEncoder : public GnnEncoder {
              bool training) const override {
     Var h = input_->forward(t, x);
     for (std::size_t l = 0; l < self_.size(); ++l) {
-      const Var neighbors = mp_aggregate_mean(t, gt, h, cfg_.fused);
+      const Var neighbors = aggregate_mean(t, gt, h);
       h = t.relu(t.add(self_[l]->forward(t, h),
                        neigh_[l]->forward(t, neighbors)));
       h = t.dropout(h, cfg_.dropout, rng, training);
@@ -202,7 +271,7 @@ class ArmaEncoder : public GnnEncoder {
     for (std::size_t l = 0; l < prop_.size(); ++l) {
       // X^{t+1} = relu(L~ X^t W + X^0 V)
       h = t.relu(
-          t.add(prop_[l]->forward(t, mp_gcn_propagate(t, gt, h, cfg_.fused)),
+          t.add(prop_[l]->forward(t, gcn_propagate(t, gt, h)),
                 skip_[l]->forward(t, x0)));
       h = t.dropout(h, cfg_.dropout, rng, training);
     }
@@ -256,7 +325,7 @@ class PanEncoder : public GnnEncoder {
         const Var term = t.mul_col_broadcast(power, scale_col);
         met = p == 0 ? term : t.add(met, term);
         if (p < kMaxPathLen) {
-          power = mp_aggregate_mean(t, gt, power, cfg_.fused);
+          power = aggregate_mean(t, gt, power);
         }
       }
       h = t.relu(mix_[l]->forward(t, met));
@@ -311,7 +380,7 @@ class GinEncoder : public GnnEncoder {
       const Var one_eps =
           t.affine(t.repeat_row(eps_[l].var(), gt.num_nodes), 1.0F, 1.0F);
       const Var mixed = t.add(t.mul_col_broadcast(h, one_eps),
-                              mp_aggregate_sum(t, gt, h, cfg_.fused));
+                              aggregate_sum(t, gt, h));
       h = t.relu(mlps_[l]->forward(t, mixed));
       h = t.dropout(h, cfg_.dropout, rng, training);
       if (with_virtual_) {
@@ -471,8 +540,7 @@ class GgnnEncoder : public GnnEncoder {
              bool training) const override {
     Var h = input_->forward(t, x);
     for (int l = 0; l < cfg_.layers; ++l) {
-      const Var msg = mp_relational_aggregate(t, gt, h, rel_, false,
-                                              cfg_.fused);
+      const Var msg = relational_aggregate(t, gt, h, rel_, false);
       h = gru_->forward(t, msg, h);
       h = t.dropout(h, cfg_.dropout, rng, training);
     }
@@ -513,8 +581,7 @@ class RgcnEncoder : public GnnEncoder {
              bool training) const override {
     Var h = input_->forward(t, x);
     for (std::size_t l = 0; l < self_.size(); ++l) {
-      const Var agg = mp_relational_aggregate(t, gt, h, rel_[l], true,
-                                              cfg_.fused);
+      const Var agg = relational_aggregate(t, gt, h, rel_[l], true);
       h = t.relu(t.add(self_[l]->forward(t, h), agg));
       h = t.dropout(h, cfg_.dropout, rng, training);
     }
@@ -552,7 +619,7 @@ class UnetEncoder : public GnnEncoder {
   Var encode(Tape& t, const GraphTensors& gt, const Var& x, Rng& rng,
              bool training) const override {
     Var h = input_->forward(t, x);
-    h = t.relu(down_->forward(t, mp_gcn_propagate(t, gt, h, cfg_.fused)));
+    h = t.relu(down_->forward(t, gcn_propagate(t, gt, h)));
     const Var skip = h;
 
     // gPool: keep the top-k nodes by projection score, gate by sigmoid.
@@ -616,19 +683,10 @@ class UnetEncoder : public GnnEncoder {
           make_segment_partition(sub_src, keep);
       const SegmentPartitionPtr sub_dst_part =
           make_segment_partition(sub_dst, keep);
-      if (cfg_.fused) {
-        bottom = t.add(
-            t.scale_rows(
-                t.fused_gather_scatter_add(gated, sub_src, sub_dst, keep,
-                                           sub_src_part, sub_dst_part),
-                segment_inverse_counts(*sub_dst_part)),
-            gated);
-      } else {
-        bottom = t.add(
-            t.segment_mean(t.gather_rows(gated, sub_src, sub_src_part),
-                           sub_dst, keep, sub_dst_part),
-            gated);
-      }
+      bottom = t.add(
+          t.segment_mean(t.gather_rows(gated, sub_src, sub_src_part), sub_dst,
+                         keep, sub_dst_part),
+          gated);
     }
     bottom = t.relu(bottom_->forward(t, bottom));
     bottom = t.dropout(bottom, cfg_.dropout, rng, training);
@@ -637,7 +695,7 @@ class UnetEncoder : public GnnEncoder {
     const Var restored =
         t.scatter_add_rows(bottom, kept, gt.num_nodes, kept_part);
     Var out = t.add(restored, skip);
-    out = t.relu(up_->forward(t, mp_gcn_propagate(t, gt, out, cfg_.fused)));
+    out = t.relu(up_->forward(t, gcn_propagate(t, gt, out)));
     return out;
   }
 
@@ -681,46 +739,19 @@ class FilmEncoder : public GnnEncoder {
     Var h = input_->forward(t, x);
     for (std::size_t l = 0; l < self_.size(); ++l) {
       Var acc = self_[l]->forward(t, h);
-      // FiLM keeps the per-edge modulation materialized (gamma * msg + beta
-      // is edge-wise, not fusable), but routes every gather/scatter through
-      // the relation endpoint views + partitions cached on GraphTensors.
-      const bool have_views =
-          gt.relation_src.size() == gt.relation_edges.size() &&
-          gt.relation_dst.size() == gt.relation_edges.size();
-      for (int r = 0; r < kNumEdgeRelations; ++r) {
-        const std::size_t ri = static_cast<std::size_t>(r);
-        const auto& edge_ids = gt.relation_edges[ri];
-        if (edge_ids.empty()) continue;
-        std::vector<int> local_src, local_dst;
-        const std::vector<int>* srcs = nullptr;
-        const std::vector<int>* dsts = nullptr;
-        SegmentPartitionPtr sp, dp;
-        if (have_views && !gt.relation_src[ri].empty()) {
-          srcs = &gt.relation_src[ri];
-          dsts = &gt.relation_dst[ri];
-          sp = gt.relation_src_part[ri];
-          dp = gt.relation_dst_part[ri];
-        } else {
-          local_src.reserve(edge_ids.size());
-          local_dst.reserve(edge_ids.size());
-          for (int e : edge_ids) {
-            local_src.push_back(gt.src[static_cast<std::size_t>(e)]);
-            local_dst.push_back(gt.dst[static_cast<std::size_t>(e)]);
-          }
-          srcs = &local_src;
-          dsts = &local_dst;
-        }
-        const Var msg =
-            rel_[l][ri]->forward(t, t.gather_rows(h, *srcs, sp));
+      for_each_relation(gt, [&](std::size_t r, const std::vector<int>& src,
+                                const std::vector<int>& dst,
+                                const SegmentPartitionPtr& sp,
+                                const SegmentPartitionPtr& dp) {
+        const Var msg = rel_[l][r]->forward(t, t.gather_rows(h, src, sp));
         const Var film_params =
-            film_[l][ri]->forward(t, t.gather_rows(h, *dsts, dp));
+            film_[l][r]->forward(t, t.gather_rows(h, dst, dp));
         const Var gamma = t.slice_cols(film_params, 0, cfg_.hidden);
         const Var beta =
             t.slice_cols(film_params, cfg_.hidden, 2 * cfg_.hidden);
         const Var modulated = t.relu(t.add(t.mul(gamma, msg), beta));
-        acc = t.add(acc,
-                    t.scatter_add_rows(modulated, *dsts, gt.num_nodes, dp));
-      }
+        acc = t.add(acc, t.scatter_add_rows(modulated, dst, gt.num_nodes, dp));
+      });
       h = t.relu(acc);
       h = t.dropout(h, cfg_.dropout, rng, training);
     }

@@ -54,13 +54,6 @@ struct EncoderConfig {
   int hidden = 64;
   int layers = 3;       // paper default: 5
   float dropout = 0.0F;
-  /// Route message passing through the fused executor (gnn/mp_executor.h):
-  /// one tape node per aggregation instead of the gather/transform/scatter
-  /// chain, no [E, hidden] message tensor. Execution knob only — values and
-  /// gradients are bit-identical to the unfused reference at any thread
-  /// count. Encoders that need materialized per-edge messages (GAT
-  /// attention, PNA multi-aggregator, FiLM modulation) ignore it.
-  bool fused = false;
 };
 
 class GnnEncoder : public Module {

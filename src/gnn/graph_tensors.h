@@ -34,10 +34,10 @@ struct GraphTensors {
   // Per-relation endpoint views of relation_edges —
   // relation_src[r][i] == src[relation_edges[r][i]] — plus their cached
   // partitions (by src and by dst, over num_nodes). Built by
-  // build_partitions() so the RGCN/GGNN/FiLM relation loops and the fused
-  // executor reuse one plan per relation instead of rebuilding endpoint
-  // arrays and scatter plans every layer of every forward. Empty relations
-  // get empty views and null partitions.
+  // build_partitions() so the RGCN/GGNN/FiLM relation loops reuse one plan
+  // per relation instead of rebuilding endpoint arrays and scatter plans
+  // every layer of every forward. Empty relations get empty views and null
+  // partitions.
   std::vector<std::vector<int>> relation_src, relation_dst;
   std::vector<SegmentPartitionPtr> relation_src_part, relation_dst_part;
 

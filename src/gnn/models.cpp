@@ -9,7 +9,6 @@ GraphRegressor::GraphRegressor(ModelConfig cfg, int in_dim, Rng& rng)
   ec.hidden = cfg.hidden;
   ec.layers = cfg.layers;
   ec.dropout = cfg.dropout;
-  ec.fused = cfg.fused;
   encoder_ = make_encoder(cfg.kind, ec, rng);
   register_module(*encoder_);
   // Paper §5.1: "a feed-forward network with the structure 300-600-300-1".
@@ -60,7 +59,6 @@ NodeClassifier::NodeClassifier(ModelConfig cfg, int in_dim, Rng& rng)
   ec.hidden = cfg.hidden;
   ec.layers = cfg.layers;
   ec.dropout = cfg.dropout;
-  ec.fused = cfg.fused;
   encoder_ = make_encoder(cfg.kind, ec, rng);
   register_module(*encoder_);
   head_ = std::make_unique<Linear>(cfg.hidden, 3, rng, true,

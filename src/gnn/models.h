@@ -25,9 +25,6 @@ struct ModelConfig {
   int layers = 3;       // paper: 5
   float dropout = 0.0F;
   Pooling pooling = Pooling::kSum;
-  /// Forwarded to EncoderConfig::fused — route message passing through the
-  /// fused executor (bit-identical execution knob, see gnn/mp_executor.h).
-  bool fused = false;
 };
 
 class GraphRegressor : public Module {

@@ -25,10 +25,6 @@ class Linear : public Module {
 
   int in_dim() const { return in_dim_; }
   int out_dim() const { return out_dim_; }
-  bool has_bias() const { return with_bias_; }
-  /// The weight leaf [in_dim, out_dim] — what the fused message-passing ops
-  /// consume directly (forward() is matmul(x, weight()) plus optional bias).
-  const Var& weight() const { return weight_.var(); }
 
  private:
   int in_dim_;

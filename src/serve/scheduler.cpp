@@ -4,10 +4,8 @@
 #include <limits>
 #include <utility>
 
-#include "gnn/mp_executor.h"
 #include "obs/trace.h"
 #include "serve/status_names.h"
-#include "support/arena.h"
 #include "support/check.h"
 
 namespace gnnhls {
@@ -62,9 +60,6 @@ ServingScheduler::ServingScheduler(std::vector<const QorPredictor*> models,
   m_.flush_timeout =
       registry_->counter("gnnhls_sched_flush_timeout_total", inst);
   m_.flush_drain = registry_->counter("gnnhls_sched_flush_drain_total", inst);
-  m_.heap_allocs = registry_->counter("gnnhls_sched_heap_allocs_total", inst);
-  m_.fused_fallbacks =
-      registry_->counter("gnnhls_sched_fused_fallbacks_total", inst);
   m_.latencies_dropped =
       registry_->counter("gnnhls_sched_latencies_dropped_total", inst);
   m_.max_batch_seen = registry_->gauge("gnnhls_sched_max_batch_seen", inst);
@@ -235,8 +230,6 @@ SchedStats ServingScheduler::stats() const {
   out.window_us = window_.current_us();
   out.window_grows = window_.grows();
   out.window_shrinks = window_.shrinks();
-  out.heap_allocs = m_.heap_allocs->value();
-  out.fused_fallbacks = m_.fused_fallbacks->value();
   out.per_model_completed.reserve(m_.per_model_completed.size());
   for (const Counter* c : m_.per_model_completed) {
     out.per_model_completed.push_back(c->value());
@@ -377,19 +370,12 @@ void ServingScheduler::run_batch(std::vector<Entry>& batch,
 
   std::vector<double> pred;
   std::exception_ptr error;
-  const std::uint64_t heap_before = thread_matrix_heap_allocs();
-  const std::uint64_t fused_before = thread_fused_fallbacks();
   try {
     const ObsSpan forward_span(trace_on(), "forward", "serve");
-    // One forward's worth of tape temporaries per arena reset; the returned
-    // doubles use std::allocator and survive the scope.
-    const ArenaScope scratch(cfg_.arena ? &thread_scratch_arena() : nullptr);
     pred = models_[static_cast<std::size_t>(model)]->predict_many(parts);
   } catch (...) {
     error = std::current_exception();
   }
-  const std::uint64_t heap_delta = thread_matrix_heap_allocs() - heap_before;
-  const std::uint64_t fused_delta = thread_fused_fallbacks() - fused_before;
 
   const std::int64_t done = now_us();
   // Count the whole batch — flush reason included — in ONE locked update,
@@ -411,8 +397,6 @@ void ServingScheduler::run_batch(std::vector<Entry>& batch,
         static_cast<int>(m_.max_batch_seen->value())) {
       m_.max_batch_seen->set(static_cast<std::int64_t>(batch.size()));
     }
-    if (heap_delta != 0) m_.heap_allocs->add(heap_delta);
-    if (fused_delta != 0) m_.fused_fallbacks->add(fused_delta);
     for (const Entry& e : batch) {
       if (e.deadline_us == kNoDeadline || done <= e.deadline_us) {
         m_.completed_in_deadline->add();

@@ -199,9 +199,6 @@ struct SchedulerConfig {
   /// holds max_queue requests, further submits fail fast with
   /// kOverCapacity.
   std::size_t max_queue = 0;
-  /// Back each micro-batch forward's tape temporaries with the worker
-  /// thread's scratch arena (support/arena.h). Execution-only.
-  bool arena = false;
   /// Record per-request submit->answer latency (microseconds) for every
   /// completed request; drained with take_latencies_us(). The raw-sample
   /// vector is bounded by latency_cap (overflow is counted, not stored);
@@ -357,8 +354,6 @@ class ServingScheduler {
     Counter* flush_full;
     Counter* flush_timeout;
     Counter* flush_drain;
-    Counter* heap_allocs;
-    Counter* fused_fallbacks;
     Counter* latencies_dropped;
     Gauge* max_batch_seen;
     Gauge* queue_depth;

@@ -34,18 +34,6 @@ struct ServeStats {
   std::uint64_t flush_drain = 0;
   /// Largest micro-batch served so far (<= configured max_batch).
   int max_batch_seen = 0;
-  /// ArenaAllocator heap-path allocations made by batch forwards (the
-  /// thread_matrix_heap_allocs() delta across each forward, summed). With
-  /// arena=true this should read ~0 in steady state — a nonzero drift means
-  /// tape temporaries are escaping the scratch arena, silently re-paying
-  /// the allocator churn the arena exists to remove.
-  std::uint64_t heap_allocs = 0;
-  /// Fused-executor fallbacks taken by batch forwards (the
-  /// thread_fused_fallbacks() delta across each forward, summed). With
-  /// fused=true this should read 0 for partition-cached graphs — a nonzero
-  /// count means the "fused" serving path is silently running the
-  /// reference composition (a perf regression stats must surface).
-  std::uint64_t fused_fallbacks = 0;
 
   /// Mean graphs per forward pass — the amortization the batcher exists to
   /// create (1.0 means every request paid a full forward on its own).
@@ -91,10 +79,6 @@ struct SchedStats {
   std::int64_t window_us = 0;
   std::uint64_t window_grows = 0;
   std::uint64_t window_shrinks = 0;
-  /// Per-forward thread_matrix_heap_allocs() / thread_fused_fallbacks()
-  /// deltas, summed (see ServeStats for why these must be observable).
-  std::uint64_t heap_allocs = 0;
-  std::uint64_t fused_fallbacks = 0;
   /// Requests completed per registered model, in model-id order (the
   /// multi-model fairness observable).
   std::vector<std::uint64_t> per_model_completed;

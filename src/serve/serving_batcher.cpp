@@ -13,7 +13,6 @@ SchedulerConfig ServingBatcher::to_scheduler_config(const ServeConfig& cfg) {
   // a lone request still waits the full configured window (serve_test
   // asserts the exact flush-reason sequence).
   sc.adaptive_window = false;
-  sc.arena = cfg.arena;
   sc.record_latencies = cfg.record_latencies;
   sc.obs = cfg.obs;
   return sc;
@@ -52,8 +51,6 @@ ServeStats ServingBatcher::stats() const {
   out.flush_timeout = s.flush_timeout;
   out.flush_drain = s.flush_drain;
   out.max_batch_seen = s.max_batch_seen;
-  out.heap_allocs = s.heap_allocs;
-  out.fused_fallbacks = s.fused_fallbacks;
   return out;
 }
 

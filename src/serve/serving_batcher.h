@@ -57,10 +57,6 @@ struct ServeConfig {
   /// is queued the moment it looks — lowest latency, batches form only when
   /// requests arrive faster than forwards complete.
   std::int64_t batch_window_us = 200;
-  /// Back each micro-batch forward's tape temporaries with the worker
-  /// thread's scratch arena, reset between micro-batches (support/arena.h).
-  /// Execution-only: served values are unchanged.
-  bool arena = false;
   /// Record per-request submit->answer latency for take_latencies_us()
   /// (bench_serving's open-loop mode only; the raw-sample buffer is
   /// bounded by SchedulerConfig::latency_cap).

@@ -5,8 +5,6 @@
 #include <limits>
 #include <unordered_map>
 
-#include "tensor/fused_mp.h"
-
 namespace gnnhls {
 
 namespace {
@@ -365,102 +363,6 @@ Var Tape::scatter_add_rows(const Var& a, const std::vector<int>& idx,
     // row reads exactly one upstream row.
     gather_add_rows_into(n.grad, idx, sink_of(a));
   });
-}
-
-namespace {
-
-#ifndef NDEBUG
-/// Debug-build mirror of scatter_add_rows_auto's stale-partition guard: a
-/// cached partition that no longer matches its edge array passes every size
-/// check yet silently fuses the wrong rows.
-void debug_check_partition(const SegmentPartition& part,
-                           const std::vector<int>& idx, const char* what) {
-  for (int s = 0; s < part.segments; ++s) {
-    for (int e = part.offsets[static_cast<std::size_t>(s)];
-         e < part.offsets[static_cast<std::size_t>(s) + 1]; ++e) {
-      GNNHLS_CHECK_EQ(
-          idx[static_cast<std::size_t>(part.order[static_cast<std::size_t>(e)])],
-          s, what);
-    }
-  }
-}
-#endif
-
-}  // namespace
-
-Var Tape::fused_gather_scatter_add(const Var& a, const std::vector<int>& src,
-                                   const std::vector<int>& dst, int out_rows,
-                                   SegmentPartitionPtr src_part,
-                                   SegmentPartitionPtr dst_part,
-                                   std::vector<float> coeff) {
-  GNNHLS_CHECK_EQ(static_cast<int>(src.size()), static_cast<int>(dst.size()),
-                  "fused_gather_scatter_add: src/dst edge count mismatch");
-  GNNHLS_CHECK(src_part != nullptr && dst_part != nullptr,
-               "fused_gather_scatter_add: cached partitions required");
-  GNNHLS_CHECK_EQ(src_part->segments, a.rows(),
-                  "fused_gather_scatter_add: src partition must cover input "
-                  "rows");
-  GNNHLS_CHECK_EQ(dst_part->segments, out_rows,
-                  "fused_gather_scatter_add: dst partition must cover output "
-                  "rows");
-#ifndef NDEBUG
-  debug_check_partition(*src_part, src,
-                        "fused_gather_scatter_add: stale src partition");
-  debug_check_partition(*dst_part, dst,
-                        "fused_gather_scatter_add: stale dst partition");
-#endif
-  Matrix out = fused_gather_scatter(a.value(), src, *dst_part, coeff);
-  return record(std::move(out), {a},
-                [a, dst, src_part, coeff](VarNode& n) {
-                  if (!a.requires_grad()) return;
-                  fused_gather_scatter_backward_x(n.grad, dst, *src_part,
-                                                  coeff, sink_of(a));
-                });
-}
-
-Var Tape::fused_gather_matmul_scatter_add(const Var& a, const Var& w,
-                                          const std::vector<int>& src,
-                                          const std::vector<int>& dst,
-                                          int out_rows,
-                                          SegmentPartitionPtr src_part,
-                                          SegmentPartitionPtr dst_part) {
-  GNNHLS_CHECK_EQ(static_cast<int>(src.size()), static_cast<int>(dst.size()),
-                  "fused_gather_matmul_scatter_add: src/dst edge count "
-                  "mismatch");
-  GNNHLS_CHECK(src_part != nullptr && dst_part != nullptr,
-               "fused_gather_matmul_scatter_add: cached partitions required");
-  GNNHLS_CHECK_EQ(src_part->segments, a.rows(),
-                  "fused_gather_matmul_scatter_add: src partition must cover "
-                  "input rows");
-  GNNHLS_CHECK_EQ(dst_part->segments, out_rows,
-                  "fused_gather_matmul_scatter_add: dst partition must cover "
-                  "output rows");
-  GNNHLS_CHECK_EQ(a.cols(), w.rows(),
-                  "fused_gather_matmul_scatter_add: inner dimension "
-                  "mismatch");
-#ifndef NDEBUG
-  debug_check_partition(
-      *src_part, src, "fused_gather_matmul_scatter_add: stale src partition");
-  debug_check_partition(
-      *dst_part, dst, "fused_gather_matmul_scatter_add: stale dst partition");
-#endif
-  Matrix out = fused_gather_matmul_scatter(a.value(), w.value(), src,
-                                           *dst_part);
-  return record(std::move(out), {a, w},
-                [a, w, src, dst, src_part](VarNode& n) {
-                  // Weight gradient first, then input gradient — the sink
-                  // update order of the unfused matmul-backward /
-                  // gather-backward pair.
-                  if (w.requires_grad()) {
-                    sink_of(w).add_inplace(
-                        fused_gather_matmul_scatter_backward_w(
-                            a.value(), n.grad, src, dst));
-                  }
-                  if (a.requires_grad()) {
-                    fused_gather_matmul_scatter_backward_x(
-                        n.grad, w.value(), dst, *src_part, sink_of(a));
-                  }
-                });
 }
 
 Var Tape::segment_mean(const Var& a, const std::vector<int>& idx,

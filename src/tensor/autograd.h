@@ -125,35 +125,6 @@ class Tape {
   Var segment_mean(const Var& a, const std::vector<int>& idx, int segments,
                    SegmentPartitionPtr part = nullptr);
 
-  // ----- fused message-passing ops -----
-  // One tape node for the whole gather -> (transform) -> scatter chain,
-  // running the fused kernels in tensor/fused_mp.h: the [E, hidden] message
-  // tensor never materializes in forward or backward. Values and gradients
-  // are identical to the unfused composition at any thread count (same
-  // fixed-order partition reduction; exact zeros may differ in sign only).
-  // Both cached partitions are mandatory — the fused ops exist for the hot
-  // path where GraphTensors already carries them.
-
-  /// Equivalent to scatter_add_rows(scale_rows(gather_rows(a, src,
-  /// src_part), coeff), dst, out_rows, dst_part); empty coeff drops the
-  /// scale_rows. Coefficients are constants (no gradient), as in
-  /// scale_rows. src_part partitions edges by src over a.rows(); dst_part
-  /// partitions edges by dst over out_rows.
-  Var fused_gather_scatter_add(const Var& a, const std::vector<int>& src,
-                               const std::vector<int>& dst, int out_rows,
-                               SegmentPartitionPtr src_part,
-                               SegmentPartitionPtr dst_part,
-                               std::vector<float> coeff = {});
-  /// Equivalent to scatter_add_rows(matmul(gather_rows(a, src, src_part),
-  /// w), dst, out_rows, dst_part), including the gradient to w (whose
-  /// weight-gradient accumulates through one add, preserving the unfused
-  /// granularity for weights shared across layers).
-  Var fused_gather_matmul_scatter_add(const Var& a, const Var& w,
-                                      const std::vector<int>& src,
-                                      const std::vector<int>& dst,
-                                      int out_rows,
-                                      SegmentPartitionPtr src_part,
-                                      SegmentPartitionPtr dst_part);
   Var segment_max(const Var& a, const std::vector<int>& idx, int segments);
   Var segment_min(const Var& a, const std::vector<int>& idx, int segments);
   /// Softmax over the entries of each segment; a must be [k,1].

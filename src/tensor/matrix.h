@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "support/arena.h"
 #include "support/check.h"
 #include "support/rng.h"
 
@@ -74,10 +73,7 @@ class Matrix {
  private:
   int rows_ = 0;
   int cols_ = 0;
-  /// Element storage is arena-aware: inside an ArenaScope new matrices bump-
-  /// allocate from the scope's arena (per-batch temporaries), everywhere else
-  /// they are plain heap vectors. See support/arena.h for the lifetime rules.
-  std::vector<float, ArenaAllocator<float>> data_;
+  std::vector<float> data_;
 };
 
 /// Opt-in allocator tuning for tensor-churn workloads (training loops):

@@ -3,22 +3,17 @@
 #include <numeric>
 #include <utility>
 
-#include "support/arena.h"
 #include "support/parallel.h"
 
 namespace gnnhls {
 
 namespace {
 
-/// Assembles one core sequence for the given membership chunks. Runs under
-/// an ArenaPause: cached cores may outlive any caller's scratch-arena scope,
-/// so every matrix and vector here must be heap-backed. The pool workers the
-/// assembly fans out to never carry an installed arena of their own.
+/// Assembles one core sequence for the given membership chunks.
 std::vector<BatchCorePtr> assemble_cores(
     const std::vector<Sample>& samples,
     const std::vector<std::vector<int>>& chunks,
     const BatchPlan::FeatureFn& feature_of) {
-  const ArenaPause heap_only;
   // Prefetch features serially: feature_of typically fills the shared
   // FeatureCache, and a deterministic fill order keeps hit/miss accounting
   // reproducible for tests regardless of pool width.
@@ -144,9 +139,7 @@ BatchPlan BatchPlan::build(const std::vector<Sample>& samples,
 
   if (batch_size <= 1) {
     // Legacy per-sample view; the epoch loop shuffles sample_order_ with
-    // exactly the draws the old fit loop made. Views and labels persist for
-    // the whole fit, so they stay off any scratch arena.
-    const ArenaPause heap_only;
+    // exactly the draws the old fit loop made.
     plan.sample_order_ = train_idx;
     plan.sample_features_.assign(samples.size(), nullptr);
     plan.sample_labels_.resize(samples.size());
@@ -172,9 +165,7 @@ BatchPlan BatchPlan::build(const std::vector<Sample>& samples,
       cores_for(samples, chunks, feature_of, share_key);
   GNNHLS_CHECK_EQ(cores.size(), chunks.size(), "BatchPlan: core count");
 
-  // Per-plan labels: built serially (label_of may hit shared caches) and
-  // heap-backed — they persist across every per-batch arena reset.
-  const ArenaPause heap_only;
+  // Per-plan labels: built serially (label_of may hit shared caches).
   std::vector<Matrix> labels(samples.size());
   for (int i : train_idx) {
     labels[static_cast<std::size_t>(i)] =
@@ -235,8 +226,7 @@ BatchPlan BatchPlan::build_segments(const std::vector<Sample>& samples,
   }
 
   // Per-plan labels over the union of segment members (metric-specific, so
-  // never shared); heap-backed like every persistent plan matrix.
-  const ArenaPause heap_only;
+  // never shared).
   std::vector<Matrix> labels(samples.size());
   for (const std::vector<int>& chunk : all_chunks) {
     for (int i : chunk) {

@@ -42,9 +42,7 @@
 namespace gnnhls {
 
 /// The immutable, shareable half of one mini-batch: fixed membership, the
-/// members' disjoint union, and their stacked input features. Always
-/// heap-backed (assembly pauses any installed scratch arena) because cached
-/// cores outlive every per-batch arena reset.
+/// members' disjoint union, and their stacked input features.
 struct BatchCore {
   std::vector<int> members;  // sample indices, fixed for the fit
   GraphBatch batch;          // disjoint union of the members

@@ -1,7 +1,5 @@
 #include "train/feature_cache.h"
 
-#include "support/arena.h"
-
 namespace gnnhls {
 
 FeatureCache& FeatureCache::global() {
@@ -22,9 +20,6 @@ const Matrix& FeatureCache::lookup(const Key& key, BuildFn&& build) {
   // Build outside the lock so concurrent misses on *different* samples never
   // serialize on feature construction. Two threads missing the same key both
   // build the (identical, deterministic) tensor and the first insert wins.
-  // Cache entries outlive any batch, so shield the build from the caller's
-  // arena scope (a miss inside an eval/serving scope must be heap-backed).
-  const ArenaPause heap_only;
   auto built = std::make_unique<const Matrix>(build());
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = entries_.emplace(key, std::move(built));

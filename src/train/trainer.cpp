@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.h"
-#include "support/arena.h"
 #include "support/parallel.h"
 
 namespace gnnhls {
@@ -124,13 +123,6 @@ void Trainer::run_batched_epoch(BatchPlan& plan, Adam& opt, int epoch) {
             plan.item(order[pos + static_cast<std::size_t>(b)]);
         LeafGradRedirect redirect(param_leaves_,
                                   step_grads_[static_cast<std::size_t>(b)]);
-        // Tape temporaries live in this worker's scratch arena for the span
-        // of one batch; the scope resets it after the tape (declared later,
-        // destroyed earlier) has released every arena-backed matrix. The
-        // redirect sinks above were shaped BEFORE the scope, so they stay
-        // heap-backed and survive until step_merged.
-        const ArenaScope scratch(cfg_.arena ? &thread_scratch_arena()
-                                            : nullptr);
         const std::uint64_t global_batch =
             static_cast<std::uint64_t>(pos) + static_cast<std::uint64_t>(b);
         Rng drop(mix_seed(dropout_seed_ ^

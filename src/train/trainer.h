@@ -65,13 +65,6 @@ struct TrainConfig {
   /// clamped to the step's batch count. Ignored by the legacy
   /// batch_size<=1 path, which is defined as a serial trajectory.
   int shards = 1;
-  /// Back per-batch tape temporaries (activations, adjoints, kernel scratch)
-  /// with each worker thread's bump-pointer scratch arena, reset at every
-  /// batch boundary (see support/arena.h). Execution-only: allocation
-  /// placement never changes a computed value. Batched mode only — the
-  /// legacy batch_size<=1 path accumulates parameter gradients across tapes
-  /// and is left on the heap.
-  bool arena = false;
   std::uint64_t seed = 1;
   /// Observability knobs (obs/obs_config.h): obs.trace emits epoch/shard
   /// spans into the process-wide TraceCollector when it is active.
