@@ -57,7 +57,8 @@ int run(int argc, const char* const* argv) {
           QorPredictor predictor(variants[v].approach, mc, tc,
                                  variants[v].infused);
           const double val =
-              predictor.fit(cdfg, split, static_cast<Metric>(m));
+              predictor.fit(cdfg, split, static_cast<Metric>(m), FitOptions{})
+                  .best_val;
           if (val < best_val) {
             best_val = val;
             picked_test = predictor.evaluate_mape(cdfg, split.test);

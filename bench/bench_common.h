@@ -40,8 +40,8 @@ struct BenchConfig {
   int runs = 2;
   int keep_best = 1;
   int threads = 0;     // 0 = hardware_concurrency
-  int batch_size = 1;  // graphs per SGD step (1 = legacy accumulation loop)
-  int grad_accum = 1;  // batches merged per Adam step (gives shards work)
+  int batch_size = 1;  // graphs per forward/backward (1 = one graph per tape)
+  int grad_accum = 1;  // batches per Adam step at batch_size > 1
   // Serving knobs (bench_serving; see serve/serving_batcher.h ServeConfig).
   int max_batch = 8;            // graphs per serving forward pass
   int batch_window_us = 200;    // micro-batch collection window (int: the
@@ -108,9 +108,11 @@ inline void print_bench_usage(std::ostream& os) {
         "  --threads=N            bounds every parallelism layer: job-level\n"
         "                         run_parallel width, Trainer shards, kernel\n"
         "                         pool (1 = fully serial; 0 = hardware)\n"
-        "  --batch-size=N         graphs per SGD step (1 = legacy\n"
-        "                         accumulation loop; >1 = GraphBatch unions)\n"
-        "  --grad-accum=N         mini-batches merged per Adam step\n"
+        "  --batch-size=N         graphs per forward/backward pass (1 = one\n"
+        "                         graph per tape, 8 tapes per Adam step;\n"
+        "                         >1 = GraphBatch unions)\n"
+        "  --grad-accum=N         mini-batches per Adam step at\n"
+        "                         --batch-size > 1\n"
         "serving flags (bench_serving):\n"
         "  --max-batch=N          graphs per serving forward pass (1\n"
         "                         disables micro-batching)\n"

@@ -47,6 +47,14 @@ namespace {
 struct TrainedModels {
   QorPredictor lut;
   QorPredictor ff;
+
+  /// The (LUT, FF) scoring table every arm ranks and fronts over.
+  ModelTable table() const {
+    ModelTable t;
+    t.add(Metric::kLut, &lut);
+    t.add(Metric::kFf, &ff);
+    return t;
+  }
 };
 
 TrainedModels train_models(const BenchConfig& cfg,
@@ -59,8 +67,10 @@ TrainedModels train_models(const BenchConfig& cfg,
   TrainedModels models{QorPredictor(Approach::kOffTheShelf, mc, tc),
                        QorPredictor(Approach::kOffTheShelf, mc, tc)};
   Timer t;
-  const double lut_val = models.lut.fit(corpus, split, Metric::kLut);
-  const double ff_val = models.ff.fit(corpus, split, Metric::kFf);
+  const double lut_val =
+      models.lut.fit(corpus, split, Metric::kLut, FitOptions{}).best_val;
+  const double ff_val =
+      models.ff.fit(corpus, split, Metric::kFf, FitOptions{}).best_val;
   std::cout << "  trained LUT (val MAPE " << TextTable::pct(lut_val)
             << ") + FF (val MAPE " << TextTable::pct(ff_val) << ") in "
             << TextTable::num(t.seconds(), 1) << "s\n";
@@ -144,8 +154,7 @@ int run(int argc, const char* const* argv) {
   const std::vector<Sample> corpus = build_cdfg(cfg);
   print_dataset_line("synthetic CDFG", corpus);
   const TrainedModels models = train_models(cfg, corpus);
-  const PredictorScorer direct(
-      {{Metric::kLut, &models.lut}, {Metric::kFf, &models.ff}});
+  const PredictorScorer direct(models.table());
 
   const DesignSpace space =
       make_kernel_design_space("gemm", grid_with_at_least(cfg.dse_points));
@@ -203,8 +212,7 @@ int run(int argc, const char* const* argv) {
   SchedulerConfig sc;
   sc.max_batch = cfg.max_batch;
   sc.batch_window_us = cfg.batch_window_us;
-  const ServingScorer serving(
-      {{Metric::kLut, &models.lut}, {Metric::kFf, &models.ff}}, sc);
+  const ServingScorer serving(models.table(), sc);
   const Explorer served_explorer(space, serving, dse);
   const bool serving_identical =
       same_exploration(sh, served_explorer.successive_halving());
@@ -341,8 +349,7 @@ int run(int argc, const char* const* argv) {
       SchedulerConfig row_sc;
       row_sc.max_batch = max_batch;
       row_sc.batch_window_us = cfg.batch_window_us;
-      const ServingScorer row_scorer(
-          {{Metric::kLut, &models.lut}, {Metric::kFf, &models.ff}}, row_sc);
+      const ServingScorer row_scorer(models.table(), row_sc);
       const Explorer row_explorer(space, row_scorer, dse);
       Timer t;
       const DseResult r = row_explorer.successive_halving();

@@ -611,7 +611,7 @@ void BM_TrainerEpoch(benchmark::State& state) {
     restore_parameters(model, initial);  // same workload every iteration
     state.ResumeTiming();
     Trainer trainer(model, tc, hooks, 99);
-    trainer.fit(plan, nullptr);
+    trainer.fit(plan, FitOptions{}, nullptr);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(trainer_corpus().size()));
@@ -635,7 +635,7 @@ void BM_TrainerFirstEpoch(benchmark::State& state) {
     state.ResumeTiming();
     BatchPlan plan = build_trainer_plan(tc);
     Trainer trainer(model, tc, hooks, 99);
-    trainer.fit(plan, nullptr);
+    trainer.fit(plan, FitOptions{}, nullptr);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(trainer_corpus().size()));

@@ -413,7 +413,7 @@ bool scheduled_bit_identity_all_kinds() {
     tc.batch_size = 4;
     tc.seed = 5;
     QorPredictor predictor(Approach::kOffTheShelf, mc, tc);
-    predictor.fit(samples, split, Metric::kLut);
+    predictor.fit(samples, split, Metric::kLut, FitOptions{});
     std::vector<double> expected;
     for (const Sample& s : samples) expected.push_back(predictor.predict(s));
     bool kind_ok = true;
@@ -458,7 +458,8 @@ int run(int argc, const char* const* argv) {
   QorPredictor predictor(Approach::kOffTheShelf, model_config(cfg),
                          train_config(cfg));
   Timer fit_timer;
-  const double val = predictor.fit(samples, split, Metric::kLut);
+  const double val =
+      predictor.fit(samples, split, Metric::kLut, FitOptions{}).best_val;
   std::cout << "fit: val MAPE " << TextTable::pct(val) << " in "
             << TextTable::num(fit_timer.seconds(), 1) << "s\n\n";
 
@@ -536,7 +537,7 @@ int run(int argc, const char* const* argv) {
     } else {
       extra_models.push_back(std::make_unique<QorPredictor>(
           Approach::kOffTheShelf, model_config(cfg), train_config(cfg)));
-      extra_models.back()->fit(samples, split, metric);
+      extra_models.back()->fit(samples, split, metric, FitOptions{});
       p = extra_models.back().get();
     }
     models.push_back(p);

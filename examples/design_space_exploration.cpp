@@ -18,6 +18,7 @@
 //
 // Build & run:  ./build/design_space_exploration
 #include <iostream>
+#include <utility>
 
 #include "dse/explorer.h"
 #include "support/table.h"
@@ -39,7 +40,8 @@ QorPredictor train_predictor(const std::vector<Sample>& corpus,
   tc.batch_size = 8;
   QorPredictor predictor(Approach::kOffTheShelf, mc, tc);
   Timer t;
-  const double val = predictor.fit(corpus, split, metric);
+  const double val =
+      predictor.fit(corpus, split, metric, FitOptions{}).best_val;
   std::cout << "  " << metric_name(metric) << " predictor: val MAPE "
             << TextTable::pct(val) << " in " << TextTable::num(t.seconds(), 1)
             << "s\n";
@@ -69,7 +71,10 @@ int main() {
       split_80_10_10(static_cast<int>(corpus.size()), 5);
   const QorPredictor lut = train_predictor(corpus, split, Metric::kLut);
   const QorPredictor ff = train_predictor(corpus, split, Metric::kFf);
-  const PredictorScorer scorer({{Metric::kLut, &lut}, {Metric::kFf, &ff}});
+  ModelTable models;
+  models.add(Metric::kLut, &lut);
+  models.add(Metric::kFf, &ff);
+  const PredictorScorer scorer(std::move(models));
 
   // ----- 2. declare the design space -----
   const DesignSpace space = make_kernel_design_space("gemm");

@@ -108,7 +108,7 @@ int main() {
   TextTable pred_table({"metric", "predicted", "truth", "HLS report"});
   for (Metric m : kAllMetrics) {
     QorPredictor predictor(Approach::kOffTheShelf, mc, tc);
-    predictor.fit(corpus, split, m);
+    predictor.fit(corpus, split, m, FitOptions{});
     const double prediction = predictor.predict(sample);
     pred_table.add_row(
         {metric_name(m), TextTable::num(prediction, m == Metric::kCp ? 2 : 0),

@@ -85,8 +85,10 @@ int main(int argc, char** argv) {
   QorPredictor lut(Approach::kOffTheShelf, mc, tc);
   QorPredictor cp(Approach::kOffTheShelf, mc, tc);
   Timer fit_timer;
-  const double lut_val = lut.fit(corpus, split, Metric::kLut);
-  const double cp_val = cp.fit(corpus, split, Metric::kCp);
+  const double lut_val =
+      lut.fit(corpus, split, Metric::kLut, FitOptions{}).best_val;
+  const double cp_val =
+      cp.fit(corpus, split, Metric::kCp, FitOptions{}).best_val;
   std::cout << "  val MAPE lut " << TextTable::pct(lut_val) << " / cp "
             << TextTable::pct(cp_val) << " in "
             << TextTable::num(fit_timer.seconds(), 1) << "s\n\n";

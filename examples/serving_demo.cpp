@@ -44,7 +44,8 @@ int main() {
   tc.batch_size = 8;
   QorPredictor predictor(Approach::kOffTheShelf, mc, tc);
   Timer fit_timer;
-  const double val = predictor.fit(corpus, split, Metric::kLut);
+  const double val =
+      predictor.fit(corpus, split, Metric::kLut, FitOptions{}).best_val;
   std::cout << "  val MAPE " << TextTable::pct(val) << " in "
             << TextTable::num(fit_timer.seconds(), 1) << "s\n\n";
 

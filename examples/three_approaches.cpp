@@ -53,9 +53,9 @@ int main() {
   for (const auto& row : rows) {
     Timer t;
     QorPredictor lut_model(row.approach, mc, tc);
-    lut_model.fit(corpus, split, Metric::kLut);
+    lut_model.fit(corpus, split, Metric::kLut, FitOptions{});
     QorPredictor ff_model(row.approach, mc, tc);
-    ff_model.fit(corpus, split, Metric::kFf);
+    ff_model.fit(corpus, split, Metric::kFf, FitOptions{});
     table.add_row({approach_name(row.approach), row.needs,
                    TextTable::pct(lut_model.evaluate_mape(corpus, split.test)),
                    TextTable::pct(ff_model.evaluate_mape(corpus, split.test)),

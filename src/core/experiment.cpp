@@ -45,7 +45,7 @@ ExperimentResult run_regression_experiment(
     tc.seed = spec.train.seed + static_cast<std::uint64_t>(r) * 1000003;
     QorPredictor predictor(spec.approach, mc, tc);
     ScoredRun run;
-    run.val = predictor.fit(samples, split, spec.metric);
+    run.val = predictor.fit(samples, split, spec.metric, FitOptions{}).best_val;
     run.test = predictor.evaluate_mape(samples, split.test);
     if (transfer_set != nullptr) {
       run.transfer = predictor.evaluate_mape(
@@ -81,7 +81,7 @@ NodeExperimentResult run_node_experiment(
     tc.seed = train.seed + static_cast<std::uint64_t>(r) * 1000003;
     NodeTypePredictor predictor(mc, tc);
     NodeRun run;
-    run.val = predictor.fit(samples, split);
+    run.val = predictor.fit(samples, split, FitOptions{}).best_val;
     run.test = predictor.evaluate(samples, split.test);
     if (transfer_set != nullptr) {
       run.transfer = predictor.evaluate(

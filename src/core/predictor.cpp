@@ -113,7 +113,7 @@ void QorPredictor::fit_classifier(const std::vector<Sample>& samples,
   BatchPlan plan = classifier_plan(samples, train_idx, tc);
   Trainer trainer(*classifier_, tc, classifier_hooks(*classifier_),
                   seed * 17 + 3);
-  trainer.fit(plan, nullptr);  // -I keeps the last classifier epoch
+  trainer.fit(plan, FitOptions{}, nullptr);  // -I keeps the last epoch
 }
 
 FitReport QorPredictor::train_regressor(BatchPlan& plan, Trainer& trainer,
@@ -211,11 +211,6 @@ FitReport QorPredictor::fit(const std::vector<Sample>& samples,
   return train_regressor(plan, trainer, opts);
 }
 
-double QorPredictor::fit(const std::vector<Sample>& samples,
-                         const SplitIndices& split, Metric metric) {
-  return fit(samples, split, metric, FitOptions{}).best_val;
-}
-
 FitOptions QorPredictor::refit_defaults() {
   FitOptions opts;
   opts.warm_start = true;
@@ -271,21 +266,9 @@ FitReport QorPredictor::refit(const std::vector<Sample>& new_samples,
       train_cfg_.batch_size, corpus_, delta_idx);
   segments_.push_back(std::move(seg));
 
-  BatchPlan plan =
-      train_cfg_.batch_size <= 1
-          // Legacy mode has no unions to reuse; train the concatenated
-          // index list through the plain per-sample path.
-          ? [&] {
-              std::vector<int> all;
-              for (const BatchPlan::Segment& s : segments_) {
-                all.insert(all.end(), s.idx.begin(), s.idx.end());
-              }
-              return BatchPlan::build(corpus_, all, train_cfg_.batch_size,
-                                      feature_of, label_of, Rng(seg_seed));
-            }()
-          : BatchPlan::build_segments(corpus_, segments_,
-                                      train_cfg_.batch_size, feature_of,
-                                      label_of, Rng(seed * 31 + 11 + gen));
+  BatchPlan plan = BatchPlan::build_segments(
+      corpus_, segments_, train_cfg_.batch_size, feature_of, label_of,
+      Rng(seed * 31 + 11 + gen));
 
   Trainer trainer(*regressor_, train_cfg_, regressor_hooks(*regressor_),
                   seed * 17 + 2 + gen * 0x85EBCA6BULL);
@@ -352,13 +335,7 @@ double QorPredictor::evaluate_mape(const std::vector<Sample>& samples,
   truth.reserve(idx.size());
   const std::size_t bs =
       static_cast<std::size_t>(std::max(train_cfg_.batch_size, 1));
-  if (bs <= 1) {
-    for (int i : idx) {
-      const Sample& s = samples[static_cast<std::size_t>(i)];
-      pred.push_back(predict(s));
-      truth.push_back(metric_of(s.truth, metric_));
-    }
-  } else if (!pure_inference_features()) {
+  if (!pure_inference_features()) {
     // Hierarchical self-inferred features depend on the trained classifier,
     // so the chunk unions cannot come from the sample-keyed core cache;
     // keep the serial predict_many chunk loop.
@@ -375,12 +352,12 @@ double QorPredictor::evaluate_mape(const std::vector<Sample>& samples,
       for (double p : predict_many(chunk)) pred.push_back(p);
     }
   } else {
-    // Sharded evaluation: the chunk unions come from an eval-side BatchPlan
-    // (cores shared across epochs and refits via the BatchCoreCache) and
-    // the per-chunk forwards fan out on the thread pool, each filling its
-    // own pre-sized slot range. Chunk boundaries and per-chunk math are
-    // exactly the serial loop's, so the result is bit-identical to serial
-    // evaluation at any pool width.
+    // Sharded evaluation: the chunks come from an eval-side BatchPlan (union
+    // cores shared across epochs and refits via the BatchCoreCache; one-graph
+    // chunks are the samples themselves) and the per-chunk forwards fan out
+    // on the thread pool, each filling its own pre-sized slot range. Chunk
+    // boundaries and per-chunk math are exactly the serial loop's, so the
+    // result is bit-identical to serial evaluation at any pool width.
     const BatchPlan plan = BatchPlan::build_eval(
         samples, idx, static_cast<int>(bs),
         [this](const Sample& s) -> const Matrix& {
@@ -397,7 +374,7 @@ double QorPredictor::evaluate_mape(const std::vector<Sample>& samples,
     parallel_shards(plan.num_batches(), [&](int b) {
       const BatchPlan::Item& item = plan.item(b);
       const std::vector<float> encoded =
-          regressor_->predict_batch(item.batch().merged, item.features());
+          regressor_->predict_batch(item.tensors(), item.features());
       const std::size_t base = static_cast<std::size_t>(b) * bs;
       for (std::size_t j = 0; j < encoded.size(); ++j) {
         pred[base + j] = decode_target(encoded[j], metric_);
@@ -461,11 +438,6 @@ FitReport NodeTypePredictor::fit(const std::vector<Sample>& samples,
     adam_state_ = trainer.export_optimizer_state();
   }
   return report;
-}
-
-double NodeTypePredictor::fit(const std::vector<Sample>& samples,
-                              const SplitIndices& split) {
-  return fit(samples, split, FitOptions{}).best_val;
 }
 
 NodeClassifierScores NodeTypePredictor::evaluate(

@@ -63,11 +63,6 @@ class QorPredictor {
   FitReport fit(const std::vector<Sample>& samples, const SplitIndices& split,
                 Metric metric, const FitOptions& opts);
 
-  /// Deprecated shim (pre-FitOptions signature): fresh fit, full epoch
-  /// budget, best-epoch selection. Returns the best validation MAPE.
-  double fit(const std::vector<Sample>& samples, const SplitIndices& split,
-             Metric metric);
-
   /// Online refit: appends `new_samples` (ground truth gathered since the
   /// last fit/refit, e.g. a DSE round's HLS results) to the retained corpus
   /// as a fresh training segment and continues training. With
@@ -111,10 +106,10 @@ class QorPredictor {
   std::vector<double> predict_many(
       const std::vector<const Sample*>& samples) const;
 
-  /// MAPE over an index subset. With batch_size > 1 the regressor runs on
-  /// GraphBatch unions of that many samples per tape. Feature matrices come
-  /// from the process-wide FeatureCache, so per-epoch validation and bench
-  /// tables stop rebuilding identical tensors per call.
+  /// MAPE over an index subset, batch_size samples per regressor forward
+  /// (GraphBatch unions; a one-sample chunk runs on the sample itself).
+  /// Feature matrices come from the process-wide FeatureCache, so per-epoch
+  /// validation and bench tables stop rebuilding identical tensors per call.
   double evaluate_mape(const std::vector<Sample>& samples,
                        const std::vector<int>& idx) const;
 
@@ -182,10 +177,6 @@ class NodeTypePredictor {
   /// better). FitReport::val_curve carries the per-epoch mean accuracy.
   FitReport fit(const std::vector<Sample>& samples, const SplitIndices& split,
                 const FitOptions& opts);
-
-  /// Deprecated shim (pre-FitOptions signature): fresh fit, full budget,
-  /// best-epoch selection. Returns best validation mean accuracy.
-  double fit(const std::vector<Sample>& samples, const SplitIndices& split);
 
   NodeClassifierScores evaluate(const std::vector<Sample>& samples,
                                 const std::vector<int>& idx) const;

@@ -8,8 +8,8 @@
 //   graph <name> <kind> <num_nodes> <num_edges>
 //   qor <dsp> <lut> <ff> <cp_ns>
 //   report <dsp> <lut> <ff> <cp_ns>
-//   node <type> <opcode> <bitwidth> <start> <cluster> <const> \
-//        <uses_dsp> <uses_lut> <uses_ff> <dsp> <lut> <ff>     (x num_nodes)
+//   node <type> <opcode> <bitwidth> <start> <cluster> <const> ...
+//        ... <uses_dsp> <uses_lut> <uses_ff> <dsp> <lut> <ff> (x num_nodes)
 //   edge <src> <dst> <type> <back>                            (x num_edges)
 //   end
 //

@@ -14,11 +14,6 @@ namespace gnnhls {
 
 // ----- model table -----
 
-ModelTable::ModelTable(
-    const std::vector<std::pair<Metric, const QorPredictor*>>& models) {
-  for (const auto& [metric, predictor] : models) add(metric, predictor);
-}
-
 void ModelTable::add(Metric metric, const QorPredictor* model) {
   GNNHLS_CHECK(model != nullptr, "ModelTable: null model");
   GNNHLS_CHECK(find(metric) == nullptr, "ModelTable: duplicate metric entry");
@@ -124,10 +119,6 @@ std::vector<ScoreResult> ModelScorerBase::score(
 PredictorScorer::PredictorScorer(ModelTable table)
     : ModelScorerBase(std::move(table)) {}
 
-PredictorScorer::PredictorScorer(
-    const std::vector<std::pair<Metric, const QorPredictor*>>& models)
-    : ModelScorerBase(ModelTable(models)) {}
-
 std::vector<double> PredictorScorer::member_predictions(
     int /*flat_id*/, const QorPredictor& model,
     const std::vector<const Sample*>& samples) const {
@@ -139,11 +130,6 @@ ServingScorer::ServingScorer(ModelTable table, SchedulerConfig cfg)
   std::vector<const QorPredictor*> predictors = this->table().flat();
   sched_ = std::make_unique<ServingScheduler>(std::move(predictors), cfg);
 }
-
-ServingScorer::ServingScorer(
-    const std::vector<std::pair<Metric, const QorPredictor*>>& models,
-    SchedulerConfig cfg)
-    : ServingScorer(ModelTable(models), cfg) {}
 
 std::vector<double> ServingScorer::member_predictions(
     int flat_id, const QorPredictor& /*model*/,

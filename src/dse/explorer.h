@@ -107,9 +107,6 @@ struct DseResult {
 class ModelTable {
  public:
   ModelTable() = default;
-  /// Compat constructor: one single-model entry per (metric, predictor).
-  explicit ModelTable(
-      const std::vector<std::pair<Metric, const QorPredictor*>>& models);
 
   /// Registers a single predictor (one member) for `metric`.
   void add(Metric metric, const QorPredictor* model);
@@ -184,9 +181,6 @@ class ModelScorerBase : public Scorer {
 class PredictorScorer : public ModelScorerBase {
  public:
   explicit PredictorScorer(ModelTable table);
-  /// Compat constructor (pre-ModelTable signature).
-  explicit PredictorScorer(
-      const std::vector<std::pair<Metric, const QorPredictor*>>& models);
 
  protected:
   std::vector<double> member_predictions(
@@ -210,10 +204,6 @@ class ServingScorer : public ModelScorerBase {
   /// to the shared scheduler; admission knobs (max_queue, deadlines)
   /// are left off — DSE scoring must answer every sample.
   explicit ServingScorer(ModelTable table, SchedulerConfig cfg = {});
-  /// Compat constructor (pre-ModelTable signature).
-  explicit ServingScorer(
-      const std::vector<std::pair<Metric, const QorPredictor*>>& models,
-      SchedulerConfig cfg = {});
 
   /// Scheduler counters (per_model_completed is in table().flat() order).
   SchedStats serving_stats() const { return sched_->stats(); }

@@ -51,20 +51,13 @@ void Adam::step() {
   zero_grad();
 }
 
-void Adam::step_merged(const std::vector<std::vector<Matrix>>& shard_grads,
-                       std::size_t active) {
-  const std::size_t n = std::min(active, shard_grads.size());
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::vector<Matrix>& shard = shard_grads[s];
-    if (shard.empty()) continue;
-    GNNHLS_CHECK_EQ(shard.size(), params_.size(),
-                    "step_merged: shard buffer / parameter count mismatch");
-    for (std::size_t k = 0; k < params_.size(); ++k) {
-      if (shard[k].empty()) continue;  // leaf without requires_grad
-      params_[k]->mutable_grad().add_inplace(shard[k]);
-    }
+void Adam::accumulate(const std::vector<Matrix>& grads) {
+  GNNHLS_CHECK_EQ(grads.size(), params_.size(),
+                  "accumulate: gradient buffer / parameter count mismatch");
+  for (std::size_t k = 0; k < params_.size(); ++k) {
+    if (grads[k].empty()) continue;  // leaf without requires_grad
+    params_[k]->mutable_grad().add_inplace(grads[k]);
   }
-  step();
 }
 
 void Adam::zero_grad() {

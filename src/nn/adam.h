@@ -37,16 +37,13 @@ class Adam {
   /// Applies one update from accumulated gradients, then zeroes them.
   void step();
 
-  /// Data-parallel step: reduces the first `active` per-shard gradient
-  /// buffers (one std::vector<Matrix> per shard, parameter-ordered, as
-  /// exported by LeafGradRedirect) into the parameters' grad accumulators
-  /// in shard order — a fixed reduction tree, so the update is
-  /// bit-identical for any assignment of shards to threads — then applies
-  /// step(). Entries beyond `active` are ignored, letting callers keep a
-  /// buffer pool at full size across shorter tail steps; buffers with no
-  /// entries (skipped shards) are ignored too.
-  void step_merged(const std::vector<std::vector<Matrix>>& shard_grads,
-                   std::size_t active = static_cast<std::size_t>(-1));
+  /// Adds one gradient buffer (parameter-ordered, as filled by
+  /// LeafGradRedirect) into the parameters' grad accumulators; empty
+  /// entries (leaves without requires_grad) are skipped. The one reduction
+  /// routine of data-parallel training: the trainer folds its per-batch
+  /// buffers in a fixed order, so the summed gradient is bit-identical for
+  /// any assignment of batches to threads.
+  void accumulate(const std::vector<Matrix>& grads);
 
   void zero_grad();
 

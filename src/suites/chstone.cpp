@@ -172,8 +172,8 @@ Function ch_jpeg_dct() {
           assign_array("coef", var("r") * lit(8) + lit(4),
                        var("s0") - var("s3") + var("s1") - var("s2")),
           assign_array("coef", var("r") * lit(8) + lit(2),
-                       (var("s0") - var("s3")) * lit(277) +
-                           (var("s1") - var("s2")) * lit(669) >>
+                       ((var("s0") - var("s3")) * lit(277) +
+                        (var("s1") - var("s2")) * lit(669)) >>
                            lit(9)),
           assign_array("coef", var("r") * lit(8) + lit(1),
                        (var("d0") * lit(502) + var("d1") * lit(426)) >>

@@ -50,8 +50,8 @@ Function pb_gemm() {
                                              A("Am", idx2("i", "k", N)) *
                                                  A("Bm", idx2("k", "j", N))))),
                        assign_array("Cm", idx2("i", "j", N),
-                                    var("beta") * A("Cm", idx2("i", "j", N)) +
-                                        var("alpha") * var("sum_acc") >>
+                                    (var("beta") * A("Cm", idx2("i", "j", N)) +
+                                     var("alpha") * var("sum_acc")) >>
                                         lit(8)))))));
   f.body.push_back(ret(A("Cm", lit(0))));
   return f;
@@ -174,9 +174,9 @@ Function pb_gemver() {
       "i2", N,
       stmts(loop("j2", N,
                  stmts(assign_array("x", var("i2"),
-                                    A("x", var("i2")) +
-                                        A("Am", idx2("j2", "i2", N)) *
-                                            A("y", var("j2")) >>
+                                    (A("x", var("i2")) +
+                                     A("Am", idx2("j2", "i2", N)) *
+                                         A("y", var("j2"))) >>
                                         lit(2)))))));
   f.body.push_back(ret(A("x", lit(0))));
   return f;
@@ -198,7 +198,8 @@ Function pb_gesummv() {
                        assign("tb", var("tb") + A("Bm", idx2("i", "j", N)) *
                                                     A("x", var("j"))))),
             assign_array("y", var("i"),
-                         var("alpha") * var("ta") + var("beta") * var("tb") >>
+                         (var("alpha") * var("ta") +
+                          var("beta") * var("tb")) >>
                              lit(8)))));
   f.body.push_back(ret(A("y", lit(0))));
   return f;
@@ -217,10 +218,10 @@ Function pb_syrk() {
                      var("beta") * A("Cm", idx2("i", "j", N)) >> lit(4)),
                 loop("k", N,
                      stmts(assign("acc",
-                                  var("acc") + var("alpha") *
-                                                   A("Am", idx2("i", "k", N)) *
-                                                   A("Am", idx2("j", "k", N)) >>
-                                                   lit(4)))),
+                                  (var("acc") +
+                                   var("alpha") * A("Am", idx2("i", "k", N)) *
+                                       A("Am", idx2("j", "k", N))) >>
+                                      lit(4)))),
                 assign_array("Cm", idx2("i", "j", N), var("acc")))))));
   f.body.push_back(ret(A("Cm", lit(0))));
   return f;
@@ -339,10 +340,10 @@ Function pb_lu() {
                                     lt(var("k"), var("j")),
                                     stmts(assign(
                                         "acc",
-                                        var("acc") -
-                                            A("Am", idx2("i", "k", N)) *
-                                                A("Am", idx2("k", "j", N)) >>
-                                                lit(4)))))),
+                                        (var("acc") -
+                                         A("Am", idx2("i", "k", N)) *
+                                             A("Am", idx2("k", "j", N))) >>
+                                            lit(4)))))),
                            assign_array(
                                "Am", idx2("i", "j", N),
                                var("acc") /
@@ -354,10 +355,10 @@ Function pb_lu() {
                                     lt(var("k2"), var("i")),
                                     stmts(assign(
                                         "acc2",
-                                        var("acc2") -
-                                            A("Am", idx2("i", "k2", N)) *
-                                                A("Am", idx2("k2", "j", N)) >>
-                                                lit(4)))))),
+                                        (var("acc2") -
+                                         A("Am", idx2("i", "k2", N)) *
+                                             A("Am", idx2("k2", "j", N))) >>
+                                            lit(4)))))),
                            assign_array("Am", idx2("i", "j", N),
                                         var("acc2")))))))));
   f.body.push_back(ret(A("Am", lit(0))));
@@ -375,9 +376,9 @@ Function pb_ludcmp() {
             loop("j", N,
                  stmts(if_stmt(lt(var("j"), var("i")),
                                stmts(assign("acc",
-                                            var("acc") -
-                                                A("Am", idx2("i", "j", N)) *
-                                                    A("y", var("j")) >>
+                                            (var("acc") -
+                                             A("Am", idx2("i", "j", N)) *
+                                                 A("y", var("j"))) >>
                                                 lit(4)))))),
             assign_array("y", var("i"), var("acc")))));
   f.body.push_back(decl("det", ScalarType{32, true}, lit(1 << 8)));
@@ -406,10 +407,10 @@ Function pb_cholesky() {
                                   lt(var("k"), var("j")),
                                   stmts(assign(
                                       "acc",
-                                      var("acc") -
-                                          A("Am", idx2("i", "k", N)) *
-                                              A("Am", idx2("j", "k", N)) >>
-                                              lit(4)))))),
+                                      (var("acc") -
+                                       A("Am", idx2("i", "k", N)) *
+                                           A("Am", idx2("j", "k", N))) >>
+                                          lit(4)))))),
                          assign_array(
                              "Am", idx2("i", "j", N),
                              var("acc") /
@@ -437,9 +438,9 @@ Function pb_gramschmidt() {
       stmts(
           decl("nrm", ScalarType{32, true}, lit(0)),
           loop("i", N,
-               stmts(assign("nrm", var("nrm") +
-                                       A("Am", idx2("i", "k", N)) *
-                                           A("Am", idx2("i", "k", N)) >>
+               stmts(assign("nrm", (var("nrm") +
+                                        A("Am", idx2("i", "k", N)) *
+                                            A("Am", idx2("i", "k", N))) >>
                                        lit(4)))),
           decl("root", ScalarType{32, true},
                (var("nrm") + lit(256)) >> lit(1)),
@@ -476,10 +477,10 @@ Function pb_durbin() {
                stmts(if_stmt(
                    lt(var("i"), var("k") + lit(1)),
                    stmts(assign("sum",
-                                var("sum") +
-                                    A("r", (var("k") - var("i")) &
-                                               lit(N - 1)) *
-                                        A("y", var("i")) >>
+                                (var("sum") +
+                                 A("r", (var("k") - var("i")) &
+                                            lit(N - 1)) *
+                                     A("y", var("i"))) >>
                                     lit(8)))))),
           assign("alpha",
                  (lit(0) - (A("r", var("k") + lit(1)) + var("sum")) <<
@@ -697,11 +698,11 @@ Function pb_correlation() {
                 loop("i2", N,
                      stmts(assign(
                          "acc",
-                         var("acc") +
-                             (A("data", idx2("i2", "j1", N)) -
-                              A("mean", var("j1"))) *
-                                 (A("data", idx2("i2", "j2", N)) -
-                                  A("mean", var("j2"))) >>
+                         (var("acc") +
+                          (A("data", idx2("i2", "j1", N)) -
+                           A("mean", var("j1"))) *
+                              (A("data", idx2("i2", "j2", N)) -
+                               A("mean", var("j2")))) >>
                              lit(4)))),
                 assign_array("corr", idx2("j1", "j2", N), var("acc")))))));
   f.body.push_back(ret(A("corr", lit(0))));
@@ -734,9 +735,9 @@ Function pb_covariance() {
           stmts(decl("acc", ScalarType{32, true}, lit(0)),
                 loop("i3", N,
                      stmts(assign("acc",
-                                  var("acc") +
-                                      A("data", idx2("i3", "j3", N)) *
-                                          A("data", idx2("i3", "j4", N)) >>
+                                  (var("acc") +
+                                   A("data", idx2("i3", "j3", N)) *
+                                       A("data", idx2("i3", "j4", N))) >>
                                       lit(4)))),
                 assign_array("cov", idx2("j3", "j4", N),
                              var("acc") / lit(N - 1)))))));

@@ -87,7 +87,7 @@ inline void parallel_for(int begin, int end, int min_chunk, Body&& body) {
 /// whole unit of work — e.g. one mini-batch tape — not a slice of an index
 /// range). Which thread runs which shard is unspecified; callers that need
 /// reproducible results must make each shard's computation independent and
-/// reduce shard outputs in a fixed order afterwards (see Adam::step_merged).
+/// reduce shard outputs in a fixed order afterwards (see Adam::accumulate).
 /// With count <= 1 or a single-thread pool the shards run inline, serially,
 /// in index order.
 template <typename Body>

@@ -60,7 +60,7 @@ Var make_leaf(Matrix value, bool requires_grad);
 /// untouched, so concurrent per-shard tapes over shared parameters never
 /// race on the shared grad matrices. The constructor shapes and zeroes the
 /// sinks, making each scope an independent accumulator that the trainer
-/// merges in a deterministic order (see Adam::step_merged). Scopes do not
+/// merges in a deterministic order (see Adam::accumulate). Scopes do not
 /// nest on a thread; sinks must outlive the scope.
 class LeafGradRedirect {
  public:
@@ -133,8 +133,8 @@ class Tape {
   // ----- batched-graph segment ops -----
   // `seg` assigns every row of a to a segment (e.g. the per-node graph_id of
   // a GraphBatch). With one segment these reduce to sum_rows / mean_rows /
-  // repeat_row bit-for-bit, which is what keeps batch_size=1 training
-  // identical to the unbatched loop.
+  // repeat_row bit-for-bit, which is what keeps a graph's rows in a union
+  // bit-identical to its solo forward.
 
   /// out[s,:] = sum_{i: seg[i]==s} a[i,:]  ([n,m] -> [segments,m]).
   Var segment_sum_rows(const Var& a, const std::vector<int>& seg,

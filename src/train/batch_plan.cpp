@@ -1,5 +1,6 @@
 #include "train/batch_plan.h"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -9,7 +10,10 @@ namespace gnnhls {
 
 namespace {
 
-/// Assembles one core sequence for the given membership chunks.
+bool is_union(const std::vector<int>& chunk) { return chunk.size() > 1; }
+
+/// Assembles one core sequence for the given membership chunks; one-graph
+/// chunks get no core (their Item points at the member itself).
 std::vector<BatchCorePtr> assemble_cores(
     const std::vector<Sample>& samples,
     const std::vector<std::vector<int>>& chunks,
@@ -18,22 +22,22 @@ std::vector<BatchCorePtr> assemble_cores(
   // FeatureCache, and a deterministic fill order keeps hit/miss accounting
   // reproducible for tests regardless of pool width.
   std::vector<const Matrix*> feats(samples.size(), nullptr);
-  for (const std::vector<int>& chunk : chunks) {
-    for (int i : chunk) {
+  std::vector<std::shared_ptr<BatchCore>> cores(chunks.size());
+  for (std::size_t b = 0; b < chunks.size(); ++b) {
+    if (!is_union(chunks[b])) continue;
+    for (int i : chunks[b]) {
       if (feats[static_cast<std::size_t>(i)] == nullptr) {
         feats[static_cast<std::size_t>(i)] =
             &feature_of(samples[static_cast<std::size_t>(i)]);
       }
     }
-  }
-  std::vector<std::shared_ptr<BatchCore>> cores(chunks.size());
-  for (std::size_t b = 0; b < chunks.size(); ++b) {
     cores[b] = std::make_shared<BatchCore>();
     cores[b]->members = chunks[b];
   }
   // The pure union/stack assembly fans out across batches; each shard fills
   // its own pre-built core, so the result is pool-width independent.
   parallel_shards(static_cast<int>(chunks.size()), [&](int b) {
+    if (cores[static_cast<std::size_t>(b)] == nullptr) return;
     BatchCore& core = *cores[static_cast<std::size_t>(b)];
     std::vector<const GraphTensors*> parts;
     std::vector<const Matrix*> fparts;
@@ -52,6 +56,7 @@ std::vector<BatchCorePtr> assemble_cores(
 /// Consecutive chunks of `order`, batch_size per chunk (last one shorter).
 std::vector<std::vector<int>> chunk_membership(const std::vector<int>& order,
                                                int batch_size) {
+  GNNHLS_CHECK(batch_size >= 1, "BatchPlan: batch_size must be >= 1");
   const std::size_t bs = static_cast<std::size_t>(batch_size);
   std::vector<std::vector<int>> chunks((order.size() + bs - 1) / bs);
   for (std::size_t pos = 0, b = 0; pos < order.size(); pos += bs, ++b) {
@@ -66,10 +71,27 @@ std::vector<BatchCorePtr> cores_for(
     const std::vector<Sample>& samples,
     const std::vector<std::vector<int>>& chunks,
     const BatchPlan::FeatureFn& feature_of, const std::string& share_key) {
+  // Nothing to assemble or share: a plan of one-graph batches makes no
+  // cache entry.
+  if (std::none_of(chunks.begin(), chunks.end(), is_union)) {
+    return std::vector<BatchCorePtr>(chunks.size());
+  }
   if (share_key.empty()) return assemble_cores(samples, chunks, feature_of);
-  return BatchCoreCache::global().lookup(share_key, [&] {
-    return assemble_cores(samples, chunks, feature_of);
-  });
+  std::vector<BatchCorePtr> cores =
+      BatchCoreCache::global().lookup(share_key, [&] {
+        return assemble_cores(samples, chunks, feature_of);
+      });
+  GNNHLS_CHECK_EQ(cores.size(), chunks.size(), "BatchPlan: core count");
+#ifndef NDEBUG
+  // A stale share_key (wrong seed / uid set) would silently train on the
+  // wrong unions; membership is cheap to verify.
+  for (std::size_t b = 0; b < chunks.size(); ++b) {
+    GNNHLS_CHECK(cores[b] == nullptr ? !is_union(chunks[b])
+                                     : cores[b]->members == chunks[b],
+                 "BatchPlan: cached core membership mismatch (bad share_key)");
+  }
+#endif
+  return cores;
 }
 
 }  // namespace
@@ -128,69 +150,56 @@ std::string BatchPlan::share_key(const std::string& tag,
   return key;
 }
 
+void BatchPlan::set_items(const std::vector<Sample>& samples,
+                          const std::vector<std::vector<int>>& chunks,
+                          const std::vector<BatchCorePtr>& cores,
+                          const FeatureFn& feature_of,
+                          const LabelFn& label_of) {
+  // Per-plan labels: built serially (label_of may hit shared caches).
+  std::vector<Matrix> labels(label_of ? samples.size() : 0);
+  items_.resize(chunks.size());
+  for (std::size_t b = 0; b < chunks.size(); ++b) {
+    Item& item = items_[b];
+    item.members_ = chunks[b];
+    if (cores[b] != nullptr) {
+      item.core_ = cores[b];
+      item.tensors_ = &cores[b]->batch.merged;
+      item.features_ = &cores[b]->features;
+    } else {
+      const Sample& s = samples[static_cast<std::size_t>(chunks[b].front())];
+      item.tensors_ = &s.tensors;
+      item.features_ = &feature_of(s);
+    }
+    if (!label_of) continue;
+    std::vector<const Matrix*> lparts;
+    lparts.reserve(chunks[b].size());
+    for (int i : chunks[b]) {
+      Matrix& l = labels[static_cast<std::size_t>(i)];
+      if (l.empty()) l = label_of(samples[static_cast<std::size_t>(i)]);
+      lparts.push_back(&l);
+    }
+    item.labels = GraphBatch::stack_features(lparts);
+  }
+  batch_order_.resize(items_.size());
+  std::iota(batch_order_.begin(), batch_order_.end(), 0);
+}
+
 BatchPlan BatchPlan::build(const std::vector<Sample>& samples,
                            const std::vector<int>& train_idx, int batch_size,
                            const FeatureFn& feature_of, const LabelFn& label_of,
                            Rng order_rng, const std::string& share_key) {
   GNNHLS_CHECK(!train_idx.empty(), "BatchPlan: empty training set");
   BatchPlan plan(order_rng);
-  plan.samples_ = &samples;
   plan.batch_size_ = batch_size;
-
-  if (batch_size <= 1) {
-    // Legacy per-sample view; the epoch loop shuffles sample_order_ with
-    // exactly the draws the old fit loop made.
-    plan.sample_order_ = train_idx;
-    plan.sample_features_.assign(samples.size(), nullptr);
-    plan.sample_labels_.resize(samples.size());
-    for (int i : train_idx) {
-      plan.sample_features_[static_cast<std::size_t>(i)] =
-          &feature_of(samples[static_cast<std::size_t>(i)]);
-    }
-    for (int i : train_idx) {
-      plan.sample_labels_[static_cast<std::size_t>(i)] =
-          label_of(samples[static_cast<std::size_t>(i)]);
-    }
-    return plan;
-  }
-
-  // Fix membership from one shuffle — the chunks the old loop's first epoch
-  // would have produced. The shuffle always runs (also on a core-cache hit)
-  // so the plan's Rng stream is independent of cache state.
+  // Fix membership from one shuffle. The shuffle always runs (also on a
+  // core-cache hit) so the plan's Rng stream is independent of cache state.
   std::vector<int> order = train_idx;
   plan.order_rng_.shuffle(order);
   const std::vector<std::vector<int>> chunks =
       chunk_membership(order, batch_size);
-  const std::vector<BatchCorePtr> cores =
-      cores_for(samples, chunks, feature_of, share_key);
-  GNNHLS_CHECK_EQ(cores.size(), chunks.size(), "BatchPlan: core count");
-
-  // Per-plan labels: built serially (label_of may hit shared caches).
-  std::vector<Matrix> labels(samples.size());
-  for (int i : train_idx) {
-    labels[static_cast<std::size_t>(i)] =
-        label_of(samples[static_cast<std::size_t>(i)]);
-  }
-  plan.items_.resize(chunks.size());
-  for (std::size_t b = 0; b < chunks.size(); ++b) {
-#ifndef NDEBUG
-    // A stale share_key (wrong seed / uid set) would silently train on the
-    // wrong unions; membership is cheap to verify.
-    GNNHLS_CHECK(cores[b]->members == chunks[b],
-                 "BatchPlan: cached core membership mismatch (bad share_key)");
-#endif
-    Item& item = plan.items_[b];
-    item.core = cores[b];
-    std::vector<const Matrix*> lparts;
-    lparts.reserve(chunks[b].size());
-    for (int i : chunks[b]) {
-      lparts.push_back(&labels[static_cast<std::size_t>(i)]);
-    }
-    item.labels = GraphBatch::stack_features(lparts);
-  }
-
-  plan.batch_order_.resize(plan.items_.size());
-  std::iota(plan.batch_order_.begin(), plan.batch_order_.end(), 0);
+  plan.set_items(samples, chunks,
+                 cores_for(samples, chunks, feature_of, share_key), feature_of,
+                 label_of);
   return plan;
 }
 
@@ -200,11 +209,8 @@ BatchPlan BatchPlan::build_segments(const std::vector<Sample>& samples,
                                     const FeatureFn& feature_of,
                                     const LabelFn& label_of, Rng rotation_rng) {
   GNNHLS_CHECK(!segments.empty(), "build_segments: no segments");
-  GNNHLS_CHECK(batch_size >= 2, "build_segments: needs batched mode");
   BatchPlan plan(rotation_rng);
-  plan.samples_ = &samples;
   plan.batch_size_ = batch_size;
-
   // Resolve each segment's cores independently: same shuffle + chunking a
   // plain build() over (idx, order_seed) would produce, so a segment that
   // was previously fitted under the same share_key is a cache hit and only
@@ -220,41 +226,10 @@ BatchPlan BatchPlan::build_segments(const std::vector<Sample>& samples,
         chunk_membership(order, batch_size);
     const std::vector<BatchCorePtr> cores =
         cores_for(samples, chunks, feature_of, seg.share_key);
-    GNNHLS_CHECK_EQ(cores.size(), chunks.size(), "build_segments: core count");
     all_chunks.insert(all_chunks.end(), chunks.begin(), chunks.end());
     all_cores.insert(all_cores.end(), cores.begin(), cores.end());
   }
-
-  // Per-plan labels over the union of segment members (metric-specific, so
-  // never shared).
-  std::vector<Matrix> labels(samples.size());
-  for (const std::vector<int>& chunk : all_chunks) {
-    for (int i : chunk) {
-      if (labels[static_cast<std::size_t>(i)].empty()) {
-        labels[static_cast<std::size_t>(i)] =
-            label_of(samples[static_cast<std::size_t>(i)]);
-      }
-    }
-  }
-  plan.items_.resize(all_chunks.size());
-  for (std::size_t b = 0; b < all_chunks.size(); ++b) {
-#ifndef NDEBUG
-    GNNHLS_CHECK(
-        all_cores[b]->members == all_chunks[b],
-        "build_segments: cached core membership mismatch (bad share_key)");
-#endif
-    Item& item = plan.items_[b];
-    item.core = all_cores[b];
-    std::vector<const Matrix*> lparts;
-    lparts.reserve(all_chunks[b].size());
-    for (int i : all_chunks[b]) {
-      lparts.push_back(&labels[static_cast<std::size_t>(i)]);
-    }
-    item.labels = GraphBatch::stack_features(lparts);
-  }
-
-  plan.batch_order_.resize(plan.items_.size());
-  std::iota(plan.batch_order_.begin(), plan.batch_order_.end(), 0);
+  plan.set_items(samples, all_chunks, all_cores, feature_of, label_of);
   return plan;
 }
 
@@ -263,58 +238,24 @@ BatchPlan BatchPlan::build_eval(const std::vector<Sample>& samples,
                                 const FeatureFn& feature_of,
                                 const std::string& share_key) {
   GNNHLS_CHECK(!idx.empty(), "BatchPlan: empty evaluation set");
-  GNNHLS_CHECK(batch_size >= 2, "build_eval: needs batched mode");
   BatchPlan plan{Rng(0)};  // eval plans never draw from the rotation rng
-  plan.samples_ = &samples;
   plan.batch_size_ = batch_size;
   const std::vector<std::vector<int>> chunks =
       chunk_membership(idx, batch_size);
-  const std::vector<BatchCorePtr> cores =
-      cores_for(samples, chunks, feature_of, share_key);
-  GNNHLS_CHECK_EQ(cores.size(), chunks.size(), "build_eval: core count");
-  plan.items_.resize(chunks.size());
-  for (std::size_t b = 0; b < chunks.size(); ++b) {
-#ifndef NDEBUG
-    GNNHLS_CHECK(cores[b]->members == chunks[b],
-                 "build_eval: cached core membership mismatch (bad share_key)");
-#endif
-    plan.items_[b].core = cores[b];
-  }
-  plan.batch_order_.resize(plan.items_.size());
-  std::iota(plan.batch_order_.begin(), plan.batch_order_.end(), 0);
+  plan.set_items(samples, chunks,
+                 cores_for(samples, chunks, feature_of, share_key), feature_of,
+                 nullptr);
   return plan;
 }
 
 const std::vector<int>& BatchPlan::next_epoch_batch_order() {
-  GNNHLS_CHECK(batched(), "next_epoch_batch_order: legacy-mode plan");
   if (!first_epoch_served_) {
-    // Epoch 0 visits the build order — together with membership fixing this
-    // reproduces the old loop's first epoch exactly.
+    // Epoch 0 visits the build order: the membership shuffle's order.
     first_epoch_served_ = true;
     return batch_order_;
   }
   order_rng_.shuffle(batch_order_);
   return batch_order_;
-}
-
-const std::vector<int>& BatchPlan::next_epoch_sample_order() {
-  GNNHLS_CHECK(!batched(), "next_epoch_sample_order: batched-mode plan");
-  order_rng_.shuffle(sample_order_);
-  return sample_order_;
-}
-
-const GraphTensors& BatchPlan::sample_tensors(int sample_idx) const {
-  return (*samples_)[static_cast<std::size_t>(sample_idx)].tensors;
-}
-
-const Matrix& BatchPlan::sample_features(int sample_idx) const {
-  const Matrix* f = sample_features_[static_cast<std::size_t>(sample_idx)];
-  GNNHLS_CHECK(f != nullptr, "sample_features: index not in training set");
-  return *f;
-}
-
-const Matrix& BatchPlan::sample_labels(int sample_idx) const {
-  return sample_labels_[static_cast<std::size_t>(sample_idx)];
 }
 
 }  // namespace gnnhls

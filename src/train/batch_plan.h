@@ -1,30 +1,32 @@
 // Per-fit training data loader: a rotation of fixed mini-batches.
 //
-// The pre-refactor fit loops reshuffled the sample order every epoch and
-// re-chunked it into GraphBatch unions, so union assembly and feature
-// stacking were paid O(epochs) times. A BatchPlan fixes batch *membership*
-// once per fit (from the first shuffle — exactly the chunks the first epoch
-// would have seen) and pre-builds every union with its stacked feature and
-// label matrices; epochs then reshuffle only the *order* in which the fixed
-// batches are visited. Randomized visit order preserves SGD's decorrelation
-// benefit while amortizing assembly entirely — the multi-epoch batch reuse
-// the ROADMAP calls out.
+// A BatchPlan fixes batch *membership* once per fit (from one shuffle of the
+// training indices, chunked to batch_size) and pre-builds every multi-graph
+// batch's disjoint union with its stacked feature and label matrices;
+// epochs then reshuffle only the *order* in which the fixed batches are
+// visited. Randomized visit order preserves SGD's decorrelation benefit
+// while amortizing assembly entirely.
+//
+// A one-graph batch is its member: its Item points straight at the
+// sample's GraphTensors and its FeatureCache matrix — no union, no copy.
+// With batch_size 1 every batch is one graph, and because a shuffle's
+// permutation depends only on the Rng draws, epoch e visits the samples in
+// exactly the order e+1 in-place reshuffles of the training indices give:
+// the order a sample-at-a-time loop would draw from the same Rng.
 //
 // Cross-fit sharing: membership is a pure function of (ordered sample uids,
-// batch_size, order seed), and a batch's expensive half — the GraphBatch
-// union plus the stacked feature matrix — is additionally a pure function of
-// the feature variant. That immutable half lives in a BatchCore; plans built
-// with a non-empty share_key route their cores through the process-wide
-// BatchCoreCache, so same-split refits (e.g. the same corpus fitted per
-// metric, or per-epoch validation evaluation) reuse one assembly instead of
-// rebuilding identical unions. Labels stay per-plan (they encode the fitted
-// metric). Cache hits change nothing numerically: the membership shuffle
-// still runs (same Rng draw stream), only the assembly is skipped.
-//
-// In legacy mode (batch_size <= 1) the plan degrades to a per-sample view
-// with the persistent order vector the old loop used, reshuffled with the
-// same Rng draws, so single-graph gradient-accumulation training stays
-// bit-for-bit on the pre-batching trajectory.
+// batch_size, order seed), and a multi-graph batch's expensive half — the
+// GraphBatch union plus the stacked feature matrix — is additionally a pure
+// function of the feature variant. That immutable half lives in a
+// BatchCore; plans built with a non-empty share_key route their cores
+// through the process-wide BatchCoreCache, so same-split refits (e.g. the
+// same corpus fitted per metric, or per-epoch validation evaluation) reuse
+// one assembly instead of rebuilding identical unions. Cores never point at
+// sample storage (the one-graph pointers live on the per-plan Item), and a
+// plan made only of one-graph batches makes no cache entry. Labels stay
+// per-plan (they encode the fitted metric). Cache hits change nothing
+// numerically: the membership shuffle still runs (same Rng draw stream),
+// only the assembly is skipped.
 #pragma once
 
 #include <functional>
@@ -41,8 +43,9 @@
 
 namespace gnnhls {
 
-/// The immutable, shareable half of one mini-batch: fixed membership, the
-/// members' disjoint union, and their stacked input features.
+/// The immutable, shareable half of one multi-graph mini-batch: fixed
+/// membership, the members' disjoint union, and their stacked input
+/// features.
 struct BatchCore {
   std::vector<int> members;  // sample indices, fixed for the fit
   GraphBatch batch;          // disjoint union of the members
@@ -76,15 +79,25 @@ class BatchCoreCache {
 
 class BatchPlan {
  public:
-  /// One mini-batch of the rotation (batched mode): a shared immutable core
-  /// plus this plan's stacked labels.
-  struct Item {
-    BatchCorePtr core;
+  /// One mini-batch of the rotation. tensors()/features() are the graph
+  /// view a forward runs on: the member sample's own tensors and
+  /// FeatureCache matrix for a one-graph batch, the shared core's union and
+  /// stacked features otherwise. Valid while the plan's samples and the
+  /// FeatureCache entries live.
+  class Item {
+   public:
     Matrix labels;  // stacked labels ([k,1] targets / [n,3] bits)
 
-    const std::vector<int>& members() const { return core->members; }
-    const GraphBatch& batch() const { return core->batch; }
-    const Matrix& features() const { return core->features; }
+    const std::vector<int>& members() const { return members_; }
+    const GraphTensors& tensors() const { return *tensors_; }
+    const Matrix& features() const { return *features_; }
+
+   private:
+    friend class BatchPlan;
+    std::vector<int> members_;  // sample indices, fixed for the fit
+    BatchCorePtr core_;         // null for a one-graph batch
+    const GraphTensors* tensors_ = nullptr;
+    const Matrix* features_ = nullptr;
   };
 
   /// Returns a stable reference to sample s's input features (the
@@ -94,10 +107,9 @@ class BatchPlan {
   /// [num_nodes, k] node-label matrix.
   using LabelFn = std::function<Matrix(const Sample&)>;
 
-  /// Builds the rotation over samples[train_idx]. order_rng drives both the
-  /// membership-fixing shuffle (batched mode) and the per-epoch reshuffles;
-  /// pass the same seed the old fit loop used and epoch 0 reproduces its
-  /// first epoch exactly. Union assembly fans out on the global thread pool.
+  /// Builds the rotation over samples[train_idx] (batch_size >= 1).
+  /// order_rng drives both the membership-fixing shuffle and the per-epoch
+  /// reshuffles. Union assembly fans out on the global thread pool.
   /// A non-empty share_key (see the share_key helper) routes the cores
   /// through the BatchCoreCache: the key must pin every input the cores
   /// depend on — uid sequence, batch size, order seed, feature variant.
@@ -126,8 +138,8 @@ class BatchPlan {
   /// cache hit, which is what makes refit deltas cheap. Epoch 0 visits the
   /// concatenated build order; later epochs reshuffle the visit order with
   /// rotation_rng (membership never changes). Labels are rebuilt per plan.
-  /// Batched mode only (batch_size >= 2); batch boundaries never span
-  /// segments, so trailing partial batches per segment are kept as-is.
+  /// Batch boundaries never span segments, so trailing partial batches per
+  /// segment are kept as-is.
   static BatchPlan build_segments(const std::vector<Sample>& samples,
                                   const std::vector<Segment>& segments,
                                   int batch_size, const FeatureFn& feature_of,
@@ -135,7 +147,7 @@ class BatchPlan {
 
   /// Evaluation-side plan: consecutive chunks of `idx` in input order (no
   /// shuffle, no labels, no rotation), sharing the same core cache. Used by
-  /// sharded evaluate_mape; requires batch_size >= 2.
+  /// sharded evaluate_mape.
   static BatchPlan build_eval(const std::vector<Sample>& samples,
                               const std::vector<int>& idx, int batch_size,
                               const FeatureFn& feature_of,
@@ -150,44 +162,33 @@ class BatchPlan {
                                const std::vector<Sample>& samples,
                                const std::vector<int>& idx);
 
-  bool batched() const { return batch_size_ > 1; }
   int batch_size() const { return batch_size_; }
   int num_batches() const { return static_cast<int>(items_.size()); }
   const Item& item(int b) const {
     return items_[static_cast<std::size_t>(b)];
   }
 
-  /// Batched mode: advances to the next epoch and returns its batch visit
-  /// order (a permutation of [0, num_batches)). The first call returns the
-  /// build order; later calls reshuffle order only — membership never
-  /// changes.
+  /// Advances to the next epoch and returns its batch visit order (a
+  /// permutation of [0, num_batches)). The first call returns the build
+  /// order; later calls reshuffle order only — membership never changes.
   const std::vector<int>& next_epoch_batch_order();
 
-  /// Legacy mode: reshuffles and returns the persistent sample order, one
-  /// call per epoch (bit-for-bit the old loop's Rng draws).
-  const std::vector<int>& next_epoch_sample_order();
-
-  // --- legacy-mode per-sample views (valid for train_idx members only) ---
-  const GraphTensors& sample_tensors(int sample_idx) const;
-  const Matrix& sample_features(int sample_idx) const;
-  const Matrix& sample_labels(int sample_idx) const;
-
  private:
-  BatchPlan(Rng order_rng) : order_rng_(order_rng) {}
+  explicit BatchPlan(Rng order_rng) : order_rng_(order_rng) {}
 
-  const std::vector<Sample>* samples_ = nullptr;
+  /// Fills items_ (and the identity visit order) from fixed membership
+  /// chunks and their cores (null for one-graph chunks). label_of may be
+  /// empty (evaluation plans carry no labels).
+  void set_items(const std::vector<Sample>& samples,
+                 const std::vector<std::vector<int>>& chunks,
+                 const std::vector<BatchCorePtr>& cores,
+                 const FeatureFn& feature_of, const LabelFn& label_of);
+
   int batch_size_ = 1;
   Rng order_rng_;
-
-  // batched mode
   std::vector<Item> items_;
   std::vector<int> batch_order_;
   bool first_epoch_served_ = false;
-
-  // legacy mode
-  std::vector<int> sample_order_;
-  std::vector<const Matrix*> sample_features_;  // indexed by sample position
-  std::vector<Matrix> sample_labels_;           // indexed by sample position
 };
 
 }  // namespace gnnhls

@@ -56,15 +56,10 @@ FitReport Trainer::fit(BatchPlan& plan, const FitOptions& opts,
   // budget: a refit is its own short anneal, not a continuation of the
   // original schedule (whose decay points were sized for the full budget).
   const long steps_before = opt_.step_count();
-  Rng dropout_rng(dropout_seed_);
   for (int epoch = 0; epoch < epochs; ++epoch) {
     const ObsSpan epoch_span(cfg_.obs.trace, "epoch", "train");
     opt_.set_lr(lr_at_epoch(cfg_.lr, epoch, epochs));
-    if (plan.batched()) {
-      run_batched_epoch(plan, opt_, epoch);
-    } else {
-      run_legacy_epoch(plan, opt_, dropout_rng);
-    }
+    run_epoch(plan, epoch);
     if (on_epoch_end) on_epoch_end(epoch);
   }
   FitReport report;
@@ -74,68 +69,53 @@ FitReport Trainer::fit(BatchPlan& plan, const FitOptions& opts,
   return report;
 }
 
-long Trainer::fit(BatchPlan& plan,
-                  const std::function<void(int)>& on_epoch_end) {
-  return fit(plan, FitOptions{}, on_epoch_end).steps;
-}
-
-void Trainer::run_legacy_epoch(BatchPlan& plan, Adam& opt, Rng& dropout_rng) {
-  // One graph per tape, optimizer step every batch_graphs graphs, one
-  // shared sequential dropout stream: bit-for-bit the pre-refactor loop.
-  const std::vector<int>& order = plan.next_epoch_sample_order();
-  int accumulated = 0;
-  for (int idx : order) {
-    Tape tape;
-    const Var out = hooks_.forward(tape, plan.sample_tensors(idx),
-                                   plan.sample_features(idx), dropout_rng);
-    tape.backward(hooks_.loss(tape, out, plan.sample_labels(idx)));
-    if (++accumulated >= cfg_.batch_graphs) {
-      opt.step();
-      accumulated = 0;
-    }
-  }
-  if (accumulated > 0) opt.step();
-}
-
-void Trainer::run_batched_epoch(BatchPlan& plan, Adam& opt, int epoch) {
+void Trainer::run_epoch(BatchPlan& plan, int epoch) {
   const std::vector<int>& order = plan.next_epoch_batch_order();
-  const std::size_t span =
-      static_cast<std::size_t>(std::max(cfg_.grad_accum, 1));
+  const std::size_t span = static_cast<std::size_t>(
+      std::max(cfg_.batch_size <= 1 ? cfg_.batch_graphs : cfg_.grad_accum, 1));
   for (std::size_t pos = 0; pos < order.size(); pos += span) {
     const int n = static_cast<int>(std::min(span, order.size() - pos));
-    // Grow-only: tail steps shorter than span keep the pool at full size
-    // (step_merged only reduces the first n buffers), so the per-batch
-    // matrices really are reused across steps and epochs.
-    if (step_grads_.size() < static_cast<std::size_t>(n)) {
-      step_grads_.resize(static_cast<std::size_t>(n));
-    }
     const int shards = std::clamp(cfg_.shards, 1, n);
-    // Contiguous shard partition of the step's batches. Every batch owns an
-    // isolated gradient buffer and an rng stream keyed by its *global*
-    // position, so the partition shape (and thread scheduling) cannot leak
-    // into the numbers — only into the wall clock.
+    // Contiguous shard partition of the step's batches; shard 0 owns
+    // [0, lead). Every batch gets an isolated gradient buffer and an rng
+    // stream keyed by its *global* position, so the partition shape (and
+    // thread scheduling) cannot leak into the numbers — only into the wall
+    // clock. Grow-only: tail steps keep the parked pool at full size.
+    const int lead = n / shards;
+    if (parked_grads_.size() < static_cast<std::size_t>(n - lead)) {
+      parked_grads_.resize(static_cast<std::size_t>(n - lead));
+    }
     parallel_shards(shards, [&](int s) {
       const ObsSpan shard_span(cfg_.obs.trace, "shard", "train");
       const int lo = s * n / shards;
       const int hi = (s + 1) * n / shards;
       for (int b = lo; b < hi; ++b) {
-        const BatchPlan::Item& item =
-            plan.item(order[pos + static_cast<std::size_t>(b)]);
-        LeafGradRedirect redirect(param_leaves_,
-                                  step_grads_[static_cast<std::size_t>(b)]);
-        const std::uint64_t global_batch =
-            static_cast<std::uint64_t>(pos) + static_cast<std::uint64_t>(b);
-        Rng drop(mix_seed(dropout_seed_ ^
-                          ((static_cast<std::uint64_t>(epoch) + 1) << 32) ^
-                          global_batch));
-        Tape tape;
-        const Var out =
-            hooks_.forward(tape, item.batch().merged, item.features(), drop);
-        tape.backward(hooks_.loss(tape, out, item.labels));
+        std::vector<Matrix>& grads =
+            s == 0 ? lead_grads_
+                   : parked_grads_[static_cast<std::size_t>(b - lead)];
+        {
+          const BatchPlan::Item& item =
+              plan.item(order[pos + static_cast<std::size_t>(b)]);
+          LeafGradRedirect redirect(param_leaves_, grads);
+          const std::uint64_t global_batch =
+              static_cast<std::uint64_t>(pos) + static_cast<std::uint64_t>(b);
+          Rng drop(mix_seed(dropout_seed_ ^
+                            ((static_cast<std::uint64_t>(epoch) + 1) << 32) ^
+                            global_batch));
+          Tape tape;
+          const Var out =
+              hooks_.forward(tape, item.tensors(), item.features(), drop);
+          tape.backward(hooks_.loss(tape, out, item.labels));
+        }
+        // Only shard 0 touches the parameter grads before the barrier, and
+        // its batches come first in visit order.
+        if (s == 0) opt_.accumulate(grads);
       }
     });
-    // Deterministic barrier: per-batch buffers reduce in visit order.
-    opt.step_merged(step_grads_, static_cast<std::size_t>(n));
+    for (int b = lead; b < n; ++b) {
+      opt_.accumulate(parked_grads_[static_cast<std::size_t>(b - lead)]);
+    }
+    opt_.step();
   }
 }
 

@@ -5,19 +5,24 @@
 // One Trainer serves every fit loop in the library (QoR regressor, the
 // hierarchical approach's node classifier, the standalone NodeTypePredictor)
 // through two hooks: forward (model tape construction over a graph view) and
-// loss. Data comes from a BatchPlan; epochs in batched mode are *sharded*:
+// loss. Data comes from a BatchPlan, whose batches hold batch_size graphs
+// (a one-graph batch is the sample itself). There is one epoch loop, and it
+// is *sharded*:
 //
-//   * each optimizer step spans grad_accum consecutive batches of the
-//     epoch's visit order;
+//   * each optimizer step spans batch_graphs (at batch_size 1) or
+//     grad_accum (above) consecutive batches of the epoch's visit order;
 //   * the step's batches are partitioned contiguously across `shards`
 //     workers on the global ThreadPool; every batch runs its own tape with
 //     gradients accumulated into a batch-local buffer (LeafGradRedirect), so
 //     concurrent tapes never touch the shared parameter grads;
-//   * at the step barrier the per-batch buffers are reduced into the
-//     parameters in fixed batch order and one Adam step is applied
-//     (Adam::step_merged).
+//   * batch gradients are summed into the parameter grads in visit order
+//     (Adam::accumulate) as soon as that order allows: shard 0 owns the
+//     step's first batches, so it folds each one the moment its backward
+//     finishes and reuses a single buffer; the other shards park one
+//     buffer per batch until the step barrier, where they are folded in
+//     order before one Adam step.
 //
-// Because the reduction order, the batch membership/visit order, and every
+// Because the summation order, the batch membership/visit order, and every
 // per-batch dropout stream are functions of (config, epoch, batch index)
 // only — never of thread scheduling — training with shards=N is
 // bit-identical to shards=1. `shards` is purely an execution-width knob.
@@ -38,32 +43,26 @@ struct TrainConfig {
   float lr = 3e-3F;
   float weight_decay = 1e-5F;
   float grad_clip = 5.0F;
-  int batch_graphs = 8;  // gradient-accumulation window (batch_size==1 path)
-  /// Graphs per forward/backward pass. 1 keeps the legacy one-graph-per-tape
-  /// gradient-accumulation loop (bit-for-bit the pre-batching trajectory);
-  /// >1 disjoint-unions that many graphs into one GraphBatch per SGD step
-  /// (one tape, segment readout, one optimizer step per batch). Loss
-  /// semantics differ between the modes. Regressor: the legacy loop sums
-  /// batch_graphs per-graph MSEs per step while the batched loss is the
-  /// per-batch mean — a constant 1/batch_size scale Adam's update direction
-  /// is invariant to, so trajectories match closely (grad_clip and lr
-  /// sweeps are calibrated against the mean convention). Classifier: the
-  /// batched BCE averages over all *nodes* in the stacked batch (standard
-  /// node-level batching), so larger graphs carry proportionally more
-  /// gradient weight than in the per-graph loop, where each graph's mean
-  /// contributed equally — not a constant rescale on node-count-
-  /// heterogeneous corpora.
+  /// Graphs per forward/backward pass: each mini-batch disjoint-unions
+  /// this many graphs into one tape (segment readout, one loss over the
+  /// batch). 1 runs every graph on its own tape, straight from the sample's
+  /// tensors. The regressor loss is the per-batch mean MSE; the classifier
+  /// BCE averages over all *nodes* in the batch (standard node-level
+  /// batching), so larger graphs carry proportionally more gradient weight.
   int batch_size = 1;
-  /// Batched mode only: mini-batches per optimizer step. Their gradients
-  /// are summed (in visit order) before one Adam update, so >1 enlarges the
-  /// effective batch — and is what gives `shards` parallel work between
-  /// optimizer barriers. Semantics-affecting, unlike `shards`.
+  /// Mini-batches per optimizer step when batch_size == 1 (the paper's
+  /// minibatch gradient accumulation over single-graph tapes).
+  int batch_graphs = 8;
+  /// Mini-batches per optimizer step when batch_size > 1. In both cases
+  /// the step's batch gradients are summed in visit order before one Adam
+  /// update, so a window > 1 enlarges the effective batch — and is what
+  /// gives `shards` parallel work between optimizer barriers.
+  /// Semantics-affecting, unlike `shards`.
   int grad_accum = 1;
   /// Data-parallel worker shards computing a step's batch gradients
   /// concurrently on the global ThreadPool. Execution-only: any value
   /// reproduces shards=1 bit-for-bit (see the file comment); values are
-  /// clamped to the step's batch count. Ignored by the legacy
-  /// batch_size<=1 path, which is defined as a serial trajectory.
+  /// clamped to the step's batch count.
   int shards = 1;
   std::uint64_t seed = 1;
   /// Observability knobs (obs/obs_config.h): obs.trace emits epoch/shard
@@ -91,9 +90,9 @@ class Trainer {
   /// nothing else. Each invocation's rng is an independent per-(epoch,
   /// batch) stream owned by the caller of the hook.
   struct Hooks {
-    /// Builds the model's tape output over a graph view (a single sample's
-    /// tensors in legacy mode, a GraphBatch::merged union in batched mode)
-    /// with training-mode regularization driven by rng.
+    /// Builds the model's tape output over a batch's graph view (a single
+    /// sample's tensors or a GraphBatch::merged union) with training-mode
+    /// regularization driven by rng.
     std::function<Var(Tape&, const GraphTensors&, const Matrix& features,
                       Rng& rng)>
         forward;
@@ -101,9 +100,8 @@ class Trainer {
     std::function<Var(Tape&, const Var& out, const Matrix& labels)> loss;
   };
 
-  /// dropout_seed seeds the legacy path's shared sequential dropout stream
-  /// (bit-compat with the old fit loops) and derives the independent
-  /// per-(epoch, batch) streams of the batched path.
+  /// dropout_seed derives the independent per-(epoch, batch) dropout
+  /// streams.
   Trainer(Module& model, TrainConfig cfg, Hooks hooks,
           std::uint64_t dropout_seed);
 
@@ -119,10 +117,6 @@ class Trainer {
   FitReport fit(BatchPlan& plan, const FitOptions& opts,
                 const std::function<void(int)>& on_epoch_end);
 
-  /// Deprecated shim (pre-FitOptions signature): full TrainConfig budget,
-  /// fresh optimizer. Returns the number of optimizer steps taken.
-  long fit(BatchPlan& plan, const std::function<void(int)>& on_epoch_end);
-
   /// Resumes the optimizer from a snapshot (same model architecture) so the
   /// next fit() continues the Adam trajectory instead of restarting the
   /// moment estimates. Call before fit(); marks the run warm-started.
@@ -135,8 +129,7 @@ class Trainer {
   AdamState export_optimizer_state() const { return opt_.export_state(); }
 
  private:
-  void run_legacy_epoch(BatchPlan& plan, Adam& opt, Rng& dropout_rng);
-  void run_batched_epoch(BatchPlan& plan, Adam& opt, int epoch);
+  void run_epoch(BatchPlan& plan, int epoch);
 
   Module& model_;
   TrainConfig cfg_;
@@ -147,9 +140,11 @@ class Trainer {
   /// refits can seed its moments and on_epoch_end can snapshot them.
   Adam opt_;
   bool warm_started_ = false;
-  /// Per-batch gradient buffers, reused across steps and epochs (shaped and
-  /// zeroed by each LeafGradRedirect scope).
-  std::vector<std::vector<Matrix>> step_grads_;
+  /// Gradient buffers, reused across steps and epochs (shaped and zeroed
+  /// by each LeafGradRedirect scope): shard 0's single fold-as-you-go
+  /// buffer, and one parked buffer per batch of the later shards.
+  std::vector<Matrix> lead_grads_;
+  std::vector<std::vector<Matrix>> parked_grads_;
 };
 
 }  // namespace gnnhls

@@ -424,7 +424,8 @@ TEST(BatchedTrainingTest, BatchSizeAboveOneLearns) {
   tc.seed = 77;
   tc.batch_size = 8;
   QorPredictor predictor(Approach::kOffTheShelf, mc, tc);
-  const double val = predictor.fit(samples, split, Metric::kLut);
+  const double val =
+      predictor.fit(samples, split, Metric::kLut, FitOptions{}).best_val;
   EXPECT_TRUE(std::isfinite(val));
   EXPECT_LT(predictor.evaluate_mape(samples, split.test), 0.8);
 }
@@ -630,7 +631,7 @@ TEST(BatchedTrainingTest, HierarchicalPathTrainsBatched) {
   tc.seed = 7;
   tc.batch_size = 4;
   QorPredictor predictor(Approach::kKnowledgeInfused, mc, tc);
-  predictor.fit(samples, split, Metric::kLut);
+  predictor.fit(samples, split, Metric::kLut, FitOptions{});
   for (int i : split.test) {
     const double p = predictor.predict(samples[static_cast<std::size_t>(i)]);
     EXPECT_TRUE(std::isfinite(p));

@@ -156,7 +156,8 @@ TEST_F(PredictorIntegration, OffTheShelfLearnsLut) {
       static_cast<int>(samples.size()), 9);
   QorPredictor predictor(Approach::kOffTheShelf, small_model(GnnKind::kGcn),
                          fast_train());
-  const double val = predictor.fit(samples, split, Metric::kLut);
+  const double val =
+      predictor.fit(samples, split, Metric::kLut, FitOptions{}).best_val;
   EXPECT_TRUE(std::isfinite(val));
   const double test = predictor.evaluate_mape(samples, split.test);
   // An untrained regressor predicts ~0 => MAPE ~ 1.0. Learning must beat it
@@ -173,7 +174,7 @@ TEST_F(PredictorIntegration, KnowledgeRichUsesAnnotations) {
       split_80_10_10(static_cast<int>(samples.size()), 9);
   QorPredictor predictor(Approach::kKnowledgeRich, small_model(GnnKind::kGcn),
                          fast_train());
-  predictor.fit(samples, split, Metric::kLut);
+  predictor.fit(samples, split, Metric::kLut, FitOptions{});
   // Loose sanity bound at unit-test scale (4-graph test split): approach
   // ordering at realistic scale is checked by bench_table4, not here.
   EXPECT_LT(predictor.evaluate_mape(samples, split.test), 0.85);
@@ -185,7 +186,7 @@ TEST_F(PredictorIntegration, HierarchicalPathRunsEndToEnd) {
       split_80_10_10(static_cast<int>(samples.size()), 9);
   QorPredictor predictor(Approach::kKnowledgeInfused,
                          small_model(GnnKind::kGcn), fast_train());
-  predictor.fit(samples, split, Metric::kLut);
+  predictor.fit(samples, split, Metric::kLut, FitOptions{});
   // Hierarchical inference must produce finite positive predictions.
   for (int i : split.test) {
     const double p = predictor.predict(samples[static_cast<std::size_t>(i)]);
@@ -207,7 +208,7 @@ TEST_F(PredictorIntegration, NodeClassifierLearnsTypes) {
   const SplitIndices split =
       split_80_10_10(static_cast<int>(samples.size()), 9);
   NodeTypePredictor predictor(small_model(GnnKind::kRgcn), fast_train());
-  const double val_acc = predictor.fit(samples, split);
+  const double val_acc = predictor.fit(samples, split, FitOptions{}).best_val;
   EXPECT_GT(val_acc, 0.8);  // resource types are locally decidable
   const NodeClassifierScores test = predictor.evaluate(samples, split.test);
   EXPECT_GT(test.dsp, 0.8);

@@ -177,17 +177,24 @@ const Trained& trained_predictors() {
     const TrainSetup& s = train_setup();
     auto* t = new Trained{QorPredictor(Approach::kOffTheShelf, s.mc, s.tc),
                           QorPredictor(Approach::kOffTheShelf, s.mc, s.tc)};
-    t->lut.fit(s.corpus, s.split, Metric::kLut);
-    t->ff.fit(s.corpus, s.split, Metric::kFf);
+    t->lut.fit(s.corpus, s.split, Metric::kLut, FitOptions{});
+    t->ff.fit(s.corpus, s.split, Metric::kFf, FitOptions{});
     return t;
   }();
   return *trained;
 }
 
+/// The (LUT, FF) scoring table the explorer tests rank and front over.
+ModelTable lut_ff_table(const QorPredictor& lut, const QorPredictor& ff) {
+  ModelTable table;
+  table.add(Metric::kLut, &lut);
+  table.add(Metric::kFf, &ff);
+  return table;
+}
+
 PredictorScorer direct_scorer() {
   const Trained& t = trained_predictors();
-  return PredictorScorer(
-      {{Metric::kLut, &t.lut}, {Metric::kFf, &t.ff}});
+  return PredictorScorer(lut_ff_table(t.lut, t.ff));
 }
 
 DesignSpace small_space() {
@@ -277,8 +284,7 @@ TEST(ExplorerTest, ServingScorerBitIdenticalToDirect) {
   SchedulerConfig sc;
   sc.max_batch = 3;  // forces uneven micro-batch splits of the 4 candidates
   sc.batch_window_us = 0;
-  const ServingScorer serving(
-      {{Metric::kLut, &t.lut}, {Metric::kFf, &t.ff}}, sc);
+  const ServingScorer serving(lut_ff_table(t.lut, t.ff), sc);
   EXPECT_EQ(serving.metrics(), direct.metrics());
   const Explorer via_direct(space, direct);
   const Explorer via_serving(space, serving);
@@ -346,8 +352,7 @@ TEST(ExplorerTest, ConfigValidation) {
   DseConfig unserved;
   unserved.front_metrics = {Metric::kDsp};  // scorer only has LUT + FF
   EXPECT_THROW(Explorer(space, scorer, unserved), std::invalid_argument);
-  const PredictorScorer empty_scorer(
-      std::vector<std::pair<Metric, const QorPredictor*>>{});
+  const PredictorScorer empty_scorer{ModelTable{}};
   EXPECT_THROW(empty_scorer.score(Metric::kLut, {}), std::invalid_argument);
 }
 
@@ -471,8 +476,7 @@ TEST(ExplorerTest, ActiveWithZeroFeedbackEqualsStatic) {
 TEST(ExplorerTest, ActiveHalvingBudgetAndTrace) {
   const Trained& t = trained_predictors();
   QorPredictor lut = fresh_predictor(Metric::kLut);
-  const PredictorScorer scorer(
-      {{Metric::kLut, &lut}, {Metric::kFf, &t.ff}});
+  const PredictorScorer scorer(lut_ff_table(lut, t.ff));
   const DesignSpace space = make_kernel_design_space("gemm");  // 12 points
   DseConfig cfg;
   cfg.top_k = 3;
@@ -520,16 +524,14 @@ TEST(ExplorerTest, ActiveBitIdenticalAcrossThreadCounts) {
     // Fit AND explore inside the guard: the fit, the refits and the
     // scoring rounds must all be width-invariant for the traces to match.
     QorPredictor lut = fresh_predictor(Metric::kLut);
-    const PredictorScorer scorer(
-        {{Metric::kLut, &lut}, {Metric::kFf, &t.ff}});
+    const PredictorScorer scorer(lut_ff_table(lut, t.ff));
     const Explorer explorer(space, scorer, cfg);
     serial = explorer.active_halving(lut);
   }
   {
     PoolGuard guard(4);
     QorPredictor lut = fresh_predictor(Metric::kLut);
-    const PredictorScorer scorer(
-        {{Metric::kLut, &lut}, {Metric::kFf, &t.ff}});
+    const PredictorScorer scorer(lut_ff_table(lut, t.ff));
     const Explorer explorer(space, scorer, cfg);
     expect_identical_results(serial, explorer.active_halving(lut));
   }
@@ -544,13 +546,11 @@ TEST(ExplorerTest, ActiveServingScorerBitIdenticalToDirect) {
   // Two identically-fitted rank models: each arm refits its own copy.
   QorPredictor lut_direct = fresh_predictor(Metric::kLut);
   QorPredictor lut_serving = fresh_predictor(Metric::kLut);
-  const PredictorScorer direct(
-      {{Metric::kLut, &lut_direct}, {Metric::kFf, &t.ff}});
+  const PredictorScorer direct(lut_ff_table(lut_direct, t.ff));
   SchedulerConfig sc;
   sc.max_batch = 5;  // forces uneven micro-batch splits
   sc.batch_window_us = 0;
-  const ServingScorer serving(
-      {{Metric::kLut, &lut_serving}, {Metric::kFf, &t.ff}}, sc);
+  const ServingScorer serving(lut_ff_table(lut_serving, t.ff), sc);
   const Explorer via_direct(space, direct, cfg);
   const Explorer via_serving(space, serving, cfg);
   const DseResult a = via_direct.active_halving(lut_direct);

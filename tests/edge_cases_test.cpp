@@ -104,7 +104,7 @@ TEST(EdgeCaseTest, FitRejectsEmptySplit) {
   mc.hidden = 8;
   mc.layers = 1;
   QorPredictor predictor(Approach::kOffTheShelf, mc, TrainConfig{.epochs = 1});
-  EXPECT_THROW(predictor.fit(samples, bad, Metric::kLut),
+  EXPECT_THROW(predictor.fit(samples, bad, Metric::kLut, FitOptions{}),
                std::invalid_argument);
 }
 
@@ -161,7 +161,8 @@ TEST(EdgeCaseTest, TrainingSurvivesZeroTargetGraphs) {
   mc.layers = 1;
   QorPredictor predictor(Approach::kOffTheShelf, mc,
                          TrainConfig{.epochs = 3});
-  const double val = predictor.fit(samples, split, Metric::kDsp);
+  const double val =
+      predictor.fit(samples, split, Metric::kDsp, FitOptions{}).best_val;
   EXPECT_TRUE(std::isfinite(val));
 }
 

@@ -270,7 +270,7 @@ TEST(ObsSchedulerTest, LatencyCapBoundsBufferButNotHistogram) {
       split_80_10_10(static_cast<int>(samples.size()), 3);
   QorPredictor predictor(Approach::kOffTheShelf, model_cfg(GnnKind::kGcn),
                          train_cfg());
-  predictor.fit(samples, split, Metric::kLut);
+  predictor.fit(samples, split, Metric::kLut, FitOptions{});
 
   SchedulerConfig cfg;
   cfg.virtual_time = true;
@@ -357,7 +357,7 @@ TEST_P(ObsKindTest, ServedValuesBitIdenticalWithObsEnabled) {
       split_80_10_10(static_cast<int>(samples.size()), 3);
   QorPredictor predictor(Approach::kOffTheShelf, model_cfg(GetParam()),
                          train_cfg());
-  predictor.fit(samples, split, Metric::kLut);
+  predictor.fit(samples, split, Metric::kLut, FitOptions{});
 
   std::vector<const Sample*> ptrs;
   std::vector<double> expect;

@@ -60,8 +60,8 @@ struct SchedFixture {
   SchedFixture()
       : lut(Approach::kOffTheShelf, model_cfg(), train_cfg()),
         ff(Approach::kOffTheShelf, model_cfg(), train_cfg()) {
-    lut.fit(samples, split, Metric::kLut);
-    ff.fit(samples, split, Metric::kFf);
+    lut.fit(samples, split, Metric::kLut, FitOptions{});
+    ff.fit(samples, split, Metric::kFf, FitOptions{});
   }
 };
 
@@ -456,7 +456,7 @@ TEST_P(SchedulerKindTest, ScheduledBitIdenticalAcrossBatchCompositions) {
   TrainConfig tc = train_cfg();
   tc.epochs = 2;
   QorPredictor predictor(Approach::kOffTheShelf, model_cfg(GetParam()), tc);
-  predictor.fit(samples, split, Metric::kLut);
+  predictor.fit(samples, split, Metric::kLut, FitOptions{});
 
   std::vector<double> expect;
   for (const Sample& s : samples) expect.push_back(predictor.predict(s));

@@ -32,7 +32,7 @@ struct ServeFixture {
   QorPredictor predictor;
 
   ServeFixture() : predictor(Approach::kOffTheShelf, model_cfg(), train_cfg()) {
-    predictor.fit(samples, split, Metric::kLut);
+    predictor.fit(samples, split, Metric::kLut, FitOptions{});
   }
 
   static ModelConfig model_cfg() {
@@ -86,7 +86,7 @@ TEST(PredictManyTest, HierarchicalPathBitIdentical) {
   tc.epochs = 2;
   QorPredictor predictor(Approach::kKnowledgeInfused,
                          ServeFixture::model_cfg(), tc);
-  predictor.fit(samples, split, Metric::kFf);
+  predictor.fit(samples, split, Metric::kFf, FitOptions{});
   std::vector<const Sample*> parts;
   for (int i : split.test) parts.push_back(&samples[static_cast<size_t>(i)]);
   const std::vector<double> batched = predictor.predict_many(parts);

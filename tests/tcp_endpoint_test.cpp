@@ -60,7 +60,7 @@ struct EndpointFixture {
   QorPredictor lut;
 
   EndpointFixture() : lut(Approach::kOffTheShelf, model_cfg(), train_cfg()) {
-    lut.fit(samples, split, Metric::kLut);
+    lut.fit(samples, split, Metric::kLut, FitOptions{});
   }
 };
 
@@ -511,7 +511,7 @@ TEST_P(TcpEndpointKindTest, LoopbackBitIdenticalToSequentialPredict) {
       split_80_10_10(static_cast<int>(samples.size()), 3);
   QorPredictor predictor(Approach::kOffTheShelf, model_cfg(GetParam()),
                          train_cfg());
-  predictor.fit(samples, split, Metric::kLut);
+  predictor.fit(samples, split, Metric::kLut, FitOptions{});
 
   std::vector<double> expect;
   for (const Sample& s : samples) expect.push_back(predictor.predict(s));

@@ -1,12 +1,14 @@
 // train/ subsystem tests: sharded-epoch determinism (shards=N bit-identical
-// to shards=1), BatchPlan membership stability across epoch rotations, and
-// FeatureCache hit semantics.
+// to shards=1, at batch_size 1 and above), BatchPlan membership stability
+// across epoch rotations, one-graph batches that are their member sample,
+// and FeatureCache hit semantics.
 #include <algorithm>
 #include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "core/metrics.h"
 #include "core/predictor.h"
 #include "support/parallel.h"
 #include "train/batch_plan.h"
@@ -54,13 +56,15 @@ TEST(ShardedTrainingTest, RegressorShardsAreBitIdentical) {
 
   tc.shards = 1;
   QorPredictor serial(Approach::kOffTheShelf, mc, tc);
-  const double serial_val = serial.fit(samples, split, Metric::kLut);
+  const double serial_val =
+      serial.fit(samples, split, Metric::kLut, FitOptions{}).best_val;
   const std::vector<Matrix> serial_params =
       snapshot_parameters(serial.regressor());
 
   tc.shards = 4;
   QorPredictor sharded(Approach::kOffTheShelf, mc, tc);
-  const double sharded_val = sharded.fit(samples, split, Metric::kLut);
+  const double sharded_val =
+      sharded.fit(samples, split, Metric::kLut, FitOptions{}).best_val;
   const std::vector<Matrix> sharded_params =
       snapshot_parameters(sharded.regressor());
 
@@ -94,11 +98,11 @@ TEST(ShardedTrainingTest, ClassifierShardsAreBitIdentical) {
 
   tc.shards = 1;
   NodeTypePredictor serial(mc, tc);
-  const double serial_acc = serial.fit(samples, split);
+  const double serial_acc = serial.fit(samples, split, FitOptions{}).best_val;
 
   tc.shards = 3;
   NodeTypePredictor sharded(mc, tc);
-  const double sharded_acc = sharded.fit(samples, split);
+  const double sharded_acc = sharded.fit(samples, split, FitOptions{}).best_val;
 
   EXPECT_EQ(serial_acc, sharded_acc);
   const auto a = snapshot_parameters(serial.classifier());
@@ -123,8 +127,62 @@ TEST(ShardedTrainingTest, ShardCountBeyondBatchesIsClamped) {
   tc.grad_accum = 8;  // step span larger than the epoch's batch count
   tc.shards = 64;     // far more shards than batches
   QorPredictor predictor(Approach::kOffTheShelf, mc, tc);
-  const double val = predictor.fit(samples, split, Metric::kLut);
+  const double val =
+      predictor.fit(samples, split, Metric::kLut, FitOptions{}).best_val;
   EXPECT_TRUE(std::isfinite(val));
+}
+
+TEST(ShardedTrainingTest, BatchSizeOneBitIdenticalAcrossShardsAndPools) {
+  const auto samples = small_corpus(30, 1357);
+  const SplitIndices split =
+      split_80_10_10(static_cast<int>(samples.size()), 3);
+  ModelConfig mc;
+  mc.kind = GnnKind::kGcn;
+  mc.hidden = 12;
+  mc.layers = 2;
+  mc.dropout = 0.2F;
+  TrainConfig tc;
+  tc.epochs = 3;
+  tc.lr = 1e-2F;
+  tc.seed = 17;
+  tc.batch_size = 1;
+  tc.batch_graphs = 8;  // one-graph batches per Adam step
+
+  // -I fits the node classifier and the regressor, both at batch_size 1;
+  // -I validation runs through the classifier, so best_val covers both.
+  std::vector<Matrix> ref_params;
+  double ref_val = 0.0;
+  for (int pool : {1, 4}) {
+    for (int shards : {1, 2, 4}) {
+      PoolGuard guard(pool);
+      tc.shards = shards;
+      QorPredictor p(Approach::kKnowledgeInfused, mc, tc);
+      const FitReport r = p.fit(samples, split, Metric::kLut, FitOptions{});
+      EXPECT_EQ(r.steps,
+                tc.epochs * static_cast<long>((split.train.size() + 7) / 8));
+      const std::vector<Matrix> params = snapshot_parameters(p.regressor());
+      if (ref_params.empty()) {
+        ref_params = params;
+        ref_val = r.best_val;
+        // One-sample -I evaluation chunks score exactly like predict().
+        std::vector<double> pred, truth;
+        for (int i : split.test) {
+          const Sample& s = samples[static_cast<std::size_t>(i)];
+          pred.push_back(p.predict(s));
+          truth.push_back(metric_of(s.truth, Metric::kLut));
+        }
+        EXPECT_EQ(p.evaluate_mape(samples, split.test), mape(pred, truth));
+        continue;
+      }
+      EXPECT_EQ(r.best_val, ref_val) << "pool " << pool << " shards "
+                                     << shards;
+      ASSERT_EQ(params.size(), ref_params.size());
+      for (std::size_t i = 0; i < params.size(); ++i) {
+        EXPECT_TRUE(params[i] == ref_params[i])
+            << "pool " << pool << " shards " << shards << " parameter " << i;
+      }
+    }
+  }
 }
 
 // ----- FitOptions / online refit -----
@@ -157,9 +215,10 @@ TEST(RefitTest, FitReportCurveAndBestEpoch) {
   // kBestEpoch restored the selected checkpoint: deployed validation MAPE
   // is the best epoch's, not the final one's.
   EXPECT_EQ(p.evaluate_mape(samples, split.val), report.best_val);
-  // The deprecated double-returning shim reports the same selection.
-  QorPredictor shim(Approach::kOffTheShelf, mc, tc);
-  EXPECT_EQ(shim.fit(samples, split, Metric::kLut), report.best_val);
+  // A second identical fit reports the same selection.
+  QorPredictor again(Approach::kOffTheShelf, mc, tc);
+  EXPECT_EQ(again.fit(samples, split, Metric::kLut, FitOptions{}).best_val,
+            report.best_val);
 }
 
 TEST(RefitTest, RefitBitIdenticalAcrossShardsAndThreads) {
@@ -265,6 +324,56 @@ TEST(RefitTest, WarmRefitMovesDeterministicallyColdDiffers) {
   EXPECT_TRUE(differs);
 }
 
+TEST(RefitTest, BatchSizeOneRefitRunsThroughSegments) {
+  const auto samples = small_corpus(30, 2468);
+  const auto delta = small_corpus(5, 1357);
+  const SplitIndices split =
+      split_80_10_10(static_cast<int>(samples.size()), 7);
+  ModelConfig mc;
+  mc.kind = GnnKind::kGcn;
+  mc.hidden = 12;
+  mc.layers = 2;
+  TrainConfig tc;
+  tc.epochs = 3;
+  tc.lr = 1e-2F;
+  tc.seed = 9;
+  tc.batch_size = 1;
+  tc.batch_graphs = 4;
+
+  std::vector<Matrix> ref_params;
+  for (int shards : {1, 3}) {
+    PoolGuard guard(shards);
+    tc.shards = shards;
+    QorPredictor p(Approach::kOffTheShelf, mc, tc);
+    p.fit(samples, split, Metric::kLut, FitOptions{});
+    const std::uint64_t misses_before = BatchCoreCache::global().misses();
+    const FitReport r = p.refit(delta);
+    // The grown corpus trains as one-graph batches: no union, no cache entry.
+    EXPECT_EQ(BatchCoreCache::global().misses(), misses_before);
+    EXPECT_TRUE(r.warm_started);
+    const long per_epoch =
+        static_cast<long>((split.train.size() + delta.size() + 3) / 4);
+    EXPECT_EQ(r.steps, r.epochs_run * per_epoch);
+    // One-sample evaluation chunks score exactly like predict().
+    std::vector<double> pred, truth;
+    for (int i : split.test) {
+      const Sample& s = samples[static_cast<std::size_t>(i)];
+      pred.push_back(p.predict(s));
+      truth.push_back(metric_of(s.truth, Metric::kLut));
+    }
+    EXPECT_EQ(p.evaluate_mape(samples, split.test), mape(pred, truth));
+    const std::vector<Matrix> params = snapshot_parameters(p.regressor());
+    if (ref_params.empty()) {
+      ref_params = params;
+      continue;
+    }
+    ASSERT_EQ(params.size(), ref_params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      EXPECT_TRUE(params[i] == ref_params[i]) << "parameter " << i;
+    }
+  }
+}
+
 TEST(RefitTest, RefitBeforeFitThrows) {
   ModelConfig mc;
   TrainConfig tc;
@@ -272,7 +381,7 @@ TEST(RefitTest, RefitBeforeFitThrows) {
   EXPECT_THROW(p.refit(small_corpus(2, 1)), std::invalid_argument);
 }
 
-TEST(RefitTest, ClassifierFitOptionsReportMatchesShim) {
+TEST(RefitTest, ClassifierFitReportIsReproducible) {
   const auto samples = small_corpus(24, 2222);
   const SplitIndices split =
       split_80_10_10(static_cast<int>(samples.size()), 6);
@@ -289,7 +398,7 @@ TEST(RefitTest, ClassifierFitOptionsReportMatchesShim) {
   EXPECT_EQ(report.epochs_run, tc.epochs);
   ASSERT_EQ(report.val_curve.size(), static_cast<std::size_t>(tc.epochs));
   NodeTypePredictor b(mc, tc);
-  EXPECT_EQ(b.fit(samples, split), report.best_val);
+  EXPECT_EQ(b.fit(samples, split, FitOptions{}).best_val, report.best_val);
 }
 
 // ----- BatchPlan rotation -----
@@ -311,17 +420,17 @@ TEST(BatchPlanTest, MembershipFixedAcrossEpochRotations) {
                                     Metric::kLut));
       },
       Rng(42));
-  ASSERT_TRUE(plan.batched());
+  ASSERT_EQ(plan.batch_size(), 4);
   ASSERT_EQ(plan.num_batches(), 6);  // ceil(22 / 4)
 
   // Batches partition the training set exactly once.
   std::multiset<int> covered;
   for (int b = 0; b < plan.num_batches(); ++b) {
     const BatchPlan::Item& item = plan.item(b);
-    EXPECT_EQ(item.batch().num_graphs(),
+    EXPECT_EQ(item.tensors().num_graphs,
               static_cast<int>(item.members().size()));
-    EXPECT_EQ(item.features().rows(), item.batch().num_nodes());
-    EXPECT_EQ(item.labels.rows(), item.batch().num_graphs());
+    EXPECT_EQ(item.features().rows(), item.tensors().num_nodes);
+    EXPECT_EQ(item.labels.rows(), item.tensors().num_graphs);
     covered.insert(item.members().begin(), item.members().end());
   }
   EXPECT_EQ(covered.size(), train_idx.size());
@@ -347,6 +456,57 @@ TEST(BatchPlanTest, MembershipFixedAcrossEpochRotations) {
     EXPECT_EQ(plan.item(0).members(), members0);
   }
   EXPECT_TRUE(reshuffled);  // rotation shuffles order (seed 42, 6 batches)
+}
+
+TEST(BatchPlanTest, OneGraphBatchesAreTheirMembers) {
+  const auto samples = small_corpus(10, 4242);
+  std::vector<int> train_idx;
+  for (int i = 0; i < static_cast<int>(samples.size()); ++i) {
+    train_idx.push_back(i);
+  }
+  const auto feature_of = [](const Sample& s) -> const Matrix& {
+    return FeatureCache::global().features(s, Approach::kOffTheShelf);
+  };
+  const std::uint64_t misses_before = BatchCoreCache::global().misses();
+  BatchPlan plan = BatchPlan::build(
+      samples, train_idx, /*batch_size=*/1, feature_of,
+      [](const Sample& s) {
+        return Matrix(1, 1,
+                      encode_target(metric_of(s.truth, Metric::kLut),
+                                    Metric::kLut));
+      },
+      Rng(42),
+      BatchPlan::share_key("test/one-graph", 42, 1, samples, train_idx));
+  const BatchPlan eval = BatchPlan::build_eval(
+      samples, train_idx, /*batch_size=*/1, feature_of,
+      BatchPlan::share_key("test/one-graph-eval", 0, 1, samples, train_idx));
+  // No union was assembled and no cache entry was made.
+  EXPECT_EQ(BatchCoreCache::global().misses(), misses_before);
+
+  ASSERT_EQ(plan.num_batches(), static_cast<int>(samples.size()));
+  ASSERT_EQ(eval.num_batches(), static_cast<int>(samples.size()));
+  const BatchPlan* plans[] = {&plan, &eval};
+  for (const BatchPlan* p : plans) {
+    for (int b = 0; b < p->num_batches(); ++b) {
+      const BatchPlan::Item& item = p->item(b);
+      ASSERT_EQ(item.members().size(), 1U);
+      const Sample& s = samples[static_cast<std::size_t>(item.members()[0])];
+      EXPECT_EQ(&item.tensors(), &s.tensors);
+      EXPECT_EQ(&item.features(), &feature_of(s));
+    }
+  }
+
+  // Epoch e visits the samples in the order of the (e+1)-th in-place
+  // reshuffle of the training indices under the plan's Rng.
+  std::vector<int> per_sample = train_idx;
+  Rng rng(42);
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    rng.shuffle(per_sample);
+    const std::vector<int>& order = plan.next_epoch_batch_order();
+    std::vector<int> visited;
+    for (int b : order) visited.push_back(plan.item(b).members()[0]);
+    EXPECT_EQ(visited, per_sample) << "epoch " << epoch;
+  }
 }
 
 // ----- FeatureCache -----
