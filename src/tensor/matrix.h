@@ -86,24 +86,26 @@ class Matrix {
 /// through Adam/GraphRegressor.
 void tune_malloc_for_tensor_workloads();
 
-/// out = a * b. Dense path is k-j register-blocked (multi-row tiles share
-/// each b-row load) and row-parallel on the global pool; per-element
-/// accumulation stays in ascending-k order, so results are bit-identical to
-/// matmul_reference at any thread count and any tile shape. Sparse operands
-/// (detected by sampling) take a zero-skipping scalar path instead.
-/// Compile with -DGNNHLS_SIMD=ON for an explicit AVX2 inner kernel on the
-/// dense path (same per-element operation order, still bit-identical).
+/// out = a * b, row-parallel on the global pool. Dense operands run a k-j
+/// register-blocked kernel (multi-row tiles share each b-row load); operands
+/// that are mostly zero (detected by sampling) skip a's zeros row by row.
+/// Both vectorize over output columns, as AVX2 when the CPU has it (picked at
+/// run time) and the build's baseline ISA otherwise, never with FMA: every
+/// element still accumulates its terms in ascending k with separately
+/// rounded mul and add, so results are bit-identical to matmul_reference at
+/// any thread count, on any host (exact ±0 terms are the only ones skipped,
+/// which cannot change a finite sum).
 Matrix matmul(const Matrix& a, const Matrix& b);
-/// out = a^T * b (avoids materializing the transpose).
+/// out = a^T * b (avoids materializing the transpose). Serial; the same
+/// vectorized, zero-skipping inner loop as matmul.
 Matrix matmul_transpose_a(const Matrix& a, const Matrix& b);
-/// out = a * b^T. Register-blocked over output columns: up to four
-/// independent dot-product chains share each a-row load (ILP instead of one
-/// latency-bound chain); every chain sums in ascending k, bit-identical to
-/// matmul_transpose_b_reference.
+/// out = a * b^T, run as matmul(a, b^T) on a transposed copy of b (b is a
+/// weight at every call site, so the copy is small). Bit-identical to
+/// matmul_transpose_b_reference for finite operands.
 Matrix matmul_transpose_b(const Matrix& a, const Matrix& b);
 
-/// Serial, unblocked reference kernels (the historical loops). Tests and
-/// bench_micro hard-assert the blocked/parallel kernels against these —
+/// Serial, unblocked, scalar reference kernels (the historical loops). Tests
+/// and bench_micro hard-assert the vectorized kernels against these —
 /// they are the ground truth of the bit-identity contract, not a fast path.
 Matrix matmul_reference(const Matrix& a, const Matrix& b);
 Matrix matmul_transpose_b_reference(const Matrix& a, const Matrix& b);

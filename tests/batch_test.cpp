@@ -2,6 +2,8 @@
 // disjoint-union round trips across the encoder zoo, thread-pool kernels
 // and mini-batched training.
 #include <cmath>
+#include <iostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include "gnn/models.h"
 #include "grad_check.h"
 #include "support/parallel.h"
+#include "tensor/matrix_kernels.h"
 
 namespace gnnhls {
 namespace {
@@ -552,25 +555,62 @@ TEST(DeterministicKernelsTest, CachedPartitionMatchesOnDemand) {
   EXPECT_TRUE(leaf_a.grad() == leaf_b.grad());
 }
 
+Matrix transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (int r = 0; r < m.rows(); ++r) {
+    for (int c = 0; c < m.cols(); ++c) t(c, r) = m(r, c);
+  }
+  return t;
+}
+
 TEST(DeterministicKernelsTest, BlockedMatmulMatchesReference) {
   Rng rng(37);
-  // Shapes around the hot [N,hidden]x[hidden,hidden] profile, plus odd
-  // sizes that exercise the row-tile and column-tile tail paths.
-  const int shapes[][3] = {
-      {256, 64, 64}, {301, 96, 96}, {5, 3, 2}, {63, 300, 300}, {1, 1, 1}};
+  // {M, K, N}: a is [M,K]. Shapes around the hot [N,hidden]x[hidden,hidden]
+  // profile, the [E,64] edge-message shape whose a^T*b is the weight
+  // gradient, the N=1 readout score and its K=1 backward, plus odd sizes
+  // that exercise the row-tile and vector tail paths.
+  const int shapes[][3] = {{256, 64, 64}, {301, 96, 96}, {5, 3, 2},
+                           {63, 300, 300}, {1, 1, 1},   {1536, 64, 64},
+                           {300, 64, 1},   {300, 1, 64}};
   for (const auto& s : shapes) {
-    const Matrix a = Matrix::randn(s[0], s[1], rng);
-    const Matrix b = Matrix::randn(s[1], s[2], rng);
-    const Matrix bt = Matrix::randn(s[2], s[1], rng);
-    const Matrix ref = matmul_reference(a, b);
-    const Matrix ref_tb = matmul_transpose_b_reference(a, bt);
-    for (int threads : kKernelThreadCounts) {
-      KernelPoolGuard pool(threads);
-      EXPECT_TRUE(matmul(a, b) == ref)
-          << s[0] << "x" << s[1] << "x" << s[2] << " @ " << threads;
-      EXPECT_TRUE(matmul_transpose_b(a, bt) == ref_tb)
-          << s[0] << "x" << s[1] << "x" << s[2] << " @ " << threads
-          << " (transpose_b)";
+    // Dense a takes matmul's blocked route; a post-ReLU-like a (> 50% exact
+    // zeros) takes the zero-skip route of matmul and matmul_transpose_b.
+    for (bool relu : {false, true}) {
+      Matrix a = Matrix::randn(s[0], s[1], rng);
+      if (relu) {
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          if (a.data()[i] < 0.3F) a.data()[i] = 0.0F;
+        }
+      }
+      const Matrix b = Matrix::randn(s[1], s[2], rng);
+      const Matrix bt = Matrix::randn(s[2], s[1], rng);
+      const Matrix c = Matrix::randn(s[0], s[2], rng);
+      const Matrix ref = matmul_reference(a, b);
+      const Matrix ref_tb = matmul_transpose_b_reference(a, bt);
+      const Matrix ref_ta = matmul_reference(transposed(a), c);
+      for (KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2}) {
+        if (!kernel_isa_available(isa)) {
+          std::cout << "[ SKIPPED  ] " << kernel_isa_name(isa)
+                    << " kernels: not supported by this CPU\n";
+          continue;
+        }
+        for (int threads : kKernelThreadCounts) {
+          KernelPoolGuard pool(threads);
+          const std::string where =
+              std::to_string(s[0]) + "x" + std::to_string(s[1]) + "x" +
+              std::to_string(s[2]) + (relu ? " relu" : " dense") + " " +
+              kernel_isa_name(isa) + " @ " + std::to_string(threads);
+          EXPECT_TRUE(matmul_isa(isa, a, b) == ref) << where;
+          EXPECT_TRUE(matmul_transpose_b_isa(isa, a, bt) == ref_tb)
+              << where << " (transpose_b)";
+          EXPECT_TRUE(matmul_transpose_a_isa(isa, a, c) == ref_ta)
+              << where << " (transpose_a)";
+        }
+      }
+      // The public entry points run the selected variant.
+      EXPECT_TRUE(matmul(a, b) == ref);
+      EXPECT_TRUE(matmul_transpose_b(a, bt) == ref_tb);
+      EXPECT_TRUE(matmul_transpose_a(a, c) == ref_ta);
     }
   }
 }
