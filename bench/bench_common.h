@@ -42,7 +42,7 @@ struct BenchConfig {
   int threads = 0;     // 0 = hardware_concurrency
   int batch_size = 1;  // graphs per forward/backward (1 = one graph per tape)
   int grad_accum = 1;  // batches per Adam step at batch_size > 1
-  // Serving knobs (bench_serving; see serve/serving_batcher.h ServeConfig).
+  // Serving knobs (bench_serving; see serve/scheduler.h SchedulerConfig).
   int max_batch = 8;            // graphs per serving forward pass
   int batch_window_us = 200;    // micro-batch collection window (int: the
                                 // flag parser is int-wide; ~35min max)
@@ -53,7 +53,7 @@ struct BenchConfig {
                                 // open-loop sweep (0 = auto: the measured
                                 // sequential predict() capacity)
   int deadline_us = 0;          // per-request deadline for the open-loop
-                                // sweep (0 = auto: 50x sequential us/graph)
+                                // sweep (0 = auto: 25x sequential us/graph)
   int priority = 0;             // priority attached to open-loop requests
   int workers = 0;              // shared-scheduler worker threads (0 = one
                                 // per served metric: equal thread budget
@@ -122,7 +122,7 @@ inline void print_bench_usage(std::ostream& os) {
         "  --arrival-rate=R       open-loop base offered load, requests/sec\n"
         "                         (0 = measured sequential capacity; the\n"
         "                         sweep offers 0.5x/1x/2x/4x of this base)\n"
-        "  --deadline-us=N        open-loop per-request deadline (0 = 50x\n"
+        "  --deadline-us=N        open-loop per-request deadline (0 = 25x\n"
         "                         the sequential us/graph; requests past it\n"
         "                         are shed by the scheduler arm)\n"
         "  --priority=N           priority attached to open-loop requests\n"

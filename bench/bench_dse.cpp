@@ -25,7 +25,7 @@
 // the whole active trace bit-identical across scorer paths and thread
 // counts.
 //
-// Hard gates (exit 1): scoring through the ServingBatcher must be
+// Hard gates (exit 1): scoring through the ServingScheduler must be
 // bit-identical to direct predict_many (the serving contract), and
 // successive halving must respect its ground-truth budget. The
 // data-dependent quality checks (Spearman level, top-1 recovery, front

@@ -2,9 +2,10 @@
 // knobs, plus an open-loop saturation sweep of the shared-queue scheduler.
 //
 // Part 1 (closed loop): fits one off-the-shelf RGCN predictor, then drives
-// a ServingBatcher with --clients submitter threads, each submitting
-// --requests samples one at a time and blocking on the future (the DSE
-// searcher pattern: every thread holds exactly one in-flight candidate).
+// a one-model ServingScheduler (one worker, static window) with --clients
+// submitter threads, each submitting --requests samples one at a time and
+// blocking on the future (the DSE searcher pattern: every thread holds
+// exactly one in-flight candidate).
 // Expected shape: micro-batching (max-batch > 1) wins graphs/sec over the
 // unbatched baseline because one GraphBatch forward amortizes tape
 // construction over the whole batch, at the price of the queueing delay the
@@ -14,15 +15,16 @@
 // 0.5x/1x/2x/4x of a base rate (--arrival-rate, default the measured
 // sequential capacity), scoring all four metrics round-robin with a
 // per-request deadline (--deadline-us). Two arms at equal thread budget:
-// one ServingBatcher per metric (the historical design: 4 worker threads,
-// no deadlines — every request is answered, eventually) vs ONE shared-queue
-// ServingScheduler carrying all 4 models (same number of workers,
-// deadline-aware shedding, adaptive windows). Reports p50/p99/p999 latency,
-// goodput (answers within deadline per second) and shed rate per rate
-// point. The expected shape — and the reason the scheduler exists — is
-// that past saturation the batcher arm's goodput collapses (unbounded
-// queueing answers everything late) while the scheduler sheds expired
-// requests and keeps serving fresh ones inside their deadline.
+// the "batcher" arm, one single-worker static-window scheduler per metric
+// (4 worker threads, no deadlines — every request is answered,
+// eventually), vs ONE shared-queue ServingScheduler carrying all 4 models
+// (same number of workers, deadline-aware shedding, adaptive windows).
+// Reports p50/p99/p999 latency, goodput (answers within deadline per
+// second) and shed rate per rate point. The expected shape — and the
+// reason the shared queue exists — is that past saturation the batcher
+// arm's goodput collapses (unbounded queueing answers everything late)
+// while the scheduler sheds expired requests and keeps serving fresh ones
+// inside their deadline.
 //
 // Part 2.5 (socket arm): the same open-loop Poisson traffic replayed over
 // a real loopback TCP connection through serve/tcp_endpoint.h — every
@@ -50,7 +52,6 @@
 #include "dataset/serialize.h"
 #include "gnn/encoders.h"
 #include "serve/scheduler.h"
-#include "serve/serving_batcher.h"
 #include "serve/tcp_endpoint.h"
 #include "serve/wire.h"
 
@@ -62,7 +63,7 @@ struct LoadResult {
   double graphs_per_s = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
-  ServeStats stats;
+  SchedStats stats;
   bool bit_identical = true;
 };
 
@@ -74,14 +75,15 @@ double percentile(std::vector<double>& v, double p) {
   return v[std::min(i, v.size() - 1)];
 }
 
-/// Closed-loop load: `clients` threads, one outstanding request each.
-/// `expected[i]` is the sequential predict() value for samples[idx[i]].
+/// Closed-loop load on a one-model scheduler: `clients` threads, one
+/// outstanding request each. `expected[i]` is the sequential predict()
+/// value for samples[idx[i]].
 LoadResult run_load(const QorPredictor& predictor,
                     const std::vector<Sample>& samples,
                     const std::vector<int>& idx,
-                    const std::vector<double>& expected, ServeConfig sc,
+                    const std::vector<double>& expected, SchedulerConfig sc,
                     int clients, int requests) {
-  ServingBatcher batcher(predictor, sc);
+  ServingScheduler sched({&predictor}, sc);
   std::vector<std::vector<double>> latencies(
       static_cast<std::size_t>(clients));
   std::atomic<int> mismatches{0};
@@ -97,7 +99,7 @@ LoadResult run_load(const QorPredictor& predictor,
             static_cast<std::size_t>(c * 131 + r * 7) % idx.size();
         const Sample& s = samples[static_cast<std::size_t>(idx[pick])];
         Timer t;
-        const double served = batcher.submit(s).get();
+        const double served = sched.submit(0, s).future.get();
         lat.push_back(t.seconds() * 1e6);
         if (served != expected[pick]) ++mismatches;
       }
@@ -106,7 +108,7 @@ LoadResult run_load(const QorPredictor& predictor,
   for (std::thread& t : threads) t.join();
   LoadResult res;
   res.wall_s = wall.seconds();
-  res.stats = batcher.stats();
+  res.stats = sched.stats();
   res.bit_identical = mismatches.load() == 0;
   const double total =
       static_cast<double>(clients) * static_cast<double>(requests);
@@ -181,27 +183,29 @@ double replay_arrivals(const std::vector<Arrival>& arrivals,
   return wall.seconds();  // submission time only; callers add drain time
 }
 
-/// Arm A: one ServingBatcher (worker thread) per metric, no deadlines —
-/// the pre-scheduler design. Every request is served; goodput counts the
-/// ones that happened to finish within `deadline_us`.
+/// Arm A ("batcher"): one single-worker static-window scheduler per
+/// metric, no deadlines — the design before the shared queue. Every
+/// request is served; goodput counts the ones that happened to finish
+/// within `deadline_us`.
 OpenLoopResult run_open_loop_batchers(
     const std::vector<const QorPredictor*>& models,
     const std::vector<Sample>& samples, const std::vector<int>& idx,
     const std::vector<std::vector<double>>& expected,
-    const std::vector<Arrival>& arrivals, ServeConfig sc,
+    const std::vector<Arrival>& arrivals, SchedulerConfig sc,
     std::int64_t deadline_us) {
   sc.record_latencies = true;
-  std::vector<std::unique_ptr<ServingBatcher>> batchers;
+  std::vector<std::unique_ptr<ServingScheduler>> batchers;
   for (const QorPredictor* m : models) {
-    batchers.push_back(std::make_unique<ServingBatcher>(*m, sc));
+    batchers.push_back(
+        std::make_unique<ServingScheduler>(std::vector{m}, sc));
   }
   std::vector<std::pair<const Arrival*, std::future<double>>> futures;
   futures.reserve(arrivals.size());
   Timer wall;
   replay_arrivals(arrivals, [&](const Arrival& a) {
     const Sample& s = samples[static_cast<std::size_t>(idx[a.pick])];
-    futures.emplace_back(
-        &a, batchers[static_cast<std::size_t>(a.metric)]->submit(s));
+    ServingScheduler& b = *batchers[static_cast<std::size_t>(a.metric)];
+    futures.emplace_back(&a, b.submit(0, s).future);
   });
   for (auto& b : batchers) b->shutdown();  // drain: everything answered
   OpenLoopResult r;
@@ -489,14 +493,15 @@ int run(int argc, const char* const* argv) {
 
   struct Row {
     std::string name;
-    ServeConfig sc;
+    int max_batch;
+    std::int64_t window_us;
   };
-  const long w = cfg.batch_window_us;
+  const std::int64_t w = cfg.batch_window_us;
   const std::vector<Row> rows = {
-      {"max-batch=1 (no batching)", {1, 0}},
-      {"max-batch=N, window=0", {cfg.max_batch, 0}},
-      {"max-batch=N, window=W", {cfg.max_batch, w}},
-      {"max-batch=N, window=5W", {cfg.max_batch, 5 * w}},
+      {"max-batch=1 (no batching)", 1, 0},
+      {"max-batch=N, window=0", cfg.max_batch, 0},
+      {"max-batch=N, window=W", cfg.max_batch, w},
+      {"max-batch=N, window=5W", cfg.max_batch, 5 * w},
   };
 
   TextTable table({"serving config", "graphs/s", "avg batch", "p50 us",
@@ -505,10 +510,14 @@ int run(int argc, const char* const* argv) {
   json_log.add("sequential predict us/graph", seq_per_graph_us, "us");
   std::vector<LoadResult> results;
   for (const Row& row : rows) {
+    SchedulerConfig sc;  // one worker, static window
+    sc.max_batch = row.max_batch;
+    sc.batch_window_us = row.window_us;
+    sc.adaptive_window = false;
     // One warmup pass keeps first-touch allocator noise out of the table.
-    run_load(predictor, samples, idx, expected, row.sc, cfg.clients,
+    run_load(predictor, samples, idx, expected, sc, cfg.clients,
              std::max(cfg.requests / 8, 1));
-    const LoadResult res = run_load(predictor, samples, idx, expected, row.sc,
+    const LoadResult res = run_load(predictor, samples, idx, expected, sc,
                                     cfg.clients, cfg.requests);
     results.push_back(res);
     table.add_row(
@@ -568,9 +577,10 @@ int run(int argc, const char* const* argv) {
             << kNumMetrics << " per-metric workers, scheduler arm: "
             << sched_workers << " shared workers\n";
 
-  ServeConfig batcher_sc;
+  SchedulerConfig batcher_sc;  // per metric: one worker, static window
   batcher_sc.max_batch = cfg.max_batch;
   batcher_sc.batch_window_us = cfg.batch_window_us;
+  batcher_sc.adaptive_window = false;
   batcher_sc.obs = obs_config(cfg);
   SchedulerConfig shared_sc;
   shared_sc.workers = sched_workers;

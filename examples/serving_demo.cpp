@@ -1,7 +1,8 @@
 // Serving demo: QoR inference as a service for a DSE loop.
 //
 //   1. Train an off-the-shelf RGCN predictor on a small synthetic corpus.
-//   2. Stand up a ServingBatcher over the trained predictor.
+//   2. Stand up a ServingScheduler over the trained predictor (one model,
+//      one worker, static batch window).
 //   3. Simulate a design-space exploration: several searcher threads submit
 //      candidate designs concurrently and block on their future (one
 //      in-flight candidate per searcher).
@@ -17,7 +18,7 @@
 #include <iostream>
 #include <thread>
 
-#include "serve/serving_batcher.h"
+#include "serve/scheduler.h"
 #include "support/table.h"
 #include "support/timer.h"
 
@@ -49,12 +50,13 @@ int main() {
   std::cout << "  val MAPE " << TextTable::pct(val) << " in "
             << TextTable::num(fit_timer.seconds(), 1) << "s\n\n";
 
-  // ----- 2. stand up the serving batcher -----
-  ServeConfig sc;
+  // ----- 2. stand up the serving scheduler -----
+  SchedulerConfig sc;  // workers = 1 by default
   sc.max_batch = 8;
   sc.batch_window_us = 500;
-  ServingBatcher batcher(predictor, sc);
-  std::cout << "== 2. serving batcher up (max-batch=" << sc.max_batch
+  sc.adaptive_window = false;  // every batch waits the full window
+  ServingScheduler sched({&predictor}, sc);
+  std::cout << "== 2. serving scheduler up (max-batch=" << sc.max_batch
             << ", batch-window-us=" << sc.batch_window_us << ") ==\n\n";
 
   // ----- 3. concurrent searcher threads submit candidates -----
@@ -63,7 +65,7 @@ int main() {
   std::cout << "== 3. DSE load: " << kSearchers << " searcher threads x "
             << kCandidatesPerSearcher << " candidates ==\n";
   // Sequential reference values, computed BEFORE the timed window so the
-  // throughput number measures the batcher alone (this also warms the
+  // throughput number measures the scheduler alone (this also warms the
   // FeatureCache, as a long-running service would be).
   std::vector<double> expected;
   expected.reserve(corpus.size());
@@ -76,7 +78,7 @@ int main() {
       for (int r = 0; r < kCandidatesPerSearcher; ++r) {
         const std::size_t pick =
             static_cast<std::size_t>((t * 37 + r * 11) % corpus.size());
-        const double served = batcher.submit(corpus[pick]).get();
+        const double served = sched.submit(0, corpus[pick]).future.get();
         // The serving contract: batching must never change a prediction.
         if (served != expected[pick]) ++mismatches;
       }
@@ -84,10 +86,10 @@ int main() {
   }
   for (std::thread& s : searchers) s.join();
   const double wall = serve_timer.seconds();
-  batcher.shutdown();
+  sched.shutdown();
 
-  // ----- 4. what the batcher did -----
-  const ServeStats st = batcher.stats();
+  // ----- 4. what the scheduler did -----
+  const SchedStats st = sched.stats();
   constexpr int kTotal = kSearchers * kCandidatesPerSearcher;
   std::cout << "  served " << st.completed << " candidates in "
             << TextTable::num(wall * 1e3, 0) << "ms ("

@@ -101,8 +101,8 @@ class QorPredictor {
   /// Thread safety: const and safe to call concurrently from many threads
   /// after fit() returns (forward builds a private tape; feature matrices
   /// come from the internally synchronized FeatureCache). This is the
-  /// serving batcher's one entry point into the model. Callers control the
-  /// batch size by slicing: each call is a single forward pass.
+  /// serving scheduler's one entry point into the model. Callers control
+  /// the batch size by slicing: each call is a single forward pass.
   std::vector<double> predict_many(
       const std::vector<const Sample*>& samples) const;
 

@@ -8,9 +8,9 @@
 //     on the support/parallel.h thread pool (each shard fills its own slot,
 //     so results are byte-identical at any pool width);
 //   * scoring: ONE batched scorer call per (metric, round) — either a
-//     direct QorPredictor::predict_many forward or the async ServingBatcher
-//     path; both are bit-identical per the serving contract, asserted by
-//     tests/dse_test.cpp;
+//     direct QorPredictor::predict_many forward or the async
+//     ServingScheduler path; both are bit-identical per the serving
+//     contract, asserted by tests/dse_test.cpp;
 //   * strategies: `exhaustive` synthesizes every point (the ground-truth
 //     sweep DSE exists to avoid); `successive_halving` prunes the candidate
 //     set by predicted rank each round and invokes the HLS flow only on the
@@ -190,10 +190,9 @@ class PredictorScorer : public ModelScorerBase {
 
 /// Scores through the async serving path: ONE shared-queue
 /// ServingScheduler carrying every registered member model (multi-model
-/// serving), exercising submit/micro-batch/scatter under DSE load.
-/// Historically this spun one ServingBatcher worker thread per metric — a
-/// 4-thread tax for 4-metric scoring; the shared queue serves all members
-/// from a single small worker pool (cfg.workers, default 1). Values are
+/// serving), exercising submit/micro-batch/scatter under DSE load. The
+/// shared queue serves all members from a single small worker pool
+/// (cfg.workers, default 1), not one worker thread per metric. Values are
 /// bit-identical to PredictorScorer by the serving contract. Models are
 /// borrowed and must outlive the scorer; active_halving may refit them
 /// between score() calls — the scheduler permits quiescent refits (see

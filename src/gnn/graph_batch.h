@@ -19,7 +19,7 @@
 // solo forward, so per-member results of a batched forward are bit-identical
 // to running that member alone (asserted for all 14 encoder kinds in
 // batch_test and serve_test). Readout row g always belongs to parts[g] —
-// the serving batcher relies on this to scatter predictions back to the
+// the serving scheduler relies on this to scatter predictions back to the
 // right caller.
 //
 // Threading: build()/stack_features() are safe to call concurrently from

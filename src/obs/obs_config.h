@@ -1,6 +1,6 @@
 // Observability opt-in knobs, plumbed through every subsystem config
-// (SchedulerConfig, ServeConfig, TcpEndpointConfig, TrainConfig, DseConfig
-// and the bench harness's --obs/--trace-out flags).
+// (SchedulerConfig, TcpEndpointConfig, TrainConfig, DseConfig and the
+// bench harness's --obs/--trace-out flags).
 //
 // Both knobs default OFF and are execution-only: observability reads the
 // clock and counts events, it NEVER touches a computed value — the repo's

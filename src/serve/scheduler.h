@@ -1,17 +1,18 @@
 // Shared-queue multi-model serving scheduler — the core of the serving
 // tier.
 //
-// The previous design spun one ServingBatcher (worker thread + queue +
-// batch window) per served model, so 4-metric DSE scoring paid 4 threads
-// and 4 independently-idling windows. The ServingScheduler replaces that
-// with ONE deadline/priority-ordered request queue carrying
-// (model_id, sample, deadline, priority) entries, drained by a small worker
-// pool that forms per-model micro-batches greedily from whatever is queued:
-// a worker takes the highest-urgency request, collects up to max_batch
-// queued requests for the *same model* (skipping none — queue order within
-// the model is preserved), and runs ONE QorPredictor::predict_many forward.
-// ServingBatcher and the DSE ServingScorer are thin facades over this
-// class.
+// One scheduler serves every model: instead of a worker thread, queue and
+// batch window per served model (4-metric DSE scoring would pay 4 threads
+// and 4 independently-idling windows), there is ONE deadline/priority-
+// ordered request queue carrying (model_id, sample, deadline, priority)
+// entries, drained by a small worker pool that forms per-model
+// micro-batches greedily from whatever is queued: a worker takes the
+// highest-urgency request, collects up to max_batch queued requests for
+// the *same model* (skipping none — queue order within the model is
+// preserved), and runs ONE QorPredictor::predict_many forward.
+// It is the only in-process serving API: the DSE ServingScorer and the TCP
+// endpoint both submit to it. A single-model micro-batcher is a scheduler
+// with one model, workers = 1 (the default) and adaptive_window = false.
 //
 // Queue ordering: priority descending, then deadline ascending (EDF), then
 // submission order. Requests without a deadline sort after same-priority
@@ -101,8 +102,8 @@ enum class AdmitStatus {
 std::string admit_status_name(AdmitStatus s);
 
 /// The exception a shed/rejected request's future carries. Derives from
-/// std::runtime_error so callers that only know the ServingBatcher contract
-/// ("after shutdown the future holds a std::runtime_error") keep working.
+/// std::runtime_error so status-blind callers can catch that alone ("after
+/// shutdown the future holds a std::runtime_error").
 class SchedReject : public std::runtime_error {
  public:
   SchedReject(AdmitStatus status, const std::string& what)
@@ -148,8 +149,8 @@ struct SubmitOptions {
 /// `backlog` is the queue depth left after the batch was extracted.
 /// backlog > 0 (arrivals outpacing service) doubles the window toward the
 /// cap; backlog == 0 (the batch drained the queue) halves it toward zero.
-/// With `adaptive` false the window is pinned to the cap — the static
-/// ServingBatcher behavior.
+/// With `adaptive` false the window is pinned to the cap — a static
+/// window: a lone request always waits the full configured window.
 class AdaptiveWindow {
  public:
   AdaptiveWindow(std::int64_t cap_us, bool adaptive)
@@ -188,9 +189,10 @@ struct SchedulerConfig {
   int workers = 1;
   /// Graphs per micro-batch forward (>= 1), per model.
   int max_batch = 8;
-  /// Cap of the (adaptive) batch window in microseconds (>= 0). With
-  /// adaptive_window false this is the static window, exactly
-  /// ServeConfig::batch_window_us.
+  /// Cap of the (adaptive) batch window in microseconds (>= 0): the
+  /// longest a queued request waits for co-batchable traffic. With
+  /// adaptive_window false this is the static window. 0 means "never
+  /// wait": a worker serves whatever is queued the moment it looks.
   std::int64_t batch_window_us = 200;
   /// Adapt the window to load (see AdaptiveWindow). Execution-only: served
   /// values are unchanged.

@@ -1,8 +1,8 @@
-// Counters published by the serving tier: ServeStats by the ServingBatcher
-// facade (see serve/serving_batcher.h), SchedStats by the shared-queue
-// ServingScheduler underneath it (see serve/scheduler.h).
+// Counters published by the serving tier: SchedStats by the shared-queue
+// ServingScheduler (see serve/scheduler.h), WireStats by the TCP endpoint
+// in front of it (see serve/tcp_endpoint.h).
 //
-// A stats value is a consistent snapshot: every field was read under the
+// A SchedStats value is a consistent snapshot: every field was read under the
 // scheduler's queue lock in one critical section, so invariants like
 // `completed <= submitted` and `flush_full + flush_timeout + flush_drain ==
 // batches` hold within a single snapshot. Snapshots are plain values —
@@ -15,43 +15,13 @@
 
 namespace gnnhls {
 
-struct ServeStats {
-  /// Requests accepted by submit() (excludes submissions rejected because
-  /// the batcher was already shut down — those fail their future instead).
+/// Snapshot of the shared-queue multi-model scheduler.
+struct SchedStats {
+  /// Requests accepted into the queue (excludes every rejection below).
   std::uint64_t submitted = 0;
   /// Requests whose micro-batch forward has run. Counted just before the
   /// promises are fulfilled, so a caller whose future.get() has returned
   /// always observes its own request here.
-  std::uint64_t completed = 0;
-  /// Forward passes run (each serves one micro-batch of 1..max_batch).
-  std::uint64_t batches = 0;
-  /// Window-close reasons, one increment per batch:
-  /// the queue reached max_batch before the window timer expired, ...
-  std::uint64_t flush_full = 0;
-  /// ... the batch window elapsed with 1..max_batch-1 requests waiting, ...
-  std::uint64_t flush_timeout = 0;
-  /// ... or shutdown() drained the remaining queue.
-  std::uint64_t flush_drain = 0;
-  /// Largest micro-batch served so far (<= configured max_batch).
-  int max_batch_seen = 0;
-
-  /// Mean graphs per forward pass — the amortization the batcher exists to
-  /// create (1.0 means every request paid a full forward on its own).
-  double avg_batch() const {
-    return batches == 0
-               ? 0.0
-               : static_cast<double>(completed) / static_cast<double>(batches);
-  }
-};
-
-/// Snapshot of the shared-queue multi-model scheduler. Same consistency
-/// rules as ServeStats; the extra fields cover admission control, shedding
-/// and the adaptive batch window.
-struct SchedStats {
-  /// Requests accepted into the queue (excludes every rejection below).
-  std::uint64_t submitted = 0;
-  /// Requests whose micro-batch forward has run (counted before their
-  /// promises are fulfilled).
   std::uint64_t completed = 0;
   /// Completed requests that were answered by their deadline (requests
   /// without a deadline always count). completed - completed_in_deadline
@@ -67,11 +37,16 @@ struct SchedStats {
   /// with SchedReject(kExpired) instead of wasting a forward (load
   /// shedding under overload).
   std::uint64_t shed_in_queue = 0;
-  /// Forward passes run / window-close reasons (as in ServeStats).
+  /// Forward passes run (each serves one micro-batch of 1..max_batch).
   std::uint64_t batches = 0;
+  /// Window-close reasons, one increment per batch:
+  /// the queue reached max_batch before the window timer expired, ...
   std::uint64_t flush_full = 0;
+  /// ... the batch window elapsed with 1..max_batch-1 requests waiting, ...
   std::uint64_t flush_timeout = 0;
+  /// ... or shutdown() drained the remaining queue.
   std::uint64_t flush_drain = 0;
+  /// Largest micro-batch served so far (<= configured max_batch).
   int max_batch_seen = 0;
   /// Adaptive batch window at snapshot time, and how often the rule moved
   /// it (grow under backlog, shrink when the queue drains; see
@@ -83,6 +58,8 @@ struct SchedStats {
   /// multi-model fairness observable).
   std::vector<std::uint64_t> per_model_completed;
 
+  /// Mean graphs per forward pass — the amortization micro-batching exists
+  /// to create (1.0 means every request paid a full forward on its own).
   double avg_batch() const {
     return batches == 0
                ? 0.0

@@ -412,7 +412,7 @@ void TcpEndpoint::writer_loop(std::shared_ptr<Connection> conn) {
       }
       // The future resolved, so no forward can still be reading this
       // sample's cached features — safe to drop them.
-      if (cfg_.evict_features && p.uid != 0) {
+      if (p.uid != 0) {
         FeatureCache::global().evict(p.uid);
       }
     }

@@ -73,11 +73,6 @@ struct TcpEndpointConfig {
   /// Largest accepted frame body; bigger length prefixes poison the
   /// connection with kOversized.
   std::size_t max_frame_bytes = kWireDefaultMaxBody;
-  /// Evict decoded samples from FeatureCache::global() once answered.
-  /// Default on — every wire sample has a fresh uid, so a long-running
-  /// server would otherwise grow the cache per request. Tests that want to
-  /// inspect the cache can turn it off.
-  bool evict_features = true;
   /// Observability knobs (obs/obs_config.h). Note the STATS wire frame is
   /// part of the protocol, not of observability: it is always answered,
   /// rendering whatever registries back this endpoint and its scheduler

@@ -54,13 +54,12 @@ void FeatureCache::clear() {
 }
 
 void FeatureCache::evict(std::uint64_t uid) {
+  // Erase the uid's keys directly — node-type labels (-1) plus one per
+  // Approach — rather than scanning the map: this runs under the same
+  // mutex as every training shard's and scheduler worker's lookups.
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->first.uid == uid) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
+  for (int v = -1; v <= static_cast<int>(Approach::kKnowledgeRich); ++v) {
+    entries_.erase(Key{uid, v});
   }
 }
 

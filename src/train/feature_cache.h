@@ -35,9 +35,10 @@ class FeatureCache {
 
   /// Memoized InputFeatureBuilder::build(s.graph(), a) — the ground-truth
   /// variant only. The reference stays valid until clear() and is shared
-  /// read-only data: training, evaluation and the serving batcher's worker
-  /// all read the same entry concurrently (entries are unique_ptr-backed,
-  /// so references survive rehashes and concurrent inserts).
+  /// read-only data: training, evaluation and the serving scheduler's
+  /// workers all read the same entry concurrently (entries are
+  /// unique_ptr-backed, so references survive rehashes and concurrent
+  /// inserts).
   const Matrix& features(const Sample& s, Approach a);
 
   /// Memoized InputFeatureBuilder::node_type_labels(s.graph()).
@@ -53,7 +54,7 @@ class FeatureCache {
 
   /// Drops every entry (tests; long-lived processes discarding a dataset).
   /// Invalidates every outstanding reference: must not race with fits,
-  /// evaluations or a live ServingBatcher that could still read them.
+  /// evaluations or a live ServingScheduler that could still read them.
   void clear();
 
   /// Drops every variant cached for one sample uid. Invalidates references
@@ -71,7 +72,9 @@ class FeatureCache {
  private:
   struct Key {
     std::uint64_t uid = 0;
-    int variant = 0;  // Approach as int; -1 = node-type labels
+    // Approach as int; -1 = node-type labels. evict() erases exactly the
+    // range [-1, Approach::kKnowledgeRich], the last Approach value.
+    int variant = 0;
     bool operator==(const Key& o) const {
       return uid == o.uid && variant == o.variant;
     }

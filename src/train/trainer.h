@@ -79,7 +79,7 @@ float lr_at_epoch(float base_lr, int epoch, int total_epochs);
 /// One Trainer per fit: construct, call fit() once, discard. fit() is not
 /// reentrant and must not run concurrently with anything that reads the
 /// model's parameters (the serving path takes the predictor AFTER fit has
-/// returned — see serve/serving_batcher.h). Epoch work may fan out over the
+/// returned — see serve/scheduler.h). Epoch work may fan out over the
 /// global ThreadPool, but the determinism contract above makes the result
 /// independent of that pool's width.
 class Trainer {

@@ -1,7 +1,7 @@
 // dse/ subsystem tests: Pareto-front correctness on hand-built dominance
 // cases, deterministic design-space enumeration, and the explorer
 // determinism contract — results bit-identical across thread-pool widths
-// and across the direct predict_many vs ServingBatcher scoring paths.
+// and across the direct predict_many vs ServingScheduler scoring paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>

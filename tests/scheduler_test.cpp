@@ -2,14 +2,18 @@
 // admission control (expired-at-submit, over-capacity), in-queue load
 // shedding, priority/EDF ordering, adaptive-window rule, drain-on-shutdown
 // answering every accepted future, multi-model fairness under one-hot load,
+// the single-worker static-window mode on real threads (timeout flush, zero
+// window, idle shutdown, concurrent submitters), the blocking predict_many,
 // and the determinism contract — scheduled predictions bit-identical to
 // sequential QorPredictor::predict across batch compositions for all 14
 // encoder kinds. Edge-case tests run in virtual-time mode (no worker
 // threads, no real clock) so expiry and window behavior are exact, not
 // sleep-and-hope.
+#include <atomic>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,7 +21,6 @@
 
 #include "gnn/encoders.h"
 #include "serve/scheduler.h"
-#include "serve/serving_batcher.h"
 
 namespace gnnhls {
 namespace {
@@ -253,7 +256,7 @@ TEST(AdaptiveWindowTest, RuleIsDeterministicGivenObservations) {
   AdaptiveWindow pinned(/*cap_us=*/200, /*adaptive=*/false);
   pinned.observe(0);
   pinned.observe(9);
-  EXPECT_EQ(pinned.current_us(), 200);  // static: the ServingBatcher mode
+  EXPECT_EQ(pinned.current_us(), 200);  // static: pinned at the cap
   EXPECT_EQ(pinned.grows() + pinned.shrinks(), 0U);
 }
 
@@ -402,6 +405,104 @@ TEST(SchedulerDrainTest, WorkerPoolServesBitIdentical) {
   }
 }
 
+// ----- single worker, static window (real threads) -----
+
+/// One worker (the default) and a window that never adapts: every batch
+/// waits the full configured window unless it fills first.
+SchedulerConfig static_cfg(int max_batch, std::int64_t window) {
+  SchedulerConfig cfg;
+  cfg.max_batch = max_batch;
+  cfg.batch_window_us = window;
+  cfg.adaptive_window = false;
+  return cfg;
+}
+
+TEST(SchedulerStaticWindowTest, SingleRequestFlushesOnWindowTimeout) {
+  SchedFixture& fx = fixture();
+  // max_batch far above the traffic: only the real-clock timer can flush.
+  ServingScheduler sched({&fx.lut}, static_cfg(/*max_batch=*/64,
+                                               /*window=*/100));
+  std::future<double> f = sched.submit(0, fx.samples[0]).future;
+  EXPECT_EQ(f.get(), fx.lut.predict(fx.samples[0]));
+  const SchedStats st = sched.stats();
+  EXPECT_EQ(st.batches, 1U);
+  EXPECT_EQ(st.flush_timeout, 1U);
+  EXPECT_EQ(st.max_batch_seen, 1);
+  EXPECT_EQ(st.window_us, 100);  // static: the timeout did not shrink it
+}
+
+TEST(SchedulerStaticWindowTest, ZeroWindowServesImmediately) {
+  SchedFixture& fx = fixture();
+  // "Never wait": the worker serves whatever is queued the moment it looks.
+  ServingScheduler sched({&fx.lut}, static_cfg(/*max_batch=*/8,
+                                               /*window=*/0));
+  for (int round = 0; round < 3; ++round) {
+    std::future<double> f = sched.submit(0, fx.samples[0]).future;
+    EXPECT_EQ(f.get(), fx.lut.predict(fx.samples[0]));
+  }
+  EXPECT_EQ(sched.stats().completed, 3U);
+}
+
+TEST(SchedulerStaticWindowTest, IdleShutdownServesNothing) {
+  SchedFixture& fx = fixture();
+  ServingScheduler sched({&fx.lut}, static_cfg(/*max_batch=*/8,
+                                               /*window=*/200));
+  sched.shutdown();  // no traffic: the worker must exit without a forward
+  const SchedStats st = sched.stats();
+  EXPECT_EQ(st.submitted, 0U);
+  EXPECT_EQ(st.batches, 0U);
+  EXPECT_EQ(st.avg_batch(), 0.0);
+}
+
+TEST(SchedulerStaticWindowTest, ConcurrentSubmittersAllBitIdentical) {
+  SchedFixture& fx = fixture();
+  ServingScheduler sched({&fx.lut}, static_cfg(/*max_batch=*/8,
+                                               /*window=*/300));
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 12;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int r = 0; r < kPerThread; ++r) {
+        const Sample& s =
+            fx.samples[static_cast<std::size_t>((t * 7 + r * 3) %
+                                                fx.samples.size())];
+        if (sched.submit(0, s).future.get() != fx.lut.predict(s)) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const SchedStats st = sched.stats();
+  EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(st.completed, st.submitted);
+}
+
+TEST(SchedulerPredictManyTest, MatchesSequentialPerModel) {
+  SchedFixture& fx = fixture();
+  ServingScheduler sched({&fx.lut, &fx.ff}, static_cfg(/*max_batch=*/4,
+                                                       /*window=*/200));
+  std::vector<const Sample*> parts;
+  for (int i : fx.split.test) {
+    parts.push_back(&fx.samples[static_cast<std::size_t>(i)]);
+  }
+  const std::vector<double> lut = sched.predict_many(0, parts);
+  const std::vector<double> ff = sched.predict_many(1, parts);
+  ASSERT_EQ(lut.size(), parts.size());
+  ASSERT_EQ(ff.size(), parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    EXPECT_EQ(lut[i], fx.lut.predict(*parts[i])) << i;
+    EXPECT_EQ(ff[i], fx.ff.predict(*parts[i])) << i;
+  }
+  EXPECT_TRUE(sched.predict_many(0, {}).empty());
+  const SchedStats st = sched.stats();
+  EXPECT_EQ(st.completed, 2 * parts.size());  // the empty call queues none
+  EXPECT_EQ(st.per_model_completed[1], parts.size());
+}
+
 // ----- ownership paths (satellite: no per-request deep copies) -----
 
 TEST(SchedulerOwnershipTest, SharedPtrAndRvalueSubmitOutliveCaller) {
@@ -423,25 +524,6 @@ TEST(SchedulerOwnershipTest, SharedPtrAndRvalueSubmitOutliveCaller) {
   EXPECT_TRUE(sched.pump());
   EXPECT_EQ(shared_t.future.get(), expect0);
   EXPECT_EQ(moved_t.future.get(), expect1);
-}
-
-TEST(SchedulerOwnershipTest, BatcherFacadeOwnershipPaths) {
-  SchedFixture& fx = fixture();
-  const double expect = fx.lut.predict(fx.samples[3]);
-  ServeConfig sc;
-  sc.max_batch = 2;
-  sc.batch_window_us = 0;
-  ServingBatcher batcher(fx.lut, sc);
-  std::future<double> shared_f;
-  std::future<double> moved_f;
-  {
-    auto owned = std::make_shared<const Sample>(fx.samples[3]);
-    shared_f = batcher.submit(owned);
-    Sample tmp = fx.samples[3];
-    moved_f = batcher.submit(std::move(tmp));
-  }
-  EXPECT_EQ(shared_f.get(), expect);
-  EXPECT_EQ(moved_f.get(), expect);
 }
 
 // ----- determinism across batch compositions, all 14 encoder kinds -----

@@ -546,6 +546,44 @@ TEST(FeatureCacheTest, HitReturnsSameMatrixAsColdBuild) {
   EXPECT_EQ(&cache.node_type_labels(samples[0]), &labels);
 }
 
+TEST(FeatureCacheTest, EvictDropsEveryVariantOfOneSampleOnly) {
+  const auto samples = small_corpus(2, 4242);
+  FeatureCache& cache = FeatureCache::global();
+  const Approach kAll[] = {Approach::kOffTheShelf,
+                           Approach::kKnowledgeInfused,
+                           Approach::kKnowledgeRich};
+  // Fill every variant — one per Approach plus node-type labels — for both.
+  const std::size_t entries_before = cache.entries();
+  std::vector<const Matrix*> kept;
+  for (const Sample& s : samples) {
+    for (Approach a : kAll) kept.push_back(&cache.features(s, a));
+    kept.push_back(&cache.node_type_labels(s));
+  }
+  ASSERT_EQ(cache.entries(), entries_before + 8);
+
+  cache.evict(samples[0].uid);
+  EXPECT_EQ(cache.entries(), entries_before + 4);
+
+  // The other sample's entries are untouched: hits on the same objects.
+  const std::uint64_t hits_before = cache.hits();
+  const std::uint64_t misses_before = cache.misses();
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(&cache.features(samples[1], kAll[i]), kept[4 + i]);
+  }
+  EXPECT_EQ(&cache.node_type_labels(samples[1]), kept[7]);
+  EXPECT_EQ(cache.hits(), hits_before + 4);
+  EXPECT_EQ(cache.misses(), misses_before);
+
+  // Every entry of the evicted sample is gone: each lookup rebuilds.
+  for (Approach a : kAll) cache.features(samples[0], a);
+  cache.node_type_labels(samples[0]);
+  EXPECT_EQ(cache.misses(), misses_before + 4);
+  EXPECT_EQ(cache.entries(), entries_before + 8);
+
+  for (const Sample& s : samples) cache.evict(s.uid);
+  EXPECT_EQ(cache.entries(), entries_before);
+}
+
 TEST(FeatureCacheTest, SampleUidsAreUniquePerConstruction) {
   const auto a = small_corpus(3, 1);
   std::set<std::uint64_t> uids;
