@@ -29,23 +29,34 @@ void Adam::step() {
     }
   }
 
+  // Loop-invariant settings in locals, so the loop body reads no member
+  // the stores could alias; every expression keeps its evaluation order.
+  // The loop stays scalar all the same: without -fno-math-errno, GCC keeps
+  // std::sqrt's errno path, which blocks vectorization.
+  const float lr = config_.lr;
+  const float beta1 = config_.beta1;
+  const float beta2 = config_.beta2;
+  const float keep1 = 1.0F - beta1;
+  const float keep2 = 1.0F - beta2;
+  const float eps = config_.eps;
+  const float decay = config_.weight_decay;
+  const float lr_decay = lr * decay;
   for (std::size_t k = 0; k < params_.size(); ++k) {
     Parameter& p = *params_[k];
-    Matrix& grad = p.mutable_grad();
-    Matrix& value = p.mutable_value();
-    for (std::size_t i = 0; i < grad.size(); ++i) {
-      const float g = grad.data()[i] * clip_scale;
-      float& m = m_[k].data()[i];
-      float& v = v_[k].data()[i];
-      m = config_.beta1 * m + (1.0F - config_.beta1) * g;
-      v = config_.beta2 * v + (1.0F - config_.beta2) * g * g;
-      const float mhat = m / bias1;
-      const float vhat = v / bias2;
-      float update = config_.lr * mhat / (std::sqrt(vhat) + config_.eps);
-      if (config_.weight_decay > 0.0F) {
-        update += config_.lr * config_.weight_decay * value.data()[i];
-      }
-      value.data()[i] -= update;
+    const std::size_t size = p.mutable_grad().size();
+    const float* __restrict grad = p.mutable_grad().data();
+    float* __restrict value = p.mutable_value().data();
+    float* __restrict m = m_[k].data();
+    float* __restrict v = v_[k].data();
+    for (std::size_t i = 0; i < size; ++i) {
+      const float g = grad[i] * clip_scale;
+      m[i] = beta1 * m[i] + keep1 * g;
+      v[i] = beta2 * v[i] + keep2 * g * g;
+      const float mhat = m[i] / bias1;
+      const float vhat = v[i] / bias2;
+      float update = lr * mhat / (std::sqrt(vhat) + eps);
+      if (decay > 0.0F) update += lr_decay * value[i];
+      value[i] -= update;
     }
   }
   zero_grad();
@@ -55,7 +66,7 @@ void Adam::accumulate(const std::vector<Matrix>& grads) {
   GNNHLS_CHECK_EQ(grads.size(), params_.size(),
                   "accumulate: gradient buffer / parameter count mismatch");
   for (std::size_t k = 0; k < params_.size(); ++k) {
-    if (grads[k].empty()) continue;  // leaf without requires_grad
+    if (grads[k].empty()) continue;  // no contribution in this scope
     params_[k]->mutable_grad().add_inplace(grads[k]);
   }
 }

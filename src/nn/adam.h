@@ -39,10 +39,11 @@ class Adam {
 
   /// Adds one gradient buffer (parameter-ordered, as filled by
   /// LeafGradRedirect) into the parameters' grad accumulators; empty
-  /// entries (leaves without requires_grad) are skipped. The one reduction
-  /// routine of data-parallel training: the trainer folds its per-batch
-  /// buffers in a fixed order, so the summed gradient is bit-identical for
-  /// any assignment of batches to threads.
+  /// entries are skipped: leaves without requires_grad, and parameters no
+  /// gradient reached (an RGCN relation absent from the batch, say). The
+  /// one reduction routine of data-parallel training: the trainer folds its
+  /// per-batch buffers in a fixed order, so the summed gradient is
+  /// bit-identical for any assignment of batches to threads.
   void accumulate(const std::vector<Matrix>& grads);
 
   void zero_grad();

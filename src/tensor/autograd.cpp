@@ -9,12 +9,6 @@ namespace gnnhls {
 
 namespace {
 
-void ensure_grad_storage(VarNode& n) {
-  if (n.requires_grad && n.grad.empty() && !n.value.empty()) {
-    n.grad = Matrix::zeros(n.value.rows(), n.value.cols());
-  }
-}
-
 bool any_requires_grad(const std::vector<Var>& parents) {
   return std::any_of(parents.begin(), parents.end(),
                      [](const Var& v) { return v.requires_grad(); });
@@ -40,25 +34,86 @@ Matrix& sink(VarNode& n) {
 
 Matrix& sink_of(const Var& v) { return sink(*v.node()); }
 
+/// The one accumulation rule of the reverse sweep: the first contribution
+/// to a sink becomes its buffer (moved in); later contributions are added
+/// in place.
+void accumulate(const Var& v, Matrix&& contribution) {
+  Matrix& s = sink_of(v);
+  if (s.empty()) {
+    s = std::move(contribution);
+  } else {
+    s.add_inplace(contribution);
+  }
+}
+
+/// Hands a node's own grad g to parent v: a copy while `keep` (another
+/// parent still reads g), g itself otherwise.
+void pass_down(const Var& v, Matrix& g, bool keep) {
+  accumulate(v, keep ? Matrix(g) : std::move(g));
+}
+
+/// v's sink, zero-filled to v's shape if nothing has reached it yet: for
+/// kernels that scatter or reduce into the sink element by element.
+Matrix& zeroed_sink(const Var& v) {
+  Matrix& s = sink_of(v);
+  if (s.empty()) s = Matrix::zeros(v.rows(), v.cols());
+  return s;
+}
+
+void scale_inplace(Matrix& m, float alpha) {
+  float* __restrict d = m.data();
+  const std::size_t size = m.size();
+  for (std::size_t i = 0; i < size; ++i) d[i] *= alpha;
+}
+
+/// m[i,:] *= coeff[i].
+void scale_rows_inplace(Matrix& m, const std::vector<float>& coeff) {
+  const int cols = m.cols();
+  for (int i = 0; i < m.rows(); ++i) {
+    const float c = coeff[static_cast<std::size_t>(i)];
+    float* __restrict row = m.row_ptr(i);
+    // vectorize: scale_rows
+    for (int j = 0; j < cols; ++j) row[j] *= c;
+  }
+}
+
+/// m[i] *= (x[i] > 0 ? 1 : slope). Selecting a constant and multiplying
+/// vectorizes; a conditional multiply (or a select over x[i] * slope) does
+/// not under the default -ftrapping-math.
+void leaky_relu_scale(Matrix& m, const Matrix& x, float slope) {
+  float* __restrict d = m.data();
+  const float* __restrict xs = x.data();
+  const std::size_t size = m.size();
+  // vectorize: leaky_relu
+  for (std::size_t i = 0; i < size; ++i) {
+    const float k = xs[i] > 0.0F ? 1.0F : slope;
+    d[i] *= k;
+  }
+}
+
+/// m[i] *= x[i] over the whole (same-shaped) matrix.
+void mul_inplace(Matrix& m, const Matrix& x) {
+  float* __restrict d = m.data();
+  const float* __restrict xs = x.data();
+  const std::size_t size = m.size();
+  for (std::size_t i = 0; i < size; ++i) d[i] *= xs[i];
+}
+
 }  // namespace
 
 LeafGradRedirect::LeafGradRedirect(const std::vector<Var>& leaves,
                                    std::vector<Matrix>& sinks) {
   GNNHLS_CHECK(tl_redirect == nullptr,
                "LeafGradRedirect: scopes do not nest on a thread");
-  sinks.resize(leaves.size());
+  // Emptied, not zeroed: a leaf's first contribution in this scope becomes
+  // its sink's buffer, and a leaf that receives none keeps none.
+  sinks.assign(leaves.size(), Matrix());
   auto frame = std::make_unique<RedirectFrame>();
   frame->sinks.reserve(leaves.size());
   for (std::size_t i = 0; i < leaves.size(); ++i) {
     const Var& leaf = leaves[i];
     GNNHLS_CHECK(leaf.valid(), "LeafGradRedirect: invalid leaf");
     if (!leaf.requires_grad()) continue;
-    // Reuse the sink allocation across scopes when shapes already match.
-    if (sinks[i].same_shape(leaf.value())) {
-      sinks[i].fill(0.0F);
-    } else {
-      sinks[i] = Matrix::zeros(leaf.rows(), leaf.cols());
-    }
     frame->sinks.emplace(leaf.node().get(), &sinks[i]);
   }
   tl_redirect = frame.release();
@@ -73,7 +128,10 @@ Var make_leaf(Matrix value, bool requires_grad) {
   auto node = std::make_shared<VarNode>();
   node->value = std::move(value);
   node->requires_grad = requires_grad;
-  ensure_grad_storage(*node);
+  // Persistent leaves keep eager storage: optimizers and callers read it.
+  if (requires_grad) {
+    node->grad = Matrix::zeros(node->value.rows(), node->value.cols());
+  }
   return Var(node);
 }
 
@@ -109,12 +167,18 @@ void Tape::backward(const Var& loss) {
                "backward: loss must be a [1,1] Var");
   GNNHLS_CHECK(loss.requires_grad(),
                "backward: loss does not depend on any parameter");
-  for (const auto& node : ops_) ensure_grad_storage(*node);
-  ensure_grad_storage(*loss.node());
-  loss.node()->grad(0, 0) += 1.0F;
+  Matrix& seed = loss.node()->grad;
+  if (seed.empty()) seed = Matrix::zeros(1, 1);
+  seed(0, 0) += 1.0F;
   for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
     VarNode& n = **it;
-    if (n.requires_grad && n.backprop) n.backprop(n);
+    // An empty grad means no path from the loss reached this node, so its
+    // backprop would only add zeros: skip it.
+    if (!n.backprop || n.grad.empty()) continue;
+    n.backprop(n);
+    // The grad is dead once handed down (a backprop may have moved it out
+    // or transformed it in place); release it now.
+    n.grad = Matrix();
   }
 }
 
@@ -125,11 +189,13 @@ void Tape::backward(const Var& loss) {
 Var Tape::matmul(const Var& a, const Var& b) {
   Matrix out = gnnhls::matmul(a.value(), b.value());
   return record(std::move(out), {a, b}, [a, b](VarNode& n) {
+    // A product lands in an empty sink as-is; a filled sink keeps
+    // product-then-add, so every sum associates as before.
     if (a.requires_grad()) {
-      sink_of(a).add_inplace(matmul_transpose_b(n.grad, b.value()));
+      accumulate(a, matmul_transpose_b(n.grad, b.value()));
     }
     if (b.requires_grad()) {
-      sink_of(b).add_inplace(matmul_transpose_a(a.value(), n.grad));
+      accumulate(b, matmul_transpose_a(a.value(), n.grad));
     }
   });
 }
@@ -139,8 +205,8 @@ Var Tape::add(const Var& a, const Var& b) {
   Matrix out = a.value();
   out.add_inplace(b.value());
   return record(std::move(out), {a, b}, [a, b](VarNode& n) {
-    if (a.requires_grad()) sink_of(a).add_inplace(n.grad);
-    if (b.requires_grad()) sink_of(b).add_inplace(n.grad);
+    if (a.requires_grad()) pass_down(a, n.grad, b.requires_grad());
+    if (b.requires_grad()) accumulate(b, std::move(n.grad));
   });
 }
 
@@ -149,8 +215,11 @@ Var Tape::sub(const Var& a, const Var& b) {
   Matrix out = a.value();
   out.add_scaled_inplace(b.value(), -1.0F);
   return record(std::move(out), {a, b}, [a, b](VarNode& n) {
-    if (a.requires_grad()) sink_of(a).add_inplace(n.grad);
-    if (b.requires_grad()) sink_of(b).add_scaled_inplace(n.grad, -1.0F);
+    if (a.requires_grad()) pass_down(a, n.grad, b.requires_grad());
+    if (b.requires_grad()) {
+      scale_inplace(n.grad, -1.0F);
+      accumulate(b, std::move(n.grad));
+    }
   });
 }
 
@@ -161,17 +230,22 @@ Var Tape::mul(const Var& a, const Var& b) {
     out.data()[i] *= b.value().data()[i];
   }
   return record(std::move(out), {a, b}, [a, b](VarNode& n) {
-    if (a.requires_grad()) {
-      Matrix& ga = sink_of(a);
-      for (std::size_t i = 0; i < n.grad.size(); ++i) {
-        ga.data()[i] += n.grad.data()[i] * b.value().data()[i];
+    // b's contribution (g * a) goes first, on a copy, so n.grad can become
+    // a's (g * b) in place. With a == b both are g * a, so the order of the
+    // two adds into the shared sink is immaterial.
+    if (b.requires_grad()) {
+      if (a.requires_grad()) {
+        Matrix gb = n.grad;
+        mul_inplace(gb, a.value());
+        accumulate(b, std::move(gb));
+      } else {
+        mul_inplace(n.grad, a.value());
+        accumulate(b, std::move(n.grad));
       }
     }
-    if (b.requires_grad()) {
-      Matrix& gb = sink_of(b);
-      for (std::size_t i = 0; i < n.grad.size(); ++i) {
-        gb.data()[i] += n.grad.data()[i] * a.value().data()[i];
-      }
+    if (a.requires_grad()) {
+      mul_inplace(n.grad, b.value());
+      accumulate(a, std::move(n.grad));
     }
   });
 }
@@ -186,17 +260,9 @@ Var Tape::mul_col_broadcast(const Var& a, const Var& b) {
     for (int j = 0; j < out.cols(); ++j) row[j] *= s;
   }
   return record(std::move(out), {a, b}, [a, b](VarNode& n) {
-    if (a.requires_grad()) {
-      Matrix& gmat = sink_of(a);
-      for (int i = 0; i < n.grad.rows(); ++i) {
-        const float s = b.value()(i, 0);
-        const float* g = n.grad.row_ptr(i);
-        float* ga = gmat.row_ptr(i);
-        for (int j = 0; j < n.grad.cols(); ++j) ga[j] += g[j] * s;
-      }
-    }
+    // b's row reduction reads n.grad first; then n.grad becomes a's.
     if (b.requires_grad()) {
-      Matrix& gb = sink_of(b);
+      Matrix& gb = zeroed_sink(b);
       for (int i = 0; i < n.grad.rows(); ++i) {
         const float* g = n.grad.row_ptr(i);
         const float* av = a.value().row_ptr(i);
@@ -204,6 +270,14 @@ Var Tape::mul_col_broadcast(const Var& a, const Var& b) {
         for (int j = 0; j < n.grad.cols(); ++j) acc += g[j] * av[j];
         gb(i, 0) += acc;
       }
+    }
+    if (a.requires_grad()) {
+      for (int i = 0; i < n.grad.rows(); ++i) {
+        const float s = b.value()(i, 0);
+        float* g = n.grad.row_ptr(i);
+        for (int j = 0; j < n.grad.cols(); ++j) g[j] *= s;
+      }
+      accumulate(a, std::move(n.grad));
     }
   });
 }
@@ -218,14 +292,15 @@ Var Tape::add_row_bias(const Var& a, const Var& bias) {
     for (int j = 0; j < out.cols(); ++j) row[j] += b[j];
   }
   return record(std::move(out), {a, bias}, [a, bias](VarNode& n) {
-    if (a.requires_grad()) sink_of(a).add_inplace(n.grad);
+    // The bias reduction reads n.grad first; then n.grad becomes a's.
     if (bias.requires_grad()) {
-      float* gb = sink_of(bias).row_ptr(0);
+      float* gb = zeroed_sink(bias).row_ptr(0);
       for (int i = 0; i < n.grad.rows(); ++i) {
         const float* g = n.grad.row_ptr(i);
         for (int j = 0; j < n.grad.cols(); ++j) gb[j] += g[j];
       }
     }
+    if (a.requires_grad()) accumulate(a, std::move(n.grad));
   });
 }
 
@@ -235,7 +310,9 @@ Var Tape::affine(const Var& a, float alpha, float beta) {
     out.data()[i] = alpha * out.data()[i] + beta;
   }
   return record(std::move(out), {a}, [a, alpha](VarNode& n) {
-    if (a.requires_grad()) sink_of(a).add_scaled_inplace(n.grad, alpha);
+    if (!a.requires_grad()) return;
+    scale_inplace(n.grad, alpha);
+    accumulate(a, std::move(n.grad));
   });
 }
 
@@ -243,18 +320,11 @@ Var Tape::scale_rows(const Var& a, const std::vector<float>& coeff) {
   GNNHLS_CHECK_EQ(static_cast<int>(coeff.size()), a.rows(),
                   "scale_rows: one coefficient per row required");
   Matrix out = a.value();
-  for (int i = 0; i < out.rows(); ++i) {
-    float* row = out.row_ptr(i);
-    for (int j = 0; j < out.cols(); ++j) row[j] *= coeff[i];
-  }
+  scale_rows_inplace(out, coeff);
   return record(std::move(out), {a}, [a, coeff](VarNode& n) {
     if (!a.requires_grad()) return;
-    Matrix& gmat = sink_of(a);
-    for (int i = 0; i < n.grad.rows(); ++i) {
-      const float* g = n.grad.row_ptr(i);
-      float* ga = gmat.row_ptr(i);
-      for (int j = 0; j < n.grad.cols(); ++j) ga[j] += g[j] * coeff[i];
-    }
+    scale_rows_inplace(n.grad, coeff);
+    accumulate(a, std::move(n.grad));
   });
 }
 
@@ -265,17 +335,15 @@ Var Tape::scale_rows(const Var& a, const std::vector<float>& coeff) {
 Var Tape::relu(const Var& a) { return leaky_relu(a, 0.0F); }
 
 Var Tape::leaky_relu(const Var& a, float slope) {
+  // Forward and backward are one multiply by the derivative. At x = ±0 the
+  // forward's x * slope is x itself for slope >= 0, so this is the plain
+  // "x < 0 ? x * slope : x".
   Matrix out = a.value();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out.data()[i] < 0.0F) out.data()[i] *= slope;
-  }
+  leaky_relu_scale(out, a.value(), slope);
   return record(std::move(out), {a}, [a, slope](VarNode& n) {
     if (!a.requires_grad()) return;
-    Matrix& ga = sink_of(a);
-    for (std::size_t i = 0; i < n.grad.size(); ++i) {
-      const float d = a.value().data()[i] > 0.0F ? 1.0F : slope;
-      ga.data()[i] += n.grad.data()[i] * d;
-    }
+    leaky_relu_scale(n.grad, a.value(), slope);
+    accumulate(a, std::move(n.grad));
   });
 }
 
@@ -286,11 +354,11 @@ Var Tape::sigmoid(const Var& a) {
   }
   return record(std::move(out), {a}, [a](VarNode& n) {
     if (!a.requires_grad()) return;
-    Matrix& ga = sink_of(a);
-    for (std::size_t i = 0; i < n.grad.size(); ++i) {
-      const float y = n.value.data()[i];
-      ga.data()[i] += n.grad.data()[i] * y * (1.0F - y);
-    }
+    const float* __restrict y = n.value.data();
+    float* __restrict g = n.grad.data();
+    const std::size_t size = n.grad.size();
+    for (std::size_t i = 0; i < size; ++i) g[i] = g[i] * y[i] * (1.0F - y[i]);
+    accumulate(a, std::move(n.grad));
   });
 }
 
@@ -301,11 +369,11 @@ Var Tape::tanh_act(const Var& a) {
   }
   return record(std::move(out), {a}, [a](VarNode& n) {
     if (!a.requires_grad()) return;
-    Matrix& ga = sink_of(a);
-    for (std::size_t i = 0; i < n.grad.size(); ++i) {
-      const float y = n.value.data()[i];
-      ga.data()[i] += n.grad.data()[i] * (1.0F - y * y);
-    }
+    const float* __restrict y = n.value.data();
+    float* __restrict g = n.grad.data();
+    const std::size_t size = n.grad.size();
+    for (std::size_t i = 0; i < size; ++i) g[i] *= 1.0F - y[i] * y[i];
+    accumulate(a, std::move(n.grad));
   });
 }
 
@@ -317,12 +385,15 @@ Var Tape::sqrt_eps(const Var& a, float eps) {
   }
   return record(std::move(out), {a}, [a](VarNode& n) {
     if (!a.requires_grad()) return;
-    Matrix& ga = sink_of(a);
-    for (std::size_t i = 0; i < n.grad.size(); ++i) {
+    const float* __restrict x = a.value().data();
+    const float* __restrict y = n.value.data();
+    float* __restrict g = n.grad.data();
+    const std::size_t size = n.grad.size();
+    for (std::size_t i = 0; i < size; ++i) {
       // d sqrt(max(x,0)+eps)/dx = 1/(2*out) for x>0, 0 for x<0.
-      if (a.value().data()[i] <= 0.0F) continue;
-      ga.data()[i] += n.grad.data()[i] * 0.5F / n.value.data()[i];
+      g[i] = x[i] <= 0.0F ? 0.0F : g[i] * 0.5F / y[i];
     }
+    accumulate(a, std::move(n.grad));
   });
 }
 
@@ -343,7 +414,7 @@ Var Tape::gather_rows(const Var& a, const std::vector<int>& idx,
     // Backward of a gather is a scatter-add: grads from every output row
     // that read source row r accumulate into ga[r], in ascending output-row
     // order (the fixed-order partition reduction rule).
-    scatter_add_rows_auto(n.grad, idx, part, sink_of(a));
+    scatter_add_rows_auto(n.grad, idx, part, zeroed_sink(a));
   });
 }
 
@@ -361,7 +432,7 @@ Var Tape::scatter_add_rows(const Var& a, const std::vector<int>& idx,
     if (!a.requires_grad()) return;
     // Backward of a scatter-add is a gather-add: row-parallel, each input
     // row reads exactly one upstream row.
-    gather_add_rows_into(n.grad, idx, sink_of(a));
+    gather_add_rows_into(n.grad, idx, zeroed_sink(a));
   });
 }
 
@@ -419,7 +490,7 @@ Var Tape::segment_max(const Var& a, const std::vector<int>& idx,
   const int cols = a.cols();
   return record(std::move(out), {a}, [a, arg, cols](VarNode& n) {
     if (!a.requires_grad()) return;
-    Matrix& ga = sink_of(a);
+    Matrix& ga = zeroed_sink(a);
     for (int s = 0; s < n.grad.rows(); ++s) {
       for (int j = 0; j < cols; ++j) {
         const int src = (*arg)[static_cast<std::size_t>(s) * cols + j];
@@ -438,7 +509,7 @@ Var Tape::segment_min(const Var& a, const std::vector<int>& idx,
   const int cols = a.cols();
   return record(std::move(out), {a}, [a, arg, cols](VarNode& n) {
     if (!a.requires_grad()) return;
-    Matrix& ga = sink_of(a);
+    Matrix& ga = zeroed_sink(a);
     for (int s = 0; s < n.grad.rows(); ++s) {
       for (int j = 0; j < cols; ++j) {
         const int src = (*arg)[static_cast<std::size_t>(s) * cols + j];
@@ -500,12 +571,12 @@ Var Tape::segment_softmax(const Var& a, const std::vector<int>& idx,
       dot[idx[i]] +=
           n.grad(static_cast<int>(i), 0) * n.value(static_cast<int>(i), 0);
     }
-    Matrix& ga = sink_of(a);
     for (std::size_t i = 0; i < idx.size(); ++i) {
       const float y = n.value(static_cast<int>(i), 0);
-      ga(static_cast<int>(i), 0) +=
-          y * (n.grad(static_cast<int>(i), 0) - dot[idx[i]]);
+      float& g = n.grad(static_cast<int>(i), 0);
+      g = y * (g - dot[idx[i]]);
     }
+    accumulate(a, std::move(n.grad));
   });
 }
 
@@ -534,7 +605,7 @@ Var Tape::concat_cols(const std::vector<Var>& parts) {
     int off = 0;
     for (const auto& p : parts) {
       if (p.requires_grad()) {
-        Matrix& gmat = sink_of(p);
+        Matrix& gmat = zeroed_sink(p);
         for (int i = 0; i < n.grad.rows(); ++i) {
           const float* g = n.grad.row_ptr(i) + off;
           float* gp = gmat.row_ptr(i);
@@ -556,7 +627,7 @@ Var Tape::slice_cols(const Var& a, int begin, int end) {
   }
   return record(std::move(out), {a}, [a, begin](VarNode& n) {
     if (!a.requires_grad()) return;
-    Matrix& gmat = sink_of(a);
+    Matrix& gmat = zeroed_sink(a);
     for (int i = 0; i < n.grad.rows(); ++i) {
       const float* g = n.grad.row_ptr(i);
       float* ga = gmat.row_ptr(i) + begin;
@@ -573,7 +644,7 @@ Var Tape::sum_rows(const Var& a) {
   }
   return record(std::move(out), {a}, [a](VarNode& n) {
     if (!a.requires_grad()) return;
-    Matrix& gmat = sink_of(a);
+    Matrix& gmat = zeroed_sink(a);
     for (int i = 0; i < a.rows(); ++i) {
       float* ga = gmat.row_ptr(i);
       const float* g = n.grad.row_ptr(0);
@@ -594,11 +665,7 @@ Var Tape::sum_all(const Var& a) {
   }
   return record(std::move(out), {a}, [a](VarNode& n) {
     if (!a.requires_grad()) return;
-    const float g = n.grad(0, 0);
-    Matrix& ga = sink_of(a);
-    for (std::size_t i = 0; i < a.value().size(); ++i) {
-      ga.data()[i] += g;
-    }
+    accumulate(a, Matrix(a.rows(), a.cols(), n.grad(0, 0)));
   });
 }
 
@@ -611,7 +678,7 @@ Var Tape::repeat_row(const Var& a, int n_rows) {
   }
   return record(std::move(out), {a}, [a](VarNode& n) {
     if (!a.requires_grad()) return;
-    float* ga = sink_of(a).row_ptr(0);
+    float* ga = zeroed_sink(a).row_ptr(0);
     for (int i = 0; i < n.grad.rows(); ++i) {
       const float* g = n.grad.row_ptr(i);
       for (int j = 0; j < n.grad.cols(); ++j) ga[j] += g[j];
@@ -633,10 +700,10 @@ Var Tape::dropout(const Var& a, float p, Rng& rng, bool training) {
   for (std::size_t i = 0; i < out.size(); ++i) out.data()[i] *= mask[i];
   return record(std::move(out), {a}, [a, mask](VarNode& n) {
     if (!a.requires_grad()) return;
-    Matrix& ga = sink_of(a);
-    for (std::size_t i = 0; i < n.grad.size(); ++i) {
-      ga.data()[i] += n.grad.data()[i] * mask[i];
-    }
+    float* __restrict g = n.grad.data();
+    const std::size_t size = n.grad.size();
+    for (std::size_t i = 0; i < size; ++i) g[i] *= mask[i];
+    accumulate(a, std::move(n.grad));
   });
 }
 
@@ -651,7 +718,7 @@ Var Tape::mse_loss(const Var& pred, const Matrix& target) {
   return record(std::move(out), {pred}, [pred, target, inv](VarNode& n) {
     if (!pred.requires_grad()) return;
     const float g = n.grad(0, 0);
-    Matrix& gp = sink_of(pred);
+    Matrix& gp = zeroed_sink(pred);
     for (std::size_t i = 0; i < pred.value().size(); ++i) {
       const float d = pred.value().data()[i] - target.data()[i];
       gp.data()[i] += 2.0F * d * inv * g;
@@ -675,7 +742,7 @@ Var Tape::bce_with_logits_loss(const Var& logits, const Matrix& targets) {
   return record(std::move(out), {logits}, [logits, targets, inv](VarNode& n) {
     if (!logits.requires_grad()) return;
     const float g = n.grad(0, 0);
-    Matrix& gl = sink_of(logits);
+    Matrix& gl = zeroed_sink(logits);
     for (std::size_t i = 0; i < logits.value().size(); ++i) {
       const float x = logits.value().data()[i];
       const float z = targets.data()[i];

@@ -11,6 +11,16 @@
 // source lookup), scatter_add_rows (message aggregation), the segment_*
 // reductions (per-destination mean/max/min) and segment_softmax (attention).
 // Everything a GNN layer needs is a composition of these and the dense ops.
+//
+// Gradients are lazy. backward() allocates nothing up front: the first
+// contribution to a node's gradient becomes its buffer (a matmul product is
+// moved in, an elementwise op hands its own gradient down after
+// transforming it in place), later contributions are added in place, and a
+// node no contribution reaches is skipped. Compared with summing into
+// zero-filled buffers, a moved-in first contribution x differs from 0 + x
+// only when x is -0 (0 + -0 is +0). Matrix::operator== compares floats, so
+// it treats the two zeros as equal, and no nonzero value depends on the
+// difference.
 #pragma once
 
 #include <functional>
@@ -25,10 +35,14 @@ namespace gnnhls {
 
 struct VarNode {
   Matrix value;
-  Matrix grad;  // allocated iff requires_grad
+  /// Persistent leaves (make_leaf, Tape::leaf) with requires_grad hold it
+  /// from creation. An op node's grad exists only during backward(), from
+  /// its first contribution until its backprop has run; after backward()
+  /// it is unspecified.
+  Matrix grad;
   bool requires_grad = false;
   std::vector<std::shared_ptr<VarNode>> parents;
-  /// Reads this node's grad and accumulates into parents' grads.
+  /// Hands this node's grad down into its parents' grads; may consume it.
   std::function<void(VarNode&)> backprop;
 };
 
@@ -58,10 +72,13 @@ Var make_leaf(Matrix value, bool requires_grad);
 /// While active, any backward() run on this thread adds the listed leaves'
 /// gradients into sinks[i] instead of leaves[i].grad; other threads are
 /// untouched, so concurrent per-shard tapes over shared parameters never
-/// race on the shared grad matrices. The constructor shapes and zeroes the
-/// sinks, making each scope an independent accumulator that the trainer
-/// merges in a deterministic order (see Adam::accumulate). Scopes do not
-/// nest on a thread; sinks must outlive the scope.
+/// race on the shared grad matrices. The constructor empties the sinks
+/// (sinks.size() becomes leaves.size()): a leaf's first contribution
+/// becomes its sink's buffer, and a leaf that receives none (or does not
+/// require grad) leaves its sink empty. Each scope is thus an independent
+/// accumulator that the trainer merges in a deterministic order (see
+/// Adam::accumulate, which skips empty sinks). Scopes do not nest on a
+/// thread; sinks must outlive the scope.
 class LeafGradRedirect {
  public:
   LeafGradRedirect(const std::vector<Var>& leaves,
@@ -165,6 +182,8 @@ class Tape {
   Var bce_with_logits_loss(const Var& logits, const Matrix& targets);
 
   /// Seeds d(loss)/d(loss)=1 and runs the reverse sweep. loss must be [1,1].
+  /// Accumulates into persistent leaves (or their redirected sinks); the
+  /// grads of op nodes are unspecified afterwards.
   void backward(const Var& loss);
 
   std::size_t size() const { return ops_.size(); }

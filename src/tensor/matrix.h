@@ -17,11 +17,9 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(int rows, int cols, float fill = 0.0F)
-      : rows_(rows), cols_(cols),
-        data_(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
-              fill) {
-    GNNHLS_CHECK(rows >= 0 && cols >= 0, "negative matrix dimension");
-  }
+      : rows_(checked_dim(rows)), cols_(checked_dim(cols)),
+        data_(static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_),
+              fill) {}
 
   static Matrix zeros(int rows, int cols) { return Matrix(rows, cols, 0.0F); }
 
@@ -71,6 +69,12 @@ class Matrix {
   }
 
  private:
+  /// Validates a dimension before data_ is sized from it.
+  static int checked_dim(int d) {
+    GNNHLS_CHECK(d >= 0, "negative matrix dimension");
+    return d;
+  }
+
   int rows_ = 0;
   int cols_ = 0;
   std::vector<float> data_;

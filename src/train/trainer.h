@@ -18,7 +18,7 @@
 //   * batch gradients are summed into the parameter grads in visit order
 //     (Adam::accumulate) as soon as that order allows: shard 0 owns the
 //     step's first batches, so it folds each one the moment its backward
-//     finishes and reuses a single buffer; the other shards park one
+//     finishes and keeps one buffer live; the other shards park one
 //     buffer per batch until the step barrier, where they are folded in
 //     order before one Adam step.
 //
@@ -140,9 +140,12 @@ class Trainer {
   /// refits can seed its moments and on_epoch_end can snapshot them.
   Adam opt_;
   bool warm_started_ = false;
-  /// Gradient buffers, reused across steps and epochs (shaped and zeroed
-  /// by each LeafGradRedirect scope): shard 0's single fold-as-you-go
-  /// buffer, and one parked buffer per batch of the later shards.
+  /// Gradient buffers, one sink per parameter: shard 0's single
+  /// fold-as-you-go buffer, and one parked buffer per batch of the later
+  /// shards. Each LeafGradRedirect scope empties its buffer's sinks and
+  /// the backward moves each parameter's first contribution in, so a
+  /// parameter the batch never reaches keeps an empty sink, which
+  /// Adam::accumulate skips.
   std::vector<Matrix> lead_grads_;
   std::vector<std::vector<Matrix>> parked_grads_;
 };

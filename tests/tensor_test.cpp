@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "grad_check.h"
+#include "nn/adam.h"
 #include "tensor/autograd.h"
 #include "tensor/matrix.h"
 
@@ -63,6 +64,9 @@ TEST(MatrixTest, ShapeMismatchThrows) {
   EXPECT_THROW(matmul(a, b), std::invalid_argument);
   Matrix c(2, 2);
   EXPECT_THROW(c.add_inplace(a), std::invalid_argument);
+  // The dimension check runs before any storage is sized.
+  EXPECT_THROW(Matrix(-1, 3), std::invalid_argument);
+  EXPECT_THROW(Matrix(2, -4), std::invalid_argument);
 }
 
 // ----- forward values -----
@@ -168,6 +172,131 @@ TEST(AutogradTest, GradientAccumulatesAcrossTapes) {
   EXPECT_FLOAT_EQ(p.grad()(0, 0), 3.0F);
 }
 
+// ----- lazy backward: accumulation order, dead branches, redirect -----
+
+TEST(LazyBackwardTest, VarUsedTwiceByOneOp) {
+  // x is an op node, so its first contribution is moved into an empty grad
+  // and the second is added: add(x, x) must give 2, mul(x, x) 2x per entry
+  // (through y = 3 * w, so 6 and 18w at the leaf).
+  const Matrix w0 = make_test_matrix(2, 3);
+  const Var w = make_leaf(w0, true);
+  {
+    Tape tape;
+    const Var x = tape.scale(w, 3.0F);
+    tape.backward(tape.sum_all(tape.add(x, x)));
+  }
+  for (std::size_t i = 0; i < w0.size(); ++i) {
+    EXPECT_FLOAT_EQ(w.grad().data()[i], 6.0F);
+  }
+  w.node()->grad.fill(0.0F);
+  {
+    Tape tape;
+    const Var x = tape.scale(w, 3.0F);
+    tape.backward(tape.sum_all(tape.mul(x, x)));
+  }
+  for (std::size_t i = 0; i < w0.size(); ++i) {
+    EXPECT_FLOAT_EQ(w.grad().data()[i], 18.0F * w0.data()[i]);
+  }
+}
+
+TEST(LazyBackwardTest, VarUsedTwiceByOneOpUnderRedirect) {
+  // Redirected sinks start empty, so the leaf itself takes the move-in path.
+  const Matrix w0 = make_test_matrix(2, 3);
+  const Var w = make_leaf(w0, true);
+  std::vector<Matrix> sinks;
+  {
+    LeafGradRedirect redirect({w}, sinks);
+    Tape tape;
+    tape.backward(tape.sum_all(tape.mul(w, w)));
+  }
+  ASSERT_TRUE(sinks[0].same_shape(w0));
+  for (std::size_t i = 0; i < w0.size(); ++i) {
+    EXPECT_FLOAT_EQ(sinks[0].data()[i], 2.0F * w0.data()[i]);
+  }
+  {
+    LeafGradRedirect redirect({w}, sinks);
+    Tape tape;
+    tape.backward(tape.sum_all(tape.add(w, w)));
+  }
+  for (std::size_t i = 0; i < w0.size(); ++i) {
+    EXPECT_FLOAT_EQ(sinks[0].data()[i], 2.0F);
+  }
+  EXPECT_EQ(w.grad().squared_norm(), 0.0);
+}
+
+TEST(LazyBackwardTest, ElementwiseAndMatmulShareAnInput) {
+  // loss = sum(relu(y) + y W) with y = 2x: add() copies its grad to the
+  // relu branch and moves it to the matmul, and y's grad collects both.
+  // dL/dy[i,k] = [y > 0] + sum_j W[k,j], so dL/dx = 2 * that.
+  Matrix x0(2, 2);
+  x0(0, 0) = 1.0F; x0(0, 1) = -2.0F;
+  x0(1, 0) = -0.5F; x0(1, 1) = 3.0F;
+  Matrix w0(2, 2);
+  w0(0, 0) = 0.5F; w0(0, 1) = -1.0F;
+  w0(1, 0) = 2.0F; w0(1, 1) = 0.25F;
+  const Var x = make_leaf(x0, true);
+  Tape tape;
+  const Var y = tape.scale(x, 2.0F);
+  const Var w = tape.leaf(w0);
+  tape.backward(
+      tape.sum_all(tape.add(tape.relu(y), tape.matmul(y, w))));
+  const float row_sum[2] = {0.5F - 1.0F, 2.0F + 0.25F};
+  for (int i = 0; i < 2; ++i) {
+    for (int k = 0; k < 2; ++k) {
+      const float relu_grad = x0(i, k) > 0.0F ? 1.0F : 0.0F;
+      EXPECT_FLOAT_EQ(x.grad()(i, k), 2.0F * (relu_grad + row_sum[k]))
+          << i << "," << k;
+    }
+  }
+}
+
+TEST(LazyBackwardTest, DeadBranchIsNotBackpropagated) {
+  // A branch that never reaches the loss gets no grad, so its backprop
+  // never runs: a NaN in it cannot leak into its inputs' grads (a sweep
+  // that pushed zeros through it would compute 0 * NaN).
+  const Var live = make_leaf(make_test_matrix(2, 2), true);
+  const Var dead_in = make_leaf(make_test_matrix(2, 2), true);
+  Tape tape;
+  const Var nan = tape.leaf(Matrix(2, 2, std::nanf("")));
+  const Var dead = tape.mul(tape.sigmoid(dead_in), nan);
+  (void)tape.matmul(dead, live);
+  tape.backward(tape.sum_all(tape.mul(live, live)));
+  EXPECT_EQ(dead_in.grad().squared_norm(), 0.0);
+  for (std::size_t i = 0; i < live.value().size(); ++i) {
+    EXPECT_FLOAT_EQ(live.grad().data()[i], 2.0F * live.value().data()[i]);
+  }
+}
+
+TEST(LazyBackwardTest, RedirectLeavesUnreachedSinksEmpty) {
+  Parameter used("used", make_test_matrix(2, 3));
+  Parameter unused("unused", make_test_matrix(3, 1, 0.5F));
+  const std::vector<Var> leaves = {used.var(), unused.var()};
+  Adam opt({&used, &unused}, AdamConfig{});
+  std::vector<Matrix> sinks(2, Matrix(3, 3, 7.0F));  // stale contents
+
+  const auto run_scope = [&] {
+    LeafGradRedirect redirect(leaves, sinks);
+    Tape tape;
+    const Var y = tape.tanh_act(used.var());
+    tape.backward(tape.sum_all(tape.mul(y, y)));
+  };
+  run_scope();
+  ASSERT_EQ(sinks.size(), 2U);
+  ASSERT_TRUE(sinks[0].same_shape(used.value()));
+  EXPECT_TRUE(sinks[1].empty());
+  const Matrix first = sinks[0];
+
+  // Adam::accumulate skips the empty sink: unused's grad stays zero.
+  opt.accumulate(sinks);
+  EXPECT_TRUE(used.var().grad() == first);
+  EXPECT_EQ(unused.var().grad().squared_norm(), 0.0);
+
+  // A second scope over the same sinks starts from empty again.
+  run_scope();
+  EXPECT_TRUE(sinks[0] == first);
+  EXPECT_TRUE(sinks[1].empty());
+}
+
 // ----- gradient checks (parameterized over op) -----
 
 struct GradCase {
@@ -207,6 +336,43 @@ INSTANTIATE_TEST_SUITE_P(
                  }},
         GradCase{"mul_self",
                  [](Tape& t, const Var& x) { return t.sum_all(t.mul(x, x)); }},
+        GradCase{"add_sub_shared",
+                 [](Tape& t, const Var& x) {
+                   const Var y = t.tanh_act(x);
+                   const Var d = t.sub(t.add(y, y), t.scale(y, 0.5F));
+                   return t.sum_all(t.mul(d, y));
+                 }},
+        GradCase{"sub_self",
+                 [](Tape& t, const Var& x) {
+                   const Var y = t.sigmoid(x);
+                   return t.sum_all(t.mul(t.sub(y, y), x));
+                 }},
+        GradCase{"add_row_bias",
+                 [](Tape& t, const Var& x) {
+                   return t.sum_all(t.mul(t.add_row_bias(x, t.mean_rows(x)),
+                                          x));
+                 }},
+        GradCase{"scale_rows",
+                 [](Tape& t, const Var& x) {
+                   const Var y =
+                       t.scale_rows(x, {0.5F, -1.0F, 2.0F, 0.0F});
+                   return t.sum_all(t.mul(y, x));
+                 }},
+        GradCase{"dropout",
+                 [](Tape& t, const Var& x) {
+                   Rng rng(3);
+                   return t.sum_all(t.mul(t.dropout(x, 0.5F, rng, true), x));
+                 }},
+        GradCase{"elementwise_and_matmul",
+                 [](Tape& t, const Var& x) {
+                   Matrix w(3, 3);
+                   for (int i = 0; i < 3; ++i)
+                     for (int j = 0; j < 3; ++j)
+                       w(i, j) = 0.3F * static_cast<float>(i - 2 * j);
+                   const Var y = t.sigmoid(x);
+                   const Var m = t.matmul(y, t.leaf(w));
+                   return t.sum_all(t.mul(t.add(t.leaky_relu(y, 0.1F), m), y));
+                 }},
         GradCase{"matmul",
                  [](Tape& t, const Var& x) {
                    Tape& tape = t;
