@@ -269,14 +269,19 @@ int run(int argc, const char* const* argv) {
       run.result = ex.active_halving(model);
       run.wall = t.seconds();
       // Post-refit ranking quality, judged on the exhaustive sweep's
-      // ground truth over the WHOLE space (not just survivors).
+      // ground truth over the WHOLE space (not just survivors), from the
+      // ensemble means of the run's own scorer.
       std::vector<const Sample*> ptrs;
       std::vector<double> truth;
       for (const DseCandidate& c : exh.candidates) {
         ptrs.push_back(&c.sample);
         truth.push_back(true_of(c, Metric::kLut));
       }
-      run.rho = spearman_rank_correlation(model.predict_many(ptrs), truth);
+      std::vector<double> means;
+      for (const ScoreResult& r : scorer->score(Metric::kLut, ptrs)) {
+        means.push_back(r.mean);
+      }
+      run.rho = spearman_rank_correlation(means, truth);
       return run;
     };
 

@@ -1,16 +1,11 @@
 #include "core/ensemble.h"
 
-#include <cmath>
-
-#include "gnn/graph_batch.h"
-#include "train/feature_cache.h"
-
 namespace gnnhls {
 
 QorEnsemble::QorEnsemble(Approach approach, ModelConfig model_cfg,
                          TrainConfig train_cfg, int members,
                          InfusedInference infused)
-    : approach_(approach), infused_(infused), base_seed_(train_cfg.seed) {
+    : base_seed_(train_cfg.seed) {
   GNNHLS_CHECK(members >= 1, "QorEnsemble: needs at least one member");
   members_.reserve(static_cast<std::size_t>(members));
   for (int k = 0; k < members; ++k) {
@@ -48,79 +43,6 @@ FitReport QorEnsemble::refit(const std::vector<Sample>& new_samples,
     if (k == 0) first = std::move(report);
   }
   return first;
-}
-
-std::vector<ScoreResult> QorEnsemble::score_many(
-    const std::vector<const Sample*>& samples) const {
-  if (samples.empty()) return {};
-  const std::size_t n = samples.size();
-  const std::size_t kMembers = members_.size();
-  std::vector<std::vector<double>> per_member(kMembers);
-
-  const bool pure = approach_ != Approach::kKnowledgeInfused ||
-                    infused_ == InfusedInference::kOracle;
-  if (pure) {
-    // ONE union + feature assembly shared by every member's batched
-    // forward: features are a pure function of (sample, approach), so all
-    // K members read the same stacked matrix.
-    std::vector<const GraphTensors*> parts;
-    std::vector<const Matrix*> fparts;
-    parts.reserve(n);
-    fparts.reserve(n);
-    for (const Sample* s : samples) {
-      GNNHLS_CHECK(s != nullptr, "score_many: null sample");
-      parts.push_back(&s->tensors);
-      fparts.push_back(&FeatureCache::global().features(*s, approach_));
-    }
-    const GraphBatch batch = GraphBatch::build(parts);
-    const Matrix stacked = GraphBatch::stack_features(fparts);
-    for (std::size_t k = 0; k < kMembers; ++k) {
-      const QorPredictor& m = *members_[k];
-      const std::vector<float> encoded =
-          m.regressor().predict_batch(batch.merged, stacked);
-      per_member[k].reserve(n);
-      for (float e : encoded) {
-        per_member[k].push_back(decode_target(e, m.metric()));
-      }
-    }
-  } else {
-    // -I self-inferred: each member's classifier produces its own feature
-    // matrices, so the union cannot be shared — per-member batched calls.
-    for (std::size_t k = 0; k < kMembers; ++k) {
-      per_member[k] = members_[k]->predict_many(samples);
-    }
-  }
-
-  // Fixed member-order accumulation in double precision: the aggregate is a
-  // pure function of the member outputs, independent of threading.
-  std::vector<ScoreResult> out(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double sum = 0.0;
-    for (std::size_t k = 0; k < kMembers; ++k) sum += per_member[k][j];
-    const double mean = sum / static_cast<double>(kMembers);
-    double sq = 0.0;
-    for (std::size_t k = 0; k < kMembers; ++k) {
-      const double d = per_member[k][j] - mean;
-      sq += d * d;
-    }
-    out[j].mean = mean;
-    out[j].uncertainty =
-        kMembers > 1 ? std::sqrt(sq / static_cast<double>(kMembers)) : 0.0;
-  }
-  return out;
-}
-
-ScoreResult QorEnsemble::score(const Sample& sample) const {
-  return score_many({&sample}).front();
-}
-
-std::vector<double> QorEnsemble::predict_many(
-    const std::vector<const Sample*>& samples) const {
-  std::vector<double> out;
-  const std::vector<ScoreResult> scored = score_many(samples);
-  out.reserve(scored.size());
-  for (const ScoreResult& s : scored) out.push_back(s.mean);
-  return out;
 }
 
 }  // namespace gnnhls

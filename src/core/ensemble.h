@@ -4,23 +4,20 @@
 // et al.'s deep-ensemble recipe, the standard uncertainty baseline for
 // regressors): member k fits with the base seed offset by k, so member 0 is
 // bitwise the single predictor a plain fit would have produced, and every
-// added member buys disagreement signal. Scoring aggregates the members into
-// ScoreResult{mean, uncertainty} — the uncertainty is the population standard
-// deviation of the member predictions, the quantity acquisition strategies
-// (dse/explorer.h) turn into an exploration bonus: a candidate the members
+// added member buys disagreement signal.
+//
+// The ensemble owns fitting and refitting; it does not score. Scoring goes
+// through a ModelTable (dse/explorer.h) that registers every member: the
+// ModelTable scorers run one batched pass per member and aggregate them into
+// ScoreResult{mean, uncertainty} — the uncertainty is the population
+// standard deviation of the member predictions, the quantity acquisition
+// strategies turn into an exploration bonus: a candidate the members
 // disagree on is a candidate the training corpus says little about.
 //
-// Batched scoring on the pure-feature path assembles the GraphBatch union
-// and stacked feature matrix ONCE and runs every member's forward over that
-// shared assembly — K forwards, one union build. The hierarchical
-// self-inferred path (-I) cannot share features (each member owns a
-// classifier), so it falls back to per-member predict_many.
-//
-// Determinism: member order is fixed, aggregation accumulates in member
-// order with double precision, and each member inherits the predictor's
-// bit-identity contract — ensemble scores are bit-identical across thread
-// counts and serving paths, and an ensemble of one is bitwise the wrapped
-// single model.
+// Determinism: member order is fixed, and each member inherits the
+// predictor's bit-identity contract — ensemble scores are bit-identical
+// across thread counts and serving paths, and an ensemble of one is bitwise
+// the wrapped single model.
 #pragma once
 
 #include <memory>
@@ -58,30 +55,14 @@ class QorEnsemble {
   FitReport refit(const std::vector<Sample>& new_samples,
                   const FitOptions& opts = QorPredictor::refit_defaults());
 
-  /// Batched mean + uncertainty in input order. Pure-feature approaches
-  /// share one union/feature assembly across all K member forwards.
-  std::vector<ScoreResult> score_many(
-      const std::vector<const Sample*>& samples) const;
-
-  ScoreResult score(const Sample& sample) const;
-
-  /// Means only — the drop-in replacement for QorPredictor::predict_many.
-  std::vector<double> predict_many(
-      const std::vector<const Sample*>& samples) const;
-
-  double predict(const Sample& sample) const { return score(sample).mean; }
-
   int size() const { return static_cast<int>(members_.size()); }
   const QorPredictor& member(int k) const {
     return *members_[static_cast<std::size_t>(k)];
   }
   QorPredictor& member(int k) { return *members_[static_cast<std::size_t>(k)]; }
-  Approach approach() const { return approach_; }
   Metric metric() const { return members_.front()->metric(); }
 
  private:
-  Approach approach_;
-  InfusedInference infused_;
   std::uint64_t base_seed_;  // TrainConfig::seed; member k fits at base + k
   std::vector<std::unique_ptr<QorPredictor>> members_;
 };

@@ -89,9 +89,9 @@ std::vector<ScoreResult> ModelScorerBase::score(
   const std::size_t n = samples.size();
   const std::size_t k_members = members.size();
   // One batched transport pass per member, fixed registration order, then
-  // the same double-precision mean / population-std aggregation as
-  // QorEnsemble — a single-member metric scores uncertainty 0.0 and its
-  // means bitwise match the pre-redesign scalar path.
+  // a double-precision mean / population-std aggregation in member order —
+  // a single-member metric scores uncertainty 0.0 and means bitwise equal
+  // to the model's own predict_many.
   std::vector<std::vector<double>> per_member(k_members);
   for (std::size_t k = 0; k < k_members; ++k) {
     per_member[k] =
@@ -276,13 +276,20 @@ DseResult Explorer::exhaustive() const {
   return r;
 }
 
+namespace {
+
+/// Uncertainty weight of Acquisition::kUncertaintyBonus (the LCB beta).
+constexpr double kUncertaintyBeta = 1.0;
+
+}  // namespace
+
 double Explorer::acquisition_key(const DseCandidate& c,
                                  Acquisition acq) const {
   const std::size_t m = static_cast<std::size_t>(cfg_.rank_metric);
   if (acq == Acquisition::kUncertaintyBonus) {
     // LCB on a lower-is-better metric: a candidate the members disagree on
     // ranks better than its mean alone — exploration credit.
-    return c.predicted[m] - cfg_.active.beta * c.uncertainty[m];
+    return c.predicted[m] - kUncertaintyBeta * c.uncertainty[m];
   }
   return c.predicted[m];
 }
@@ -302,68 +309,43 @@ std::vector<int> Explorer::by_acquisition(
 }
 
 DseResult Explorer::successive_halving() const {
-  DseResult r;
-  r.candidates = base_candidates_;
-  std::vector<int> survivors =
-      all_indices(static_cast<int>(r.candidates.size()));
-  r.survivors_per_round.push_back(static_cast<int>(survivors.size()));
-  // Round 0 scores every metric over the full space (predicted_front needs
-  // them); later rounds re-score only the rank metric over the survivors —
-  // bit-identical values by the predict_many contract, but they exercise
-  // the batched scoring path at each round's shrinking size.
-  score_round(r.candidates, survivors, scored_metrics(), r);
-  while (static_cast<int>(survivors.size()) > cfg_.top_k) {
-    const ObsSpan round_span(cfg_.obs.trace, "halving_round", "dse");
-    const int keep = std::max(
-        cfg_.top_k, (static_cast<int>(survivors.size()) + 1) / 2);
-    // The static baseline always prunes by predicted rank, whatever
-    // cfg_.active says — it IS the no-feedback reference.
-    survivors = by_acquisition(r.candidates, std::move(survivors),
-                               Acquisition::kPredictedRank);
-    survivors.resize(static_cast<std::size_t>(keep));
-    std::sort(survivors.begin(), survivors.end());
-    r.survivors_per_round.push_back(keep);
-    if (keep > cfg_.top_k) {
-      score_round(r.candidates, survivors, {cfg_.rank_metric}, r);
-    }
-  }
-  synthesize(r.candidates, survivors, r);
-  finalize(r, survivors);
-  return r;
+  // The static baseline always prunes by predicted rank, whatever
+  // cfg_.active says — it IS the no-feedback reference.
+  return halving(RefitFn{}, 0, Acquisition::kPredictedRank);
 }
 
 DseResult Explorer::active_halving(const RefitFn& refit_model) const {
   GNNHLS_CHECK(refit_model != nullptr, "active_halving: null refit fn");
-  const ActiveConfig& ac = cfg_.active;
-  GNNHLS_CHECK(ac.feedback_rounds >= 0,
+  GNNHLS_CHECK(cfg_.active.feedback_rounds >= 0,
                "active_halving: feedback_rounds must be >= 0");
-  GNNHLS_CHECK(ac.feedback_per_round >= 0,
-               "active_halving: feedback_per_round must be >= 0");
+  return halving(refit_model, cfg_.active.feedback_rounds,
+                 cfg_.active.acquisition);
+}
 
+DseResult Explorer::halving(const RefitFn& refit_model, int feedback_rounds,
+                            Acquisition acq) const {
   DseResult r;
-  r.acquisition = ac.acquisition;
+  r.acquisition = acq;
   r.candidates = base_candidates_;
   const int n = static_cast<int>(r.candidates.size());
   std::vector<int> survivors = all_indices(n);
   r.survivors_per_round.push_back(n);
+  // Round 0 scores every metric over the full space (predicted_front needs
+  // them); later rounds re-score only the rank metric over the survivors.
   score_round(r.candidates, survivors, scored_metrics(), r);
 
   // The WHOLE loop spends successive halving's ground-truth budget, no
   // more: early feedback synthesis and the final round draw from one pot,
   // so active vs. static comparisons are budget-equal by construction.
   int budget_left = std::min(n, cfg_.top_k);
-  int rounds_left = ac.feedback_rounds;
-  const int per_round =
-      ac.feedback_per_round > 0
-          ? ac.feedback_per_round
-          : std::max(1, cfg_.top_k / (ac.feedback_rounds + 1));
+  int rounds_left = feedback_rounds;
+  const int per_round = std::max(1, cfg_.top_k / (feedback_rounds + 1));
 
   while (static_cast<int>(survivors.size()) > cfg_.top_k) {
     const ObsSpan round_span(cfg_.obs.trace, "halving_round", "dse");
     const int keep = std::max(
         cfg_.top_k, (static_cast<int>(survivors.size()) + 1) / 2);
-    survivors =
-        by_acquisition(r.candidates, std::move(survivors), ac.acquisition);
+    survivors = by_acquisition(r.candidates, std::move(survivors), acq);
     survivors.resize(static_cast<std::size_t>(keep));
     std::sort(survivors.begin(), survivors.end());
     r.survivors_per_round.push_back(keep);
@@ -376,8 +358,7 @@ DseResult Explorer::active_halving(const RefitFn& refit_model) const {
         // and refit on their fresh ground truth.
         std::vector<int> feed;
         const int want = std::min(per_round, budget_left);
-        for (int i :
-             by_acquisition(r.candidates, survivors, ac.acquisition)) {
+        for (int i : by_acquisition(r.candidates, survivors, acq)) {
           if (static_cast<int>(feed.size()) >= want) break;
           if (!r.candidates[static_cast<std::size_t>(i)].synthesized) {
             feed.push_back(i);
@@ -399,8 +380,9 @@ DseResult Explorer::active_halving(const RefitFn& refit_model) const {
         }
       }
       // Survivors re-score through the refitted model: THE feedback payoff
-      // (without feedback this call is successive halving's, value for
-      // value).
+      // (without feedback the values are unchanged by the predict_many
+      // contract, but each round exercises the batched scoring path at its
+      // shrinking size).
       score_round(r.candidates, survivors, {cfg_.rank_metric}, r);
     }
   }
@@ -410,7 +392,7 @@ DseResult Explorer::active_halving(const RefitFn& refit_model) const {
   // budget: every fed-back candidate either survived (saving its cost
   // here) or paid for the information that pruned it.
   std::vector<int> to_synth;
-  for (int i : by_acquisition(r.candidates, survivors, ac.acquisition)) {
+  for (int i : by_acquisition(r.candidates, survivors, acq)) {
     if (static_cast<int>(to_synth.size()) >= budget_left) break;
     if (!r.candidates[static_cast<std::size_t>(i)].synthesized) {
       to_synth.push_back(i);

@@ -12,14 +12,13 @@
 //     ServingScheduler path; both are bit-identical per the serving
 //     contract, asserted by tests/dse_test.cpp;
 //   * strategies: `exhaustive` synthesizes every point (the ground-truth
-//     sweep DSE exists to avoid); `successive_halving` prunes the candidate
-//     set by predicted rank each round and invokes the HLS flow only on the
-//     surviving top-k; `active_halving` closes the loop — part of the same
-//     synthesis budget is spent DURING pruning, and each round's fresh
-//     ground truth refits the rank-metric model before the next scoring
-//     round, so later pruning decisions come from a sharper predictor at
-//     zero extra HLS cost (total hls_runs stays exactly successive
-//     halving's).
+//     sweep DSE exists to avoid); `active_halving` prunes the candidate set
+//     by acquisition rank each round and spends part of the top-k synthesis
+//     budget DURING pruning: each round's fresh ground truth refits the
+//     rank-metric model before the next scoring round, so later pruning
+//     decisions come from a sharper predictor at zero extra HLS cost;
+//     `successive_halving` is the same loop with no feedback — prune by
+//     predicted rank, invoke the HLS flow only on the surviving top-k.
 //
 // Determinism contract: a DseResult is a pure function of (space, trained
 // model, config) — candidate order, predicted values, fronts and the
@@ -60,10 +59,11 @@ struct DseCandidate {
 enum class Acquisition {
   /// Predicted rank-metric mean, lower better — successive halving's rule.
   kPredictedRank,
-  /// Lower-confidence-bound style: mean - beta * uncertainty. A candidate
-  /// the ensemble disagrees on sorts better than its mean alone would
-  /// place it, steering part of the synthesis budget toward informative
-  /// points. Needs an ensemble scorer to differ from kPredictedRank.
+  /// Lower-confidence-bound style: mean - uncertainty (an LCB with beta
+  /// fixed at 1). A candidate the ensemble disagrees on sorts better than
+  /// its mean alone would place it, steering part of the synthesis budget
+  /// toward informative points. Needs an ensemble scorer to differ from
+  /// kPredictedRank.
   kUncertaintyBonus,
 };
 
@@ -152,9 +152,10 @@ class Scorer {
 
 /// Common scorer implementation over a ModelTable: score() runs one batched
 /// prediction pass per registered member (fixed registration order) and
-/// aggregates them into ScoreResults exactly like QorEnsemble (double
-/// accumulation, population std; single-member metrics score uncertainty
-/// 0.0). Derived classes supply only the per-member batched transport.
+/// aggregates them into ScoreResults — the one ensemble mean/std in the
+/// library (double accumulation in member order, population std;
+/// single-member metrics score uncertainty 0.0). Derived classes supply
+/// only the per-member batched transport.
 class ModelScorerBase : public Scorer {
  public:
   std::vector<ScoreResult> score(
@@ -221,15 +222,12 @@ class ServingScorer : public ModelScorerBase {
 struct ActiveConfig {
   /// Feedback (synthesize -> refit -> re-score) rounds to interleave with
   /// pruning. 0 reduces active_halving to successive_halving exactly (same
-  /// trace, same budget) under kPredictedRank acquisition.
+  /// trace, same budget) under kPredictedRank acquisition. Each round
+  /// synthesizes max(1, top_k / (feedback_rounds + 1)) candidates early —
+  /// spreading the budget so the final round still synthesizes fresh
+  /// survivors — and always spends from the SAME top_k budget: total
+  /// hls_runs stays successive halving's.
   int feedback_rounds = 1;
-  /// Candidates synthesized early per feedback round; 0 picks
-  /// max(1, top_k / (feedback_rounds + 1)) — spreading the budget so the
-  /// final round still synthesizes fresh survivors. Feedback always spends
-  /// from the SAME top_k budget: total hls_runs stays successive halving's.
-  int feedback_per_round = 0;
-  /// Uncertainty weight of Acquisition::kUncertaintyBonus (LCB beta).
-  double beta = 1.0;
   /// Candidate ranking for pruning AND feedback selection.
   Acquisition acquisition = Acquisition::kPredictedRank;
   /// Passed to the model's refit() each feedback round (warm start, small
@@ -272,7 +270,9 @@ class Explorer {
   /// keep the predicted-best half (never fewer than top_k, ties to the
   /// lower index, survivors re-scored through the batched path each round)
   /// until at most top_k survive; only survivors get a ground-truth HLS
-  /// run. front/best are computed on the survivors' truth.
+  /// run. front/best are computed on the survivors' truth. This is the
+  /// active loop with no feedback rounds and kPredictedRank acquisition,
+  /// whatever cfg.active says.
   DseResult successive_halving() const;
 
   /// Refits the rank-metric model on a freshly synthesized feedback delta.
@@ -308,6 +308,11 @@ class Explorer {
   void score_round(std::vector<DseCandidate>& candidates,
                    const std::vector<int>& subset,
                    const std::vector<Metric>& metrics, DseResult& r) const;
+  /// The halving loop behind both pruning strategies: `feedback_rounds`
+  /// synthesize -> refit -> re-score rounds ranked by `acq`. `refit_model`
+  /// runs only in feedback rounds, so it may be empty when there are none.
+  DseResult halving(const RefitFn& refit_model, int feedback_rounds,
+                    Acquisition acq) const;
   /// The sort key one acquisition strategy assigns a candidate (lower is
   /// better). successive_halving always ranks kPredictedRank; active paths
   /// rank cfg.active.acquisition.

@@ -7,6 +7,16 @@
 
 namespace gnnhls {
 
+namespace {
+
+[[noreturn]] void reject(const std::string& name, const std::string& value,
+                         const char* expected) {
+  throw std::invalid_argument("flag --" + name + ": expected " + expected +
+                              ", got '" + value + "'");
+}
+
+}  // namespace
+
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -28,14 +38,28 @@ int Flags::get_int(const std::string& name, int def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   consumed_[name] = true;
-  return std::stoi(it->second);
+  // std::stoi's own invalid_argument/out_of_range and trailing characters
+  // all become one error naming the flag.
+  std::size_t used = 0;
+  try {
+    const int v = std::stoi(it->second, &used);
+    if (used == it->second.size()) return v;
+  } catch (const std::logic_error&) {
+  }
+  reject(name, it->second, "an integer");
 }
 
 double Flags::get_double(const std::string& name, double def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   consumed_[name] = true;
-  return std::stod(it->second);
+  std::size_t used = 0;
+  try {
+    const double v = std::stod(it->second, &used);
+    if (used == it->second.size()) return v;
+  } catch (const std::logic_error&) {
+  }
+  reject(name, it->second, "a number");
 }
 
 std::string Flags::get_string(const std::string& name,
@@ -50,7 +74,10 @@ bool Flags::get_bool(const std::string& name, bool def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   consumed_[name] = true;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  reject(name, v, "true/false/1/0/yes/no");
 }
 
 bool Flags::has(const std::string& name) const {

@@ -19,6 +19,10 @@ class Flags {
   /// Parses argv; throws std::invalid_argument on malformed input.
   Flags(int argc, const char* const* argv);
 
+  /// Typed getters return `def` when the flag is absent. A present value
+  /// must parse in full — get_int/get_double reject trailing characters
+  /// ("5x"), get_bool accepts only true/false/1/0/yes/no — else they throw
+  /// std::invalid_argument naming the flag and the value.
   int get_int(const std::string& name, int def) const;
   double get_double(const std::string& name, double def) const;
   std::string get_string(const std::string& name, const std::string& def) const;

@@ -390,19 +390,46 @@ TEST(ModelTableTest, EnsembleRegistersEveryMember) {
   }
 }
 
-// ----- QorEnsemble -----
+// ----- QorEnsemble (scored through the ModelTable scorers) -----
+
+/// A 3-member LUT ensemble, fitted once and shared by the read-only
+/// ensemble scoring tests.
+const QorEnsemble& trained_ensemble() {
+  static const QorEnsemble* ensemble = [] {
+    const TrainSetup& s = train_setup();
+    auto* e = new QorEnsemble(Approach::kOffTheShelf, s.mc, s.tc, 3);
+    e->fit(s.corpus, s.split, Metric::kLut, FitOptions{});
+    return e;
+  }();
+  return *ensemble;
+}
+
+/// The validation split of the shared corpus, as scorer input.
+std::vector<const Sample*> val_samples() {
+  const TrainSetup& s = train_setup();
+  std::vector<const Sample*> ptrs;
+  for (int i : s.split.val) {
+    ptrs.push_back(&s.corpus[static_cast<std::size_t>(i)]);
+  }
+  return ptrs;
+}
+
+/// `ensemble`'s LUT scores through a direct PredictorScorer.
+std::vector<ScoreResult> score_ensemble(const QorEnsemble& ensemble,
+                                        const std::vector<const Sample*>& ptrs) {
+  ModelTable table;
+  table.add(Metric::kLut, &ensemble);
+  return PredictorScorer(std::move(table)).score(Metric::kLut, ptrs);
+}
 
 TEST(EnsembleTest, EnsembleOfOneIsBitwiseTheSingleModel) {
   const TrainSetup& s = train_setup();
   QorPredictor single = fresh_predictor(Metric::kLut);
   QorEnsemble one(Approach::kOffTheShelf, s.mc, s.tc, 1);
   one.fit(s.corpus, s.split, Metric::kLut, FitOptions{});
-  std::vector<const Sample*> ptrs;
-  for (int i : s.split.val) {
-    ptrs.push_back(&s.corpus[static_cast<std::size_t>(i)]);
-  }
+  const std::vector<const Sample*> ptrs = val_samples();
   std::vector<double> want = single.predict_many(ptrs);
-  std::vector<ScoreResult> got = one.score_many(ptrs);
+  std::vector<ScoreResult> got = score_ensemble(one, ptrs);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t j = 0; j < got.size(); ++j) {
     EXPECT_EQ(got[j].mean, want[j]);
@@ -413,23 +440,21 @@ TEST(EnsembleTest, EnsembleOfOneIsBitwiseTheSingleModel) {
   single.refit(delta);
   one.refit(delta);
   want = single.predict_many(ptrs);
-  got = one.score_many(ptrs);
+  got = score_ensemble(one, ptrs);
+  ASSERT_EQ(got.size(), want.size());
   for (std::size_t j = 0; j < got.size(); ++j) {
     EXPECT_EQ(got[j].mean, want[j]);
+    EXPECT_EQ(got[j].uncertainty, 0.0);
   }
 }
 
 TEST(EnsembleTest, MembersDisagreeAndAggregateDeterministically) {
-  const TrainSetup& s = train_setup();
-  QorEnsemble ensemble(Approach::kOffTheShelf, s.mc, s.tc, 3);
+  const QorEnsemble& ensemble = trained_ensemble();
   EXPECT_EQ(ensemble.size(), 3);
-  ensemble.fit(s.corpus, s.split, Metric::kLut, FitOptions{});
   EXPECT_EQ(ensemble.metric(), Metric::kLut);
-  std::vector<const Sample*> ptrs;
-  for (int i : s.split.val) {
-    ptrs.push_back(&s.corpus[static_cast<std::size_t>(i)]);
-  }
-  const std::vector<ScoreResult> scored = ensemble.score_many(ptrs);
+  const std::vector<const Sample*> ptrs = val_samples();
+  const std::vector<ScoreResult> scored = score_ensemble(ensemble, ptrs);
+  ASSERT_EQ(scored.size(), ptrs.size());
   // Seed-offset members genuinely disagree: dispersion is visible.
   double max_unc = 0.0;
   for (const ScoreResult& r : scored) max_unc = std::max(max_unc, r.uncertainty);
@@ -446,11 +471,43 @@ TEST(EnsembleTest, MembersDisagreeAndAggregateDeterministically) {
     EXPECT_LE(scored[j].mean, hi);
   }
   // Scoring is a pure function: byte-identical on repeat.
-  const std::vector<ScoreResult> again = ensemble.score_many(ptrs);
+  const std::vector<ScoreResult> again = score_ensemble(ensemble, ptrs);
   for (std::size_t j = 0; j < scored.size(); ++j) {
     EXPECT_EQ(scored[j].mean, again[j].mean);
     EXPECT_EQ(scored[j].uncertainty, again[j].uncertainty);
   }
+}
+
+TEST(EnsembleTest, ServingScorerBitIdenticalToDirect) {
+  const Trained& t = trained_predictors();
+  const QorEnsemble& ensemble = trained_ensemble();
+  // A single model first, so the ensemble members sit at flat ids 1..3 of
+  // the shared scheduler — the serving path must map them back in order.
+  const auto table = [&] {
+    ModelTable tab;
+    tab.add(Metric::kFf, &t.ff);
+    tab.add(Metric::kLut, &ensemble);
+    return tab;
+  };
+  SchedulerConfig sc;
+  sc.max_batch = 4;  // forces uneven micro-batch splits of the 6 val graphs
+  sc.batch_window_us = 0;
+  const PredictorScorer direct(table());
+  const ServingScorer serving(table(), sc);
+  const std::vector<const Sample*> ptrs = val_samples();
+  double max_unc = 0.0;
+  for (Metric m : {Metric::kLut, Metric::kFf}) {
+    const std::vector<ScoreResult> a = direct.score(m, ptrs);
+    const std::vector<ScoreResult> b = serving.score(m, ptrs);
+    ASSERT_EQ(a.size(), ptrs.size());
+    ASSERT_EQ(b.size(), ptrs.size());
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      EXPECT_EQ(a[j].mean, b[j].mean);
+      EXPECT_EQ(a[j].uncertainty, b[j].uncertainty);
+      if (m == Metric::kLut) max_unc = std::max(max_unc, a[j].uncertainty);
+    }
+  }
+  EXPECT_GT(max_unc, 0.0);  // the ensemble entry really aggregated
 }
 
 // ----- active_halving -----
@@ -574,7 +631,6 @@ TEST(ExplorerTest, ActiveEnsembleUncertaintyBonus) {
   DseConfig cfg;
   cfg.top_k = 3;
   cfg.active.acquisition = Acquisition::kUncertaintyBonus;
-  cfg.active.beta = 1.0;
   const Explorer explorer(space, scorer, cfg);
   const DseResult r = explorer.active_halving(ensemble);
   EXPECT_EQ(r.acquisition, Acquisition::kUncertaintyBonus);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+
 #include "support/check.h"
 #include "support/flags.h"
 #include "support/rng.h"
@@ -79,6 +83,47 @@ TEST(FlagsTest, UnconsumedFlagDetected) {
 TEST(FlagsTest, RejectsNonFlagArgument) {
   const char* argv[] = {"prog", "positional"};
   EXPECT_THROW(Flags(2, argv), std::invalid_argument);
+}
+
+// The message names the flag and echoes the offending value.
+void expect_flag_error(const std::function<void()>& read,
+                       const std::string& flag, const std::string& value) {
+  try {
+    read();
+    ADD_FAILURE() << "--" << flag << "=" << value << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(FlagsTest, RejectsMalformedNumbers) {
+  const char* argv[] = {"prog", "--epochs=5x", "--lr=0.1abc", "--runs=abc",
+                        "--seed=99999999999", "--scale=", "--hidden= 8"};
+  const Flags flags(7, argv);
+  expect_flag_error([&] { flags.get_int("epochs", 1); }, "epochs", "5x");
+  expect_flag_error([&] { flags.get_double("lr", 1.0); }, "lr", "0.1abc");
+  expect_flag_error([&] { flags.get_int("runs", 1); }, "runs", "abc");
+  expect_flag_error([&] { flags.get_int("seed", 1); }, "seed", "99999999999");
+  expect_flag_error([&] { flags.get_double("scale", 1.0); }, "scale", "");
+  // Leading whitespace is std::sto*'s to skip; only trailing junk fails.
+  EXPECT_EQ(flags.get_int("hidden", 0), 8);
+}
+
+TEST(FlagsTest, BoolAcceptsOnlyKnownSpellings) {
+  const char* argv[] = {"prog", "--a=true", "--b=1", "--c=yes", "--d=false",
+                        "--e=0", "--f=no", "--active=on", "--g=TRUE"};
+  const Flags flags(9, argv);
+  EXPECT_TRUE(flags.get_bool("a", false));
+  EXPECT_TRUE(flags.get_bool("b", false));
+  EXPECT_TRUE(flags.get_bool("c", false));
+  EXPECT_FALSE(flags.get_bool("d", true));
+  EXPECT_FALSE(flags.get_bool("e", true));
+  EXPECT_FALSE(flags.get_bool("f", true));
+  // "on" used to read as false even against a true default.
+  expect_flag_error([&] { flags.get_bool("active", true); }, "active", "on");
+  expect_flag_error([&] { flags.get_bool("g", false); }, "g", "TRUE");
 }
 
 TEST(TableTest, RendersAlignedColumns) {
