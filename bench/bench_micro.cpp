@@ -18,6 +18,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -94,6 +95,13 @@ void die_on_mismatch(bool identical, const char* what) {
   std::cerr << "FATAL: " << what
             << " is not bit-identical to the serial reference\n";
   std::exit(1);
+}
+
+/// Bit-for-bit equality (Matrix::operator== takes -0 for +0).
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.same_shape(y) &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0);
 }
 
 /// Power-law segment layout: destination 0 owns ~60% of all rows, the rest
@@ -209,7 +217,8 @@ void BM_MatmulKernelBlocked(benchmark::State& state) {
   Rng rng(1);
   const Matrix a = Matrix::randn(n, hidden, rng);
   const Matrix b = Matrix::randn(hidden, hidden, rng);
-  die_on_mismatch(matmul(a, b) == matmul_reference(a, b), "blocked matmul");
+  die_on_mismatch(same_bits(matmul(a, b), matmul_reference(a, b)),
+                  "blocked matmul");
   for (auto _ : state) {
     benchmark::DoNotOptimize(matmul(a, b).data());
   }
@@ -246,7 +255,7 @@ void BM_MatmulTbKernelBlocked(benchmark::State& state) {
   const Matrix a = Matrix::randn(n, hidden, rng);
   const Matrix b = Matrix::randn(hidden, hidden, rng);
   die_on_mismatch(
-      matmul_transpose_b(a, b) == matmul_transpose_b_reference(a, b),
+      same_bits(matmul_transpose_b(a, b), matmul_transpose_b_reference(a, b)),
       "matmul_transpose_b as matmul(a, b^T)");
   for (auto _ : state) {
     benchmark::DoNotOptimize(matmul_transpose_b(a, b).data());
@@ -262,8 +271,8 @@ BENCHMARK(BM_MatmulTbKernelBlocked)
 
 /// The input-gradient backward of a linear layer, dX = dY * W^T, at the
 /// edge-message shape [E,hidden] and at paper width: dY is masked like a
-/// post-ReLU gradient (~60% exact zeros), so it takes matmul's zero-skip
-/// route the way training does.
+/// post-ReLU gradient (~60% exact zeros), whose zero terms the kernel
+/// skips the way it does in training.
 void BM_MatmulTbKernelBackward(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   const int hidden = static_cast<int>(state.range(1));
@@ -276,7 +285,8 @@ void BM_MatmulTbKernelBackward(benchmark::State& state) {
   }
   const Matrix w = Matrix::randn(hidden, hidden, rng);
   die_on_mismatch(
-      matmul_transpose_b(dy, w) == matmul_transpose_b_reference(dy, w),
+      same_bits(matmul_transpose_b(dy, w),
+                matmul_transpose_b_reference(dy, w)),
       "backward matmul_transpose_b");
   for (auto _ : state) {
     benchmark::DoNotOptimize(matmul_transpose_b(dy, w).data());
@@ -291,6 +301,52 @@ BENCHMARK(BM_MatmulTbKernelBackward)
     ->Args({1024, 300, 1})
     ->Args({1024, 300, 4})
     ->UseRealTime();
+
+/// The three products of a linear layer at a fit graph's shape (86 rows,
+/// hidden 64), with 74% exact zeros in the operand the kernel scans — the
+/// average share of post-ReLU/dropout activations and gradients in fit:
+/// the forward x*W, the input gradient dY*W^T (transpose_b) and the weight
+/// gradient x^T*dY (transpose_a). One thread, as perfbench runs its fits.
+/// Report-only timings; each product is hard-checked against the serial
+/// reference first.
+void BM_MatmulKernelFitShape(benchmark::State& state) {
+  constexpr int kRows = 86;
+  constexpr int kHidden = 64;
+  const int op = static_cast<int>(state.range(0));
+  ThreadPool::set_global_threads(1);
+  Rng rng(4);
+  auto post_relu = [&rng] {
+    Matrix m = Matrix::randn(kRows, kHidden, rng);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (rng.bernoulli(0.74)) m.data()[i] = 0.0F;
+    }
+    return m;
+  };
+  const Matrix x = post_relu();
+  const Matrix dy = post_relu();
+  const Matrix w = Matrix::randn(kHidden, kHidden, rng);
+  Matrix xt(kHidden, kRows);
+  for (int r = 0; r < kRows; ++r) {
+    for (int c = 0; c < kHidden; ++c) xt(c, r) = x(r, c);
+  }
+  const char* const names[] = {"forward", "transpose_b", "transpose_a"};
+  auto run = [&] {
+    if (op == 0) return matmul(x, w);
+    if (op == 1) return matmul_transpose_b(dy, w);
+    return matmul_transpose_a(x, dy);
+  };
+  const Matrix ref = op == 0   ? matmul_reference(x, w)
+                     : op == 1 ? matmul_transpose_b_reference(dy, w)
+                               : matmul_reference(xt, dy);
+  die_on_mismatch(same_bits(run(), ref), names[op]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run().data());
+  }
+  state.SetItemsProcessed(state.iterations() * kRows * kHidden * kHidden);
+  state.SetLabel(names[op]);
+  ThreadPool::set_global_threads(g_default_threads);
+}
+BENCHMARK(BM_MatmulKernelFitShape)->DenseRange(0, 2)->UseRealTime();
 
 void BM_GatherScatter(benchmark::State& state) {
   LoweredProgram p = lower_to_cdfg(generate_cdfg_program(3));

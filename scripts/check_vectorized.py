@@ -3,14 +3,20 @@
 
     python3 scripts/check_vectorized.py [--cxx g++] [FILE ...]
 
-Compiles each source file (default: src/tensor/autograd.cpp and
-src/nn/adam.cpp) at -O3 with GCC's -fopt-info-vec-optimized report and
-checks that every loop tagged with a `// vectorize: <name>` comment is
-reported as vectorized. The tag sits on the line directly above the loop's
-`for`, which is the line GCC reports. The flags are the library's Release
-flags with no -march, so the check holds for the baseline ISA every build
-gets. Exits 1 when a tagged loop is missing from the report, when a tag is
-not followed by a `for`, or when a compile fails.
+Compiles each source file (default: src/tensor/autograd.cpp,
+src/nn/adam.cpp and src/tensor/matrix.cpp) at -O3 with GCC's
+-fopt-info-vec-optimized report and checks that every loop tagged with a
+`// vectorize: <name>` comment is reported as vectorized. The tag sits on
+the line directly above the loop's `for`, which is the line GCC reports.
+The flags are the library's Release flags with no -march, plus the
+per-file options CMakeLists.txt sets (-ffp-contract=off for matrix.cpp), so
+the check holds for the baseline ISA every build gets. A file with tagged
+loops must also have no loop nest unroll-and-jammed: jamming fuses outer
+iterations into a loop the vectorizer may leave scalar while it still
+reports the remainder loop as vectorized, so the tag alone would pass.
+Exits 1 when a tagged loop is missing from the report, when such a file
+has a jammed nest, when a tag is not followed by a `for`, or when a compile
+fails.
 """
 
 import argparse
@@ -21,9 +27,13 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_FILES = ["src/tensor/autograd.cpp", "src/nn/adam.cpp"]
+DEFAULT_FILES = ["src/tensor/autograd.cpp", "src/nn/adam.cpp",
+                 "src/tensor/matrix.cpp"]
+# Per-file compile options, as CMakeLists.txt sets them on the library.
+FILE_FLAGS = {"src/tensor/matrix.cpp": ["-ffp-contract=off"]}
 MARKER = re.compile(r"//\s*vectorize:\s*(.+?)\s*$")
-REPORT = re.compile(r"^(.+?):(\d+):\d+: optimized: loop vectorized")
+REPORT = re.compile(r"^(.+?):(\d+):\d+: optimized: "
+                    r"(loop vectorized|applying unroll and jam)")
 
 
 def tagged_loops(path):
@@ -41,20 +51,22 @@ def tagged_loops(path):
     return loops
 
 
-def vectorized_lines(cxx, path):
-    """Compiles `path` and returns the line numbers GCC vectorized."""
-    cmd = [cxx, "-std=c++17", "-O3", "-DNDEBUG", "-I", str(ROOT / "src"),
-           "-fopt-info-vec-optimized", "-c", str(path), "-o", os.devnull]
+def optimized_lines(cxx, path, flags):
+    """Compiles `path`; returns (lines GCC vectorized, lines it jammed)."""
+    cmd = [cxx, "-std=c++17", "-O3", "-DNDEBUG", *flags, "-I",
+           str(ROOT / "src"), "-fopt-info-vec-optimized",
+           "-fopt-info-loop-optimized", "-c", str(path), "-o", os.devnull]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise RuntimeError(f"compile failed: {' '.join(cmd)}")
-    found = set()
+    vectorized, jammed = set(), set()
     for line in proc.stderr.splitlines():
         match = REPORT.match(line)
         if match and Path(match.group(1)).resolve() == path.resolve():
-            found.add(int(match.group(2)))
-    return found
+            jam = match.group(3) != "loop vectorized"
+            (jammed if jam else vectorized).add(int(match.group(2)))
+    return vectorized, jammed
 
 
 def main():
@@ -70,7 +82,8 @@ def main():
         path = ROOT / name
         try:
             loops = tagged_loops(path)
-            found = vectorized_lines(args.cxx, path)
+            found, jammed = optimized_lines(args.cxx, path,
+                                            FILE_FLAGS.get(name, []))
         except (ValueError, RuntimeError) as err:
             print(f"FAIL {err}")
             failures += 1
@@ -82,6 +95,9 @@ def main():
                   f"{'' if ok else ' (not vectorized)'}")
         if not loops:
             print(f"--   {name}: no tagged loops")
+        for line in sorted(jammed) if loops else []:
+            failures += 1
+            print(f"FAIL {name}:{line} loop nest unroll-and-jammed")
     return 1 if failures else 0
 
 

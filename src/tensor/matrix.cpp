@@ -1,8 +1,11 @@
 #include "tensor/matrix.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -77,162 +80,139 @@ int row_grain(int inner, int cols) {
       std::max(1L, kMinFlopsPerChunk / std::max(flops_per_row, 1L)));
 }
 
-/// Samples up to 1024 strided entries of a and reports the zero fraction.
-/// The zero-skip inner loop only pays off on genuinely sparse operands
-/// (one-hot feature blocks, post-ReLU gradients); on dense operands the
-/// data-dependent branch costs more than the skipped work, so the dense
-/// kernel stays branch-free.
-bool probe_mostly_zero(const Matrix& a) {
-  const std::size_t n = a.size();
-  if (n == 0) return false;
-  const std::size_t samples = std::min<std::size_t>(n, 1024);
-  // Odd stride + wraparound: an even stride can alias with the (typically
-  // even) column count and sample a single column, and a stride rounded
-  // down would only ever probe a prefix of the data.
-  const std::size_t stride = ((n + samples - 1) / samples) | 1;
-  std::size_t zeros = 0;
-  // Visits (s * stride) % n for s = 0..samples-1, stepping the index
-  // instead of dividing per sample: the probe runs on every matmul, and on
-  // one-graph operands 1024 divisions are a measurable share of the call.
-  std::size_t idx = 0;
-  for (std::size_t s = 0; s < samples; ++s) {
-    if (a.data()[idx] == 0.0F) ++zeros;
-    idx += stride;
-    while (idx >= n) idx -= n;
-  }
-  return zeros * 2 > samples;  // > 50% zeros
-}
-
-// Each kernel body below is written once, always inlined, and instantiated
+// The kernel body below is written once, always inlined, and instantiated
 // per instruction set: a plain entry point for the build's baseline target
 // and, on x86, one compiled with target("avx2"). The compiler vectorizes the
-// axpy loop over output columns for whichever target it lands in. AVX2 does
-// not imply FMA, and the library builds this file with -ffp-contract=off (so
-// a user -march with FMA cannot contract the baseline variant either): every
-// output element still takes one rounded multiply and one rounded add per k
-// in ascending-k order, and both variants return the same bits as the
-// serial references.
+// tile accumulate loop over output columns for whichever target it lands in.
+// AVX2 does not imply FMA, and the library builds this file with
+// -ffp-contract=off (so a user -march with FMA cannot contract the baseline
+// variant either): every output element still takes one rounded multiply and
+// one rounded add per k in ascending-k order, and both variants return the
+// same bits as the serial references.
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #define GNNHLS_KERNEL_AVX2 1
 #endif
 #define GNNHLS_ALWAYS_INLINE inline __attribute__((always_inline))
 
-/// y[0..n) += s * x[0..n); y is an output row, never an operand row.
-GNNHLS_ALWAYS_INLINE void axpy(float s, const float* __restrict x,
-                               float* __restrict y, int n) {
-  for (int j = 0; j < n; ++j) y[j] += s * x[j];
+/// out[0..W) += arow[k] * b[k][0..W) for each listed k = nz[0..count), in
+/// ascending k. The tile is loaded from out once, kept in registers for the
+/// whole k loop (64 floats are eight AVX2 registers) and stored once. `bcol`
+/// is b's row 0 at the tile's first column and `ldb` is b's row stride.
+template <int W>
+GNNHLS_ALWAYS_INLINE void accumulate_tile(const float* __restrict arow,
+                                          const int* __restrict nz, int count,
+                                          const float* __restrict bcol,
+                                          std::size_t ldb,
+                                          float* __restrict out) {
+  float acc[W];
+  for (int j = 0; j < W; ++j) acc[j] = out[j];
+  for (int n = 0; n < count; ++n) {
+    const float s = arow[nz[n]];
+    const float* brow = bcol + static_cast<std::size_t>(nz[n]) * ldb;
+    float* o = acc;
+    // The loop walks pointers rather than an index shared by both operands:
+    // that keeps GCC's unroll-and-jam off this nest, which would fuse two k
+    // steps into one scalar loop and spill the tile to memory every step.
+    // vectorize: matmul tile accumulate
+    for (const float* end = brow + W; brow != end; ++brow, ++o) {
+      *o += s * *brow;
+    }
+  }
+  for (int j = 0; j < W; ++j) out[j] = acc[j];
 }
 
-/// Rows per register tile in the dense matmul: each b-row load feeds this
-/// many output rows, cutting b-side memory traffic by the tile height.
-constexpr int kMatmulRowTile = 4;
-/// k-block size: bounds the b slab streamed per pass so it stays
-/// cache-resident while the i-tile's partial sums live in the out rows.
-constexpr int kMatmulKTile = 64;
+/// kBit[k] = 1 << k. Reading the bit from a table rather than shifting by
+/// k lets the mask loop below vectorize without per-lane variable shifts,
+/// which the baseline x86 ISA lacks.
+constexpr std::array<std::uint32_t, 32> kBit = [] {
+  std::array<std::uint32_t, 32> bits{};
+  for (int k = 0; k < 32; ++k) bits[k] = 1U << k;
+  return bits;
+}();
 
-/// out rows [i_lo, i_hi) of a * b. Dense operands run a k-j register-blocked
-/// micro-kernel (kblock -> row-tile -> k -> j): every output element still
-/// receives its k contributions in ascending-k order, identical to the naive
-/// i-k-j loop, so blocking never changes results — it only lets one streamed
-/// b-row update kMatmulRowTile output rows and keeps the active b slab hot.
-/// Sparse operands skip a's zeros row by row; an exact ±0 term never changes
-/// a sum that starts at +0, so the skip is exact for finite b.
+/// Writes the k where arow[k] != 0 (a NaN counts as nonzero) to nz in
+/// ascending order and returns how many there are. Each 32-wide chunk is
+/// compared at once into a bit mask whose set bits are then read off lowest
+/// first, so a zero costs no work of its own.
+GNNHLS_ALWAYS_INLINE int list_nonzeros(const float* __restrict arow, int K,
+                                       int* __restrict nz) {
+  int count = 0;
+  for (int k0 = 0; k0 < K; k0 += 32) {
+    const int n = std::min(32, K - k0);
+    std::uint32_t mask = 0;
+    // vectorize: nonzero mask
+    for (int k = 0; k < n; ++k) {
+      const std::uint32_t nonzero = arow[k0 + k] != 0.0F;
+      mask |= (0U - nonzero) & kBit[k];
+    }
+    for (; mask != 0; mask &= mask - 1) nz[count++] = k0 + __builtin_ctz(mask);
+  }
+  return count;
+}
+
+/// out rows [i_lo, i_hi) of a * b. Each row first lists the k where
+/// a[i][k] != 0, then runs every column tile (64, 32 and 8 wide, then single
+/// columns) over that list. Skipping a zero term is exact for finite b: an
+/// output sum starts at +0 and can never become -0, so adding a ±0 product
+/// leaves it unchanged.
 GNNHLS_ALWAYS_INLINE void matmul_rows_body(const Matrix& a, const Matrix& b,
-                                           Matrix& out, int i_lo, int i_hi,
-                                           bool sparse) {
-  const int K = a.cols();
+                                           Matrix& out, int i_lo, int i_hi) {
   const int N = b.cols();
-  if (sparse) {
-    for (int i = i_lo; i < i_hi; ++i) {
-      const float* arow = a.row_ptr(i);
-      float* orow = out.row_ptr(i);
-      for (int k = 0; k < K; ++k) {
-        if (arow[k] != 0.0F) axpy(arow[k], b.row_ptr(k), orow, N);
-      }
+  std::vector<int> nz(static_cast<std::size_t>(a.cols()));
+  for (int i = i_lo; i < i_hi; ++i) {
+    const float* arow = a.row_ptr(i);
+    const int count = list_nonzeros(arow, a.cols(), nz.data());
+    float* orow = out.row_ptr(i);
+    int j = 0;
+    for (; j + 64 <= N; j += 64) {
+      accumulate_tile<64>(arow, nz.data(), count, b.data() + j, N, orow + j);
     }
-    return;
-  }
-  for (int k0 = 0; k0 < K; k0 += kMatmulKTile) {
-    const int k1 = std::min(k0 + kMatmulKTile, K);
-    int i = i_lo;
-    for (; i + kMatmulRowTile <= i_hi; i += kMatmulRowTile) {
-      const float* a0 = a.row_ptr(i);
-      const float* a1 = a.row_ptr(i + 1);
-      const float* a2 = a.row_ptr(i + 2);
-      const float* a3 = a.row_ptr(i + 3);
-      float* o0 = out.row_ptr(i);
-      float* o1 = out.row_ptr(i + 1);
-      float* o2 = out.row_ptr(i + 2);
-      float* o3 = out.row_ptr(i + 3);
-      for (int k = k0; k < k1; ++k) {
-        const float* brow = b.row_ptr(k);
-        axpy(a0[k], brow, o0, N);
-        axpy(a1[k], brow, o1, N);
-        axpy(a2[k], brow, o2, N);
-        axpy(a3[k], brow, o3, N);
-      }
+    if (j + 32 <= N) {
+      accumulate_tile<32>(arow, nz.data(), count, b.data() + j, N, orow + j);
+      j += 32;
     }
-    for (; i < i_hi; ++i) {  // tail rows of the tile
-      const float* arow = a.row_ptr(i);
-      float* orow = out.row_ptr(i);
-      for (int k = k0; k < k1; ++k) axpy(arow[k], b.row_ptr(k), orow, N);
+    for (; j + 8 <= N; j += 8) {
+      accumulate_tile<8>(arow, nz.data(), count, b.data() + j, N, orow + j);
+    }
+    for (; j < N; ++j) {
+      accumulate_tile<1>(arow, nz.data(), count, b.data() + j, N, orow + j);
     }
   }
 }
 
-/// out = a^T * b, serial and k-outer. This is the weight-gradient kernel
-/// (activations^T x upstream-grad), whose output [in_dim, out_dim] is small
-/// and cache-resident while a and b can be tall batched activations: k-outer
-/// streams a and b exactly once, where an i-outer parallel variant re-reads
-/// all of a column-wise per output row and thrashes L2 as soon as the batch
-/// no longer fits. The zero skip pays because a is often post-ReLU.
-GNNHLS_ALWAYS_INLINE void transpose_a_body(const Matrix& a, const Matrix& b,
-                                           Matrix& out) {
-  for (int k = 0; k < a.rows(); ++k) {
-    const float* arow = a.row_ptr(k);
-    const float* brow = b.row_ptr(k);
-    for (int i = 0; i < a.cols(); ++i) {
-      if (arow[i] != 0.0F) axpy(arow[i], brow, out.row_ptr(i), b.cols());
-    }
-  }
-}
-
-struct KernelSet {
-  void (*matmul_rows)(const Matrix&, const Matrix&, Matrix&, int, int, bool);
-  void (*transpose_a)(const Matrix&, const Matrix&, Matrix&);
-};
+using MatmulRowsFn = void (*)(const Matrix&, const Matrix&, Matrix&, int,
+                              int);
 
 void matmul_rows_portable(const Matrix& a, const Matrix& b, Matrix& out,
-                          int i_lo, int i_hi, bool sparse) {
-  matmul_rows_body(a, b, out, i_lo, i_hi, sparse);
+                          int i_lo, int i_hi) {
+  matmul_rows_body(a, b, out, i_lo, i_hi);
 }
-void transpose_a_portable(const Matrix& a, const Matrix& b, Matrix& out) {
-  transpose_a_body(a, b, out);
-}
-constexpr KernelSet kPortableKernels{matmul_rows_portable,
-                                     transpose_a_portable};
 
 #if defined(GNNHLS_KERNEL_AVX2)
-__attribute__((target("avx2"))) void matmul_rows_avx2(
-    const Matrix& a, const Matrix& b, Matrix& out, int i_lo, int i_hi,
-    bool sparse) {
-  matmul_rows_body(a, b, out, i_lo, i_hi, sparse);
-}
-__attribute__((target("avx2"))) void transpose_a_avx2(const Matrix& a,
+__attribute__((target("avx2"))) void matmul_rows_avx2(const Matrix& a,
                                                       const Matrix& b,
-                                                      Matrix& out) {
-  transpose_a_body(a, b, out);
+                                                      Matrix& out, int i_lo,
+                                                      int i_hi) {
+  matmul_rows_body(a, b, out, i_lo, i_hi);
 }
-constexpr KernelSet kAvx2Kernels{matmul_rows_avx2, transpose_a_avx2};
 #endif
 
-const KernelSet& kernel_set(KernelIsa isa) {
+MatmulRowsFn matmul_rows_kernel(KernelIsa isa) {
   GNNHLS_CHECK(kernel_isa_available(isa),
                "dense kernels: instruction set not available on this host");
 #if defined(GNNHLS_KERNEL_AVX2)
-  if (isa == KernelIsa::kAvx2) return kAvx2Kernels;
+  if (isa == KernelIsa::kAvx2) return matmul_rows_avx2;
 #endif
-  return kPortableKernels;
+  return matmul_rows_portable;
+}
+
+Matrix transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (int r = 0; r < m.rows(); ++r) {
+    const float* row = m.row_ptr(r);
+    for (int c = 0; c < m.cols(); ++c) t(c, r) = row[c];
+  }
+  return t;
 }
 
 }  // namespace
@@ -263,23 +243,21 @@ const char* kernel_isa_name(KernelIsa isa) {
 
 Matrix matmul_isa(KernelIsa isa, const Matrix& a, const Matrix& b) {
   GNNHLS_CHECK_EQ(a.cols(), b.rows(), "matmul: inner dimension mismatch");
-  const KernelSet& kernels = kernel_set(isa);
+  const MatmulRowsFn rows = matmul_rows_kernel(isa);
   Matrix out(a.rows(), b.cols());
-  const bool sparse = probe_mostly_zero(a);
   parallel_for(0, a.rows(), row_grain(a.cols(), b.cols()),
-               [&](int i_lo, int i_hi) {
-    kernels.matmul_rows(a, b, out, i_lo, i_hi, sparse);
-  });
+               [&](int i_lo, int i_hi) { rows(a, b, out, i_lo, i_hi); });
   return out;
 }
 
 Matrix matmul_transpose_a_isa(KernelIsa isa, const Matrix& a,
                               const Matrix& b) {
   GNNHLS_CHECK_EQ(a.rows(), b.rows(), "matmul_transpose_a: dimension mismatch");
-  const KernelSet& kernels = kernel_set(isa);
-  Matrix out(a.cols(), b.cols());
-  kernels.transpose_a(a, b, out);
-  return out;
+  // Run as matmul(a^T, b). This is the weight gradient (activations^T x
+  // upstream gradient): the O(M·K) copy is small next to the O(M·K·N)
+  // product, and it turns a's columns into rows the kernel can scan for
+  // zeros.
+  return matmul_isa(isa, transposed(a), b);
 }
 
 Matrix matmul_transpose_b_isa(KernelIsa isa, const Matrix& a,
@@ -290,12 +268,7 @@ Matrix matmul_transpose_b_isa(KernelIsa isa, const Matrix& a,
   // O(M·K·N) product. Each output element then sums a[i][k]·b[j][k] in
   // ascending k from +0, exactly as the reference's dot product does; the
   // reference's final `+0 + acc` is exact because acc is never -0.
-  Matrix bt(b.cols(), b.rows());
-  for (int j = 0; j < b.rows(); ++j) {
-    const float* brow = b.row_ptr(j);
-    for (int k = 0; k < b.cols(); ++k) bt(k, j) = brow[k];
-  }
-  return matmul_isa(isa, a, bt);
+  return matmul_isa(isa, a, transposed(b));
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {

@@ -90,22 +90,31 @@ class Matrix {
 /// through Adam/GraphRegressor.
 void tune_malloc_for_tensor_workloads();
 
-/// out = a * b, row-parallel on the global pool. Dense operands run a k-j
-/// register-blocked kernel (multi-row tiles share each b-row load); operands
-/// that are mostly zero (detected by sampling) skip a's zeros row by row.
-/// Both vectorize over output columns, as AVX2 when the CPU has it (picked at
-/// run time) and the build's baseline ISA otherwise, never with FMA: every
-/// element still accumulates its terms in ascending k with separately
-/// rounded mul and add, so results are bit-identical to matmul_reference at
-/// any thread count, on any host (exact ±0 terms are the only ones skipped,
-/// which cannot change a finite sum).
+/// out = a * b, row-parallel on the global pool. One kernel runs every
+/// product: each row of a first lists the k where a[i][k] != 0, then each
+/// column tile of out (64, 32 or 8 wide, then single columns) is loaded
+/// once, accumulates the listed terms in registers and is stored once. It
+/// is vectorized over output columns, as AVX2 when the CPU has it (picked
+/// at run time) and the build's baseline ISA otherwise, never with FMA:
+/// every element accumulates its terms in ascending k with separately
+/// rounded mul and add, so for finite operands the result is bit-identical
+/// to matmul_reference at any thread count, on any host.
+///
+/// Zero terms: a term whose a[i][k] is ±0 is skipped. Against a finite
+/// b[k][j] that is exact (a sum that starts at +0 never becomes -0, so
+/// adding a ±0 product changes nothing). Against an inf or NaN in row k of
+/// b it is not: the reference computes 0 * inf = NaN there, while the kernel
+/// leaves out[i][j] the sum of the other terms. A nonzero a[i][k] meets inf
+/// or NaN exactly as the reference does.
 Matrix matmul(const Matrix& a, const Matrix& b);
-/// out = a^T * b (avoids materializing the transpose). Serial; the same
-/// vectorized, zero-skipping inner loop as matmul.
+/// out = a^T * b, run as matmul(a^T, b) on a transposed copy of a: the same
+/// kernel, bit-identical to matmul_reference(a^T, b) for finite operands,
+/// skipping the terms whose a[k][i] is ±0.
 Matrix matmul_transpose_a(const Matrix& a, const Matrix& b);
 /// out = a * b^T, run as matmul(a, b^T) on a transposed copy of b (b is a
 /// weight at every call site, so the copy is small). Bit-identical to
-/// matmul_transpose_b_reference for finite operands.
+/// matmul_transpose_b_reference for finite operands; terms whose a[i][k] is
+/// ±0 are skipped as in matmul.
 Matrix matmul_transpose_b(const Matrix& a, const Matrix& b);
 
 /// Serial, unblocked, scalar reference kernels (the historical loops). Tests

@@ -2,6 +2,7 @@
 // disjoint-union round trips across the encoder zoo, thread-pool kernels
 // and mini-batched training.
 #include <cmath>
+#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -19,6 +20,14 @@ namespace gnnhls {
 namespace {
 
 using testing::expect_gradient_matches;
+
+/// Bit-for-bit equality. Matrix::operator== compares floats, so it takes
+/// -0 for +0 (and never matches a NaN); the kernel contract is about bits.
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.same_shape(y) &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0);
+}
 
 Matrix make_test_matrix(int rows, int cols, float scale = 1.0F) {
   Matrix m(rows, cols);
@@ -375,32 +384,25 @@ TEST(ThreadPoolTest, MatmulBitwiseIdenticalAcrossThreadCounts) {
   const Matrix serial_ta = matmul_transpose_a(a, c);
   ThreadPool::set_global_threads(4);
   const Matrix parallel = matmul(a, b);
-  EXPECT_TRUE(serial == parallel);
+  EXPECT_TRUE(same_bits(serial, parallel));
   const Matrix parallel_ta = matmul_transpose_a(a, c);
-  EXPECT_TRUE(serial_ta == parallel_ta);
+  EXPECT_TRUE(same_bits(serial_ta, parallel_ta));
   ThreadPool::set_global_threads(0);  // restore default
 }
 
 TEST(MatmulTest, SparseOperandMatchesDense) {
   Rng rng(7);
   Matrix a = Matrix::randn(40, 30, rng);
-  // Zero out ~70% of a to trigger the sparse skip path.
+  // Zero out ~70% of a: the kernel skips those terms, the reference adds
+  // them, and the two must still agree bit for bit.
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (i % 10 < 7) a.data()[i] = 0.0F;
   }
   const Matrix b = Matrix::randn(30, 25, rng);
-  const Matrix fast = matmul(a, b);
-  // Dense reference computed by hand.
-  Matrix ref(40, 25);
-  for (int i = 0; i < 40; ++i) {
-    for (int k = 0; k < 30; ++k) {
-      for (int j = 0; j < 25; ++j) ref(i, j) += a(i, k) * b(k, j);
-    }
-  }
-  for (int i = 0; i < ref.rows(); ++i) {
-    for (int j = 0; j < ref.cols(); ++j) {
-      EXPECT_NEAR(ref(i, j), fast(i, j), 1e-4F);
-    }
+  const Matrix ref = matmul_reference(a, b);
+  for (KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2}) {
+    if (!kernel_isa_available(isa)) continue;
+    EXPECT_TRUE(same_bits(matmul_isa(isa, a, b), ref)) << kernel_isa_name(isa);
   }
 }
 
@@ -566,20 +568,34 @@ Matrix transposed(const Matrix& m) {
 TEST(DeterministicKernelsTest, BlockedMatmulMatchesReference) {
   Rng rng(37);
   // {M, K, N}: a is [M,K]. Shapes around the hot [N,hidden]x[hidden,hidden]
-  // profile, the [E,64] edge-message shape whose a^T*b is the weight
-  // gradient, the N=1 readout score and its K=1 backward, plus odd sizes
-  // that exercise the row-tile and vector tail paths.
+  // profile (86 rows is a fit graph), the [E,64] edge-message shape whose
+  // a^T*b is the weight gradient, the N=1 readout score and its K=1
+  // backward, the N=3 head output, N=107 (one 64-, 32- and 8-wide column
+  // tile plus three single columns), odd M, and empty M and K.
   const int shapes[][3] = {{256, 64, 64}, {301, 96, 96}, {5, 3, 2},
                            {63, 300, 300}, {1, 1, 1},   {1536, 64, 64},
-                           {300, 64, 1},   {300, 1, 64}};
+                           {300, 64, 1},   {300, 1, 64}, {86, 64, 64},
+                           {86, 64, 3},    {77, 64, 107}, {0, 64, 64},
+                           {86, 0, 64}};
+  // Exact zeros in a, as post-ReLU/dropout activations and gradients have
+  // them (fit averages 74%), and whole zero rows.
+  struct Zeros {
+    const char* name;
+    double fraction;
+    bool odd_rows;
+  };
+  const Zeros patterns[] = {{"dense", 0.0, false},
+                            {"50% zeros", 0.5, false},
+                            {"74% zeros", 0.74, false},
+                            {"zero rows", 0.0, true}};
   for (const auto& s : shapes) {
-    // Dense a takes matmul's blocked route; a post-ReLU-like a (> 50% exact
-    // zeros) takes the zero-skip route of matmul and matmul_transpose_b.
-    for (bool relu : {false, true}) {
+    for (const Zeros& z : patterns) {
       Matrix a = Matrix::randn(s[0], s[1], rng);
-      if (relu) {
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          if (a.data()[i] < 0.3F) a.data()[i] = 0.0F;
+      for (int i = 0; i < a.rows(); ++i) {
+        for (int k = 0; k < a.cols(); ++k) {
+          if ((z.odd_rows && i % 2 == 1) || rng.bernoulli(z.fraction)) {
+            a(i, k) = 0.0F;
+          }
         }
       }
       const Matrix b = Matrix::randn(s[1], s[2], rng);
@@ -598,19 +614,19 @@ TEST(DeterministicKernelsTest, BlockedMatmulMatchesReference) {
           KernelPoolGuard pool(threads);
           const std::string where =
               std::to_string(s[0]) + "x" + std::to_string(s[1]) + "x" +
-              std::to_string(s[2]) + (relu ? " relu" : " dense") + " " +
+              std::to_string(s[2]) + " " + z.name + " " +
               kernel_isa_name(isa) + " @ " + std::to_string(threads);
-          EXPECT_TRUE(matmul_isa(isa, a, b) == ref) << where;
-          EXPECT_TRUE(matmul_transpose_b_isa(isa, a, bt) == ref_tb)
+          EXPECT_TRUE(same_bits(matmul_isa(isa, a, b), ref)) << where;
+          EXPECT_TRUE(same_bits(matmul_transpose_b_isa(isa, a, bt), ref_tb))
               << where << " (transpose_b)";
-          EXPECT_TRUE(matmul_transpose_a_isa(isa, a, c) == ref_ta)
+          EXPECT_TRUE(same_bits(matmul_transpose_a_isa(isa, a, c), ref_ta))
               << where << " (transpose_a)";
         }
       }
       // The public entry points run the selected variant.
-      EXPECT_TRUE(matmul(a, b) == ref);
-      EXPECT_TRUE(matmul_transpose_b(a, bt) == ref_tb);
-      EXPECT_TRUE(matmul_transpose_a(a, c) == ref_ta);
+      EXPECT_TRUE(same_bits(matmul(a, b), ref));
+      EXPECT_TRUE(same_bits(matmul_transpose_b(a, bt), ref_tb));
+      EXPECT_TRUE(same_bits(matmul_transpose_a(a, c), ref_ta));
     }
   }
 }

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -6,6 +7,7 @@
 #include "nn/adam.h"
 #include "tensor/autograd.h"
 #include "tensor/matrix.h"
+#include "tensor/matrix_kernels.h"
 
 namespace gnnhls {
 namespace {
@@ -56,6 +58,51 @@ TEST(MatrixTest, TransposedMatmulsAgreeWithPlain) {
     for (int j = 0; j < direct.cols(); ++j) {
       EXPECT_NEAR(direct(i, j), fused(i, j), 1e-5);
     }
+  }
+}
+
+/// Whether rows `r` of x and y hold the same bits.
+bool same_row_bits(const Matrix& x, const Matrix& y, int r) {
+  return std::memcmp(x.row_ptr(r), y.row_ptr(r),
+                     static_cast<std::size_t>(x.cols()) * sizeof(float)) == 0;
+}
+
+TEST(MatrixTest, ZeroTermsSkipNonFiniteOperands) {
+  // Row 1 of b holds inf and NaN. Row 0 of a meets it with a zero, row 1
+  // with a nonzero. The kernels skip every a[i][k] == 0 term, so row 0 sums
+  // only its other terms (as if those b entries were 0) where the reference
+  // computes 0 * inf = NaN; row 1 matches the reference bit for bit.
+  Matrix a = make_test_matrix(2, 3);
+  a(0, 1) = 0.0F;
+  a(1, 1) = 2.0F;
+  Matrix b = make_test_matrix(3, 4);
+  b(1, 0) = INFINITY;
+  b(1, 2) = NAN;
+  Matrix b_zeroed = b;
+  b_zeroed(1, 0) = 0.0F;
+  b_zeroed(1, 2) = 0.0F;
+  const Matrix ref = matmul_reference(a, b);
+  const Matrix skipped = matmul_reference(a, b_zeroed);
+  ASSERT_TRUE(std::isnan(ref(0, 0)));
+  ASSERT_TRUE(std::isinf(ref(1, 0)));
+  ASSERT_TRUE(std::isnan(ref(1, 2)));
+  Matrix at(3, 2);  // a^T, for matmul_transpose_a
+  Matrix bt(4, 3);  // b^T, for matmul_transpose_b
+  for (int k = 0; k < 3; ++k) {
+    for (int i = 0; i < 2; ++i) at(k, i) = a(i, k);
+    for (int j = 0; j < 4; ++j) bt(j, k) = b(k, j);
+  }
+  const Matrix ref_tb = matmul_transpose_b_reference(a, bt);
+  for (KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2}) {
+    if (!kernel_isa_available(isa)) continue;
+    const Matrix outs[] = {matmul_isa(isa, a, b),
+                           matmul_transpose_a_isa(isa, at, b),
+                           matmul_transpose_b_isa(isa, a, bt)};
+    for (const Matrix& out : outs) {
+      EXPECT_TRUE(same_row_bits(out, skipped, 0)) << kernel_isa_name(isa);
+      EXPECT_TRUE(same_row_bits(out, ref, 1)) << kernel_isa_name(isa);
+    }
+    EXPECT_TRUE(same_row_bits(outs[2], ref_tb, 1)) << kernel_isa_name(isa);
   }
 }
 
