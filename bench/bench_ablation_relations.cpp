@@ -11,7 +11,7 @@
 namespace gnnhls::bench {
 namespace {
 
-/// Rewrites the relation partition of already-built samples.
+/// Regroups the relations of already-built samples.
 /// mode 0 = untouched, 1 = erase back-edge flag, 2 = single relation.
 std::vector<Sample> collapse_relations(const std::vector<Sample>& samples,
                                        int mode) {
@@ -19,16 +19,12 @@ std::vector<Sample> collapse_relations(const std::vector<Sample>& samples,
   out.reserve(samples.size());
   for (const Sample& s : samples) {
     Sample copy = s;
-    auto& rel = copy.tensors.relation_edges;
-    std::vector<std::vector<int>> merged(rel.size());
-    for (std::size_t r = 0; r < rel.size(); ++r) {
-      std::size_t target = r;
-      if (mode == 1) target = (r / 2) * 2;  // drop the back-edge bit
-      if (mode == 2) target = 0;
-      for (int e : rel[r]) merged[target].push_back(e);
+    std::vector<int> rel = s.graph().edge_relation();
+    for (int& r : rel) {
+      if (mode == 1) r = (r / 2) * 2;  // drop the back-edge bit
+      if (mode == 2) r = 0;
     }
-    for (auto& edges : merged) std::sort(edges.begin(), edges.end());
-    rel = std::move(merged);
+    copy.tensors.group_relations(rel);
     out.push_back(std::move(copy));
   }
   return out;

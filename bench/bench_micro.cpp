@@ -180,8 +180,8 @@ void BM_SegmentGatherBackward(benchmark::State& state) {
   Matrix ref = Matrix::zeros(d.segments, d.src.cols());
   scatter_add_rows_serial(grad, d.seg, ref);
   Matrix sink = Matrix::zeros(d.segments, d.src.cols());
-  scatter_add_rows_auto(grad, d.seg, nullptr, sink);
-  die_on_mismatch(sink == ref, "on-demand segment scatter");
+  scatter_add_rows_into(grad, d.part, sink);
+  die_on_mismatch(sink == ref, "partitioned gather backward");
   for (auto _ : state) {
     sink.fill(0.0F);
     scatter_add_rows_into(grad, d.part, sink);
@@ -359,7 +359,7 @@ void BM_GatherScatter(benchmark::State& state) {
     const Var x = tape.leaf(h);
     const Var msgs = tape.gather_rows(x, gt.src);
     benchmark::DoNotOptimize(
-        tape.scatter_add_rows(msgs, gt.dst, gt.num_nodes).value().data());
+        tape.scatter_add_rows(msgs, gt.dst).value().data());
   }
 }
 BENCHMARK(BM_GatherScatter);

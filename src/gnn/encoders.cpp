@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace gnnhls {
 
@@ -55,22 +56,19 @@ namespace {
 // are batch-oblivious since union edges never cross member graphs.
 //
 // Aggregations are compositions of the primitive tape ops over the
-// partitions cached on GraphTensors. Hand-assembled tensors without cached
-// partitions (or relation views) take the on-demand path of the same ops,
-// with identical results.
+// SegmentIndexes GraphTensors holds, so every partition is built once per
+// graph.
 
 /// out_v = sum_{(u,v) in E} x_u; an empty edge set yields zeros.
 Var aggregate_sum(Tape& t, const GraphTensors& gt, const Var& x) {
   if (gt.src.empty()) return t.affine(x, 0.0F, 0.0F);
-  return t.scatter_add_rows(t.gather_rows(x, gt.src, gt.src_part), gt.dst,
-                            gt.num_nodes, gt.dst_part);
+  return t.scatter_add_rows(t.gather_rows(x, gt.src), gt.dst);
 }
 
 /// out_v = mean_{(u,v) in E} x_u; nodes without in-edges yield zeros.
 Var aggregate_mean(Tape& t, const GraphTensors& gt, const Var& x) {
   if (gt.src.empty()) return t.affine(x, 0.0F, 0.0F);
-  return t.segment_mean(t.gather_rows(x, gt.src, gt.src_part), gt.dst,
-                        gt.num_nodes, gt.dst_part);
+  return t.segment_mean(t.gather_rows(x, gt.src), gt.dst);
 }
 
 /// GCN propagation D^-1/2 (A+I) D^-1/2 x with the precomputed gcn_coeff /
@@ -78,36 +76,15 @@ Var aggregate_mean(Tape& t, const GraphTensors& gt, const Var& x) {
 Var gcn_propagate(Tape& t, const GraphTensors& gt, const Var& x) {
   const Var self = t.scale_rows(x, gt.gcn_self_coeff);
   if (gt.src.empty()) return self;
-  const Var msgs =
-      t.scale_rows(t.gather_rows(x, gt.src, gt.src_part), gt.gcn_coeff);
-  return t.add(t.scatter_add_rows(msgs, gt.dst, gt.num_nodes, gt.dst_part),
-               self);
+  const Var msgs = t.scale_rows(t.gather_rows(x, gt.src), gt.gcn_coeff);
+  return t.add(t.scatter_add_rows(msgs, gt.dst), self);
 }
 
-/// Calls fn(r, src, dst, src_part, dst_part) for every non-empty relation
-/// in relation order, with the endpoint views and partitions cached by
-/// GraphTensors::build_partitions(), or views rebuilt locally (and null
-/// partitions) for hand-assembled tensors.
+/// Calls fn(r, relation) for every non-empty relation in relation order.
 template <typename Fn>
 void for_each_relation(const GraphTensors& gt, Fn&& fn) {
-  const bool have_views = gt.relation_src.size() == gt.relation_edges.size() &&
-                          gt.relation_dst.size() == gt.relation_edges.size();
-  for (std::size_t r = 0; r < gt.relation_edges.size(); ++r) {
-    const auto& edge_ids = gt.relation_edges[r];
-    if (edge_ids.empty()) continue;
-    if (have_views && !gt.relation_src[r].empty()) {
-      fn(r, gt.relation_src[r], gt.relation_dst[r], gt.relation_src_part[r],
-         gt.relation_dst_part[r]);
-      continue;
-    }
-    std::vector<int> src, dst;
-    src.reserve(edge_ids.size());
-    dst.reserve(edge_ids.size());
-    for (int e : edge_ids) {
-      src.push_back(gt.src[static_cast<std::size_t>(e)]);
-      dst.push_back(gt.dst[static_cast<std::size_t>(e)]);
-    }
-    fn(r, src, dst, SegmentPartitionPtr(), SegmentPartitionPtr());
+  for (std::size_t r = 0; r < gt.relations.size(); ++r) {
+    if (!gt.relations[r].src.empty()) fn(r, gt.relations[r]);
   }
 }
 
@@ -118,14 +95,10 @@ Var relational_aggregate(Tape& t, const GraphTensors& gt, const Var& h,
                          const std::vector<std::unique_ptr<Linear>>& rel_lins,
                          bool mean_normalize) {
   Var acc;
-  for_each_relation(gt, [&](std::size_t r, const std::vector<int>& src,
-                            const std::vector<int>& dst,
-                            const SegmentPartitionPtr& sp,
-                            const SegmentPartitionPtr& dp) {
-    const Var msgs = rel_lins[r]->forward(t, t.gather_rows(h, src, sp));
-    const Var agg = mean_normalize
-                        ? t.segment_mean(msgs, dst, gt.num_nodes, dp)
-                        : t.scatter_add_rows(msgs, dst, gt.num_nodes, dp);
+  for_each_relation(gt, [&](std::size_t r, const GraphTensors::Relation& rel) {
+    const Var msgs = rel_lins[r]->forward(t, t.gather_rows(h, rel.src));
+    const Var agg = mean_normalize ? t.segment_mean(msgs, rel.dst)
+                                   : t.scatter_add_rows(msgs, rel.dst);
     acc = acc.valid() ? t.add(acc, agg) : agg;
   });
   return acc.valid() ? acc : t.affine(h, 0.0F, 0.0F);
@@ -161,16 +134,13 @@ class GcnEncoder : public GnnEncoder {
     Var virt = t.leaf(Matrix(gt.num_graphs, cfg_.hidden));
     for (std::size_t l = 0; l < convs_.size(); ++l) {
       if (with_virtual_) {
-        h = t.add(h, t.broadcast_rows_by_segment(virt, gt.graph_id,
-                                                 gt.graph_part));
+        h = t.add(h, t.gather_rows(virt, gt.graph_id));
       }
       h = t.relu(convs_[l]->forward(t, gcn_propagate(t, gt, h)));
       h = t.dropout(h, cfg_.dropout, rng, training);
       if (with_virtual_) {
         virt = t.relu(virtual_mlps_[l]->forward(
-            t, t.add(virt,
-                     t.segment_mean_rows(h, gt.graph_id, gt.num_graphs,
-                                         gt.graph_part))));
+            t, t.add(virt, t.segment_mean(h, gt.graph_id))));
       }
     }
     return h;
@@ -373,8 +343,7 @@ class GinEncoder : public GnnEncoder {
     Var virt = t.leaf(Matrix(gt.num_graphs, cfg_.hidden));
     for (std::size_t l = 0; l < mlps_.size(); ++l) {
       if (with_virtual_) {
-        h = t.add(h, t.broadcast_rows_by_segment(virt, gt.graph_id,
-                                                 gt.graph_part));
+        h = t.add(h, t.gather_rows(virt, gt.graph_id));
       }
       // (1 + eps) * h + sum_{u in N(v)} h_u
       const Var one_eps =
@@ -385,9 +354,7 @@ class GinEncoder : public GnnEncoder {
       h = t.dropout(h, cfg_.dropout, rng, training);
       if (with_virtual_) {
         virt = t.relu(virtual_mlps_[l]->forward(
-            t, t.add(virt,
-                     t.segment_mean_rows(h, gt.graph_id, gt.num_graphs,
-                                         gt.graph_part))));
+            t, t.add(virt, t.segment_mean(h, gt.graph_id))));
       }
     }
     return h;
@@ -427,11 +394,8 @@ class PnaEncoder : public GnnEncoder {
     std::vector<float> amplify(static_cast<std::size_t>(gt.num_nodes));
     std::vector<float> attenuate(static_cast<std::size_t>(gt.num_nodes));
     for (int i = 0; i < gt.num_nodes; ++i) {
-      const float avg =
-          gt.graph_avg_log_deg.empty()
-              ? gt.avg_log_deg
-              : gt.graph_avg_log_deg[static_cast<std::size_t>(
-                    gt.graph_id[static_cast<std::size_t>(i)])];
+      const float avg = gt.graph_avg_log_deg[static_cast<std::size_t>(
+          gt.graph_id[static_cast<std::size_t>(i)])];
       const float d = std::max(gt.log_deg[static_cast<std::size_t>(i)], 0.1F);
       amplify[static_cast<std::size_t>(i)] = d / avg;
       attenuate[static_cast<std::size_t>(i)] = avg / d;
@@ -443,13 +407,12 @@ class PnaEncoder : public GnnEncoder {
       if (gt.src.empty()) {
         mean = mx = mn = stddev = t.affine(h, 0.0F, 0.0F);
       } else {
-        const Var msgs = t.gather_rows(h, gt.src, gt.src_part);
-        mean = t.segment_mean(msgs, gt.dst, gt.num_nodes, gt.dst_part);
-        mx = t.segment_max(msgs, gt.dst, gt.num_nodes);
-        mn = t.segment_min(msgs, gt.dst, gt.num_nodes);
+        const Var msgs = t.gather_rows(h, gt.src);
+        mean = t.segment_mean(msgs, gt.dst);
+        mx = t.segment_max(msgs, gt.dst);
+        mn = t.segment_min(msgs, gt.dst);
         // std = sqrt(relu(E[x^2] - E[x]^2))
-        const Var mean_sq = t.segment_mean(t.mul(msgs, msgs), gt.dst,
-                                           gt.num_nodes, gt.dst_part);
+        const Var mean_sq = t.segment_mean(t.mul(msgs, msgs), gt.dst);
         stddev = t.sqrt_eps(t.sub(mean_sq, t.mul(mean, mean)), 1e-5F);
       }
       std::vector<Var> blocks{h};
@@ -500,14 +463,13 @@ class GatEncoder : public GnnEncoder {
       const Var alpha_src = att_src_[l]->forward(t, hw);  // [N,1]
       const Var alpha_dst = att_dst_[l]->forward(t, hw);  // [N,1]
       const Var scores = t.leaky_relu(
-          t.add(t.gather_rows(alpha_src, gt.src_self, gt.src_self_part),
-                t.gather_rows(alpha_dst, gt.dst_self, gt.dst_self_part)),
+          t.add(t.gather_rows(alpha_src, gt.src_self),
+                t.gather_rows(alpha_dst, gt.dst_self)),
           0.2F);
-      const Var alpha = t.segment_softmax(scores, gt.dst_self, gt.num_nodes);
-      const Var weighted = t.mul_col_broadcast(
-          t.gather_rows(hw, gt.src_self, gt.src_self_part), alpha);
-      h = t.relu(t.scatter_add_rows(weighted, gt.dst_self, gt.num_nodes,
-                                    gt.dst_self_part));
+      const Var alpha = t.segment_softmax(scores, gt.dst_self);
+      const Var weighted =
+          t.mul_col_broadcast(t.gather_rows(hw, gt.src_self), alpha);
+      h = t.relu(t.scatter_add_rows(weighted, gt.dst_self));
       h = t.dropout(h, cfg_.dropout, rng, training);
     }
     return h;
@@ -652,24 +614,23 @@ class UnetEncoder : public GnnEncoder {
     }
     const int keep = static_cast<int>(kept.size());
 
-    // Pooled-level partitions are per-forward: the kept set depends on the
+    // Pooled-level indices are per-forward: the kept set depends on the
     // current score weights, so they cannot live on GraphTensors like the
-    // full-graph caches. One kept-partition serves both gathers and the
-    // unpool scatter (all three index the same [num_nodes] row space).
-    const SegmentPartitionPtr kept_part =
-        make_segment_partition(kept, gt.num_nodes);
+    // full-graph ones. One kept index serves both gathers and the unpool
+    // scatter (all three index the same [num_nodes] row space).
+    const SegmentIndex kept_idx(std::move(kept), gt.num_nodes);
 
-    const Var gated = t.mul_col_broadcast(
-        t.gather_rows(h, kept, kept_part),
-        t.sigmoid(t.gather_rows(scores, kept, kept_part)));
+    const Var gated =
+        t.mul_col_broadcast(t.gather_rows(h, kept_idx),
+                            t.sigmoid(t.gather_rows(scores, kept_idx)));
 
     // Induced subgraph propagation at the bottom level.
     std::vector<int> remap(static_cast<std::size_t>(gt.num_nodes), -1);
-    for (int i = 0; i < keep; ++i) {
-      remap[static_cast<std::size_t>(kept[static_cast<std::size_t>(i)])] = i;
+    for (std::size_t i = 0; i < kept_idx.ids().size(); ++i) {
+      remap[static_cast<std::size_t>(kept_idx[i])] = static_cast<int>(i);
     }
     std::vector<int> sub_src, sub_dst;
-    for (std::size_t e = 0; e < gt.src.size(); ++e) {
+    for (std::size_t e = 0; e < gt.src.ids().size(); ++e) {
       const int s = remap[static_cast<std::size_t>(gt.src[e])];
       const int d = remap[static_cast<std::size_t>(gt.dst[e])];
       if (s >= 0 && d >= 0) {
@@ -679,21 +640,17 @@ class UnetEncoder : public GnnEncoder {
     }
     Var bottom = gated;
     if (!sub_src.empty()) {
-      const SegmentPartitionPtr sub_src_part =
-          make_segment_partition(sub_src, keep);
-      const SegmentPartitionPtr sub_dst_part =
-          make_segment_partition(sub_dst, keep);
       bottom = t.add(
-          t.segment_mean(t.gather_rows(gated, sub_src, sub_src_part), sub_dst,
-                         keep, sub_dst_part),
+          t.segment_mean(
+              t.gather_rows(gated, SegmentIndex(std::move(sub_src), keep)),
+              SegmentIndex(std::move(sub_dst), keep)),
           gated);
     }
     bottom = t.relu(bottom_->forward(t, bottom));
     bottom = t.dropout(bottom, cfg_.dropout, rng, training);
 
     // gUnpool: scatter back into the full node set, add skip.
-    const Var restored =
-        t.scatter_add_rows(bottom, kept, gt.num_nodes, kept_part);
+    const Var restored = t.scatter_add_rows(bottom, kept_idx);
     Var out = t.add(restored, skip);
     out = t.relu(up_->forward(t, gcn_propagate(t, gt, out)));
     return out;
@@ -739,18 +696,16 @@ class FilmEncoder : public GnnEncoder {
     Var h = input_->forward(t, x);
     for (std::size_t l = 0; l < self_.size(); ++l) {
       Var acc = self_[l]->forward(t, h);
-      for_each_relation(gt, [&](std::size_t r, const std::vector<int>& src,
-                                const std::vector<int>& dst,
-                                const SegmentPartitionPtr& sp,
-                                const SegmentPartitionPtr& dp) {
-        const Var msg = rel_[l][r]->forward(t, t.gather_rows(h, src, sp));
+      for_each_relation(gt, [&](std::size_t r,
+                                const GraphTensors::Relation& rel) {
+        const Var msg = rel_[l][r]->forward(t, t.gather_rows(h, rel.src));
         const Var film_params =
-            film_[l][r]->forward(t, t.gather_rows(h, dst, dp));
+            film_[l][r]->forward(t, t.gather_rows(h, rel.dst));
         const Var gamma = t.slice_cols(film_params, 0, cfg_.hidden);
         const Var beta =
             t.slice_cols(film_params, cfg_.hidden, 2 * cfg_.hidden);
         const Var modulated = t.relu(t.add(t.mul(gamma, msg), beta));
-        acc = t.add(acc, t.scatter_add_rows(modulated, dst, gt.num_nodes, dp));
+        acc = t.add(acc, t.scatter_add_rows(modulated, rel.dst));
       });
       h = t.relu(acc);
       h = t.dropout(h, cfg_.dropout, rng, training);

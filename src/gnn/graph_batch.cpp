@@ -1,6 +1,7 @@
 #include "gnn/graph_batch.h"
 
 #include <cstring>
+#include <utility>
 
 #include "support/parallel.h"
 
@@ -29,68 +30,65 @@ GraphBatch GraphBatch::build(const std::vector<const GraphTensors*>& parts) {
     GNNHLS_CHECK_EQ(p->num_graphs, 1,
                     "GraphBatch: members must be single graphs");
     total_nodes += static_cast<std::size_t>(p->num_nodes);
-    total_edges += p->src.size();
+    total_edges += static_cast<std::size_t>(p->src.size());
   }
-  m.src.reserve(total_edges);
-  m.dst.reserve(total_edges);
+  // The union's index arrays: plain edges, then (for the self-loop-augmented
+  // views) one self loop per node, following the single-graph convention.
+  std::vector<int> src, dst, graph_id;
+  src.reserve(total_edges + total_nodes);
+  dst.reserve(total_edges + total_nodes);
+  graph_id.reserve(total_nodes);
+  std::vector<std::vector<int>> rel_src(kNumEdgeRelations);
+  std::vector<std::vector<int>> rel_dst(kNumEdgeRelations);
   m.gcn_coeff.reserve(total_edges);
   m.gcn_self_coeff.reserve(total_nodes);
   m.log_deg.reserve(total_nodes);
-  m.graph_id.reserve(total_nodes);
   m.graph_avg_log_deg.reserve(parts.size());
-  m.relation_edges.assign(kNumEdgeRelations, {});
   batch.node_offset.reserve(parts.size() + 1);
   batch.node_offset.push_back(0);
 
   int node_offset = 0;
-  int edge_offset = 0;
   for (std::size_t g = 0; g < parts.size(); ++g) {
     const GraphTensors& p = *parts[g];
-    append_offset(m.src, p.src, node_offset);
-    append_offset(m.dst, p.dst, node_offset);
+    append_offset(src, p.src.ids(), node_offset);
+    append_offset(dst, p.dst.ids(), node_offset);
     m.gcn_coeff.insert(m.gcn_coeff.end(), p.gcn_coeff.begin(),
                        p.gcn_coeff.end());
     m.gcn_self_coeff.insert(m.gcn_self_coeff.end(), p.gcn_self_coeff.begin(),
                             p.gcn_self_coeff.end());
     m.log_deg.insert(m.log_deg.end(), p.log_deg.begin(), p.log_deg.end());
-    m.graph_avg_log_deg.push_back(p.avg_log_deg);
-    m.graph_id.insert(m.graph_id.end(),
-                      static_cast<std::size_t>(p.num_nodes),
-                      static_cast<int>(g));
-    for (int r = 0; r < kNumEdgeRelations; ++r) {
-      append_offset(m.relation_edges[static_cast<std::size_t>(r)],
-                    p.relation_edges[static_cast<std::size_t>(r)],
-                    edge_offset);
+    m.graph_avg_log_deg.push_back(p.graph_avg_log_deg[0]);
+    graph_id.insert(graph_id.end(), static_cast<std::size_t>(p.num_nodes),
+                    static_cast<int>(g));
+    // Concatenating the members' relation views in member order gives each
+    // relation's edges in ascending union edge order.
+    for (std::size_t r = 0; r < rel_src.size(); ++r) {
+      append_offset(rel_src[r], p.relations[r].src.ids(), node_offset);
+      append_offset(rel_dst[r], p.relations[r].dst.ids(), node_offset);
     }
     node_offset += p.num_nodes;
-    edge_offset += static_cast<int>(p.src.size());
     batch.node_offset.push_back(node_offset);
   }
-  m.num_nodes = node_offset;
+  const int n = node_offset;
+  m.num_nodes = n;
 
-  // Self-loop-augmented edge list follows the single-graph convention:
-  // plain edges first, then one self loop per node.
-  m.src_self = m.src;
-  m.dst_self = m.dst;
-  m.src_self.reserve(m.src.size() + total_nodes);
-  m.dst_self.reserve(m.dst.size() + total_nodes);
-  for (int i = 0; i < m.num_nodes; ++i) {
-    m.src_self.push_back(i);
-    m.dst_self.push_back(i);
+  // Union-wide partitions (members' partitions index member-local rows, so
+  // they cannot be spliced — the merged indices get their own plans,
+  // amortized across every layer/epoch that reuses this batch).
+  m.src = SegmentIndex({src.begin(), src.end()}, n);
+  m.dst = SegmentIndex({dst.begin(), dst.end()}, n);
+  for (int i = 0; i < n; ++i) {
+    src.push_back(i);
+    dst.push_back(i);
   }
-
-  // Whole-batch average (informational; PNA uses graph_avg_log_deg).
-  float sum = 0.0F;
-  for (float l : m.log_deg) sum += l;
-  m.avg_log_deg =
-      m.num_nodes > 0
-          ? std::max(sum / static_cast<float>(m.num_nodes), 0.1F)
-          : 1.0F;
-  // Union-wide segment-kernel partitions (members' cached partitions index
-  // member-local rows, so they cannot be spliced — the merged arrays get
-  // their own plans, amortized across every layer/epoch that reuses this
-  // batch).
-  m.build_partitions();
+  m.src_self = SegmentIndex(std::move(src), n);
+  m.dst_self = SegmentIndex(std::move(dst), n);
+  m.graph_id = SegmentIndex(std::move(graph_id), m.num_graphs);
+  m.relations.reserve(rel_src.size());
+  for (std::size_t r = 0; r < rel_src.size(); ++r) {
+    m.relations.push_back({SegmentIndex(std::move(rel_src[r]), n),
+                           SegmentIndex(std::move(rel_dst[r]), n)});
+  }
   return batch;
 }
 

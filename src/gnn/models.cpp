@@ -24,12 +24,9 @@ Var GraphRegressor::forward(Tape& tape, const GraphTensors& gt,
   const Var x = tape.leaf(features);
   const Var h = encoder_->encode(tape, gt, x, rng, training);
   // Per-graph readout over the batch segments; [num_graphs, hidden].
-  const Var pooled =
-      cfg_.pooling == Pooling::kSum
-          ? tape.segment_sum_rows(h, gt.graph_id, gt.num_graphs,
-                                  gt.graph_part)
-          : tape.segment_mean_rows(h, gt.graph_id, gt.num_graphs,
-                                   gt.graph_part);
+  const Var pooled = cfg_.pooling == Pooling::kSum
+                         ? tape.scatter_add_rows(h, gt.graph_id)
+                         : tape.segment_mean(h, gt.graph_id);
   return head_->forward(tape, pooled);
 }
 

@@ -51,17 +51,6 @@ Var Mlp::forward(Tape& tape, const Var& x) const {
   return h;
 }
 
-Embedding::Embedding(int num_entries, int dim, Rng& rng, std::string name)
-    : table_(name + ".table",
-             Matrix::randn(num_entries, dim, rng,
-                           1.0F / std::sqrt(static_cast<float>(dim)))) {
-  register_parameter(table_);
-}
-
-Var Embedding::forward(Tape& tape, const std::vector<int>& ids) const {
-  return tape.gather_rows(table_.var(), ids);
-}
-
 GruCell::GruCell(int dim, Rng& rng, std::string name) {
   const auto make = [&](const char* suffix, bool bias) {
     auto l = std::make_unique<Linear>(dim, dim, rng, bias,

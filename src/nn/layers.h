@@ -1,4 +1,4 @@
-// Dense building blocks: Linear, Mlp, Embedding, GruCell.
+// Dense building blocks: Linear, Mlp, GruCell.
 //
 // All layers take the Tape explicitly so one forward pass = one tape; they
 // hold Parameters only (no activation state), so a layer instance can be
@@ -47,21 +47,6 @@ class Mlp : public Module {
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;
-};
-
-/// Lookup table mapping a categorical id to a dense row.
-class Embedding : public Module {
- public:
-  Embedding(int num_entries, int dim, Rng& rng, std::string name = "embed");
-
-  /// ids are clamped into range by the caller; out is [ids.size(), dim].
-  Var forward(Tape& tape, const std::vector<int>& ids) const;
-
-  int num_entries() const { return table_.value().rows(); }
-  int dim() const { return table_.value().cols(); }
-
- private:
-  Parameter table_;
 };
 
 /// Gated recurrent unit cell operating row-wise on [n, dim] states

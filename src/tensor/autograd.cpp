@@ -401,180 +401,137 @@ Var Tape::sqrt_eps(const Var& a, float eps) {
 // Structure ops
 // ---------------------------------------------------------------------------
 
-Var Tape::gather_rows(const Var& a, const std::vector<int>& idx,
-                      SegmentPartitionPtr part) {
-  if (part != nullptr) {
-    GNNHLS_CHECK_EQ(part->segments, a.rows(),
-                    "gather_rows: partition segments must match input rows");
-  }
-  Matrix out(static_cast<int>(idx.size()), a.cols());
-  gather_rows_into(a.value(), idx, out);
-  return record(std::move(out), {a}, [a, idx, part](VarNode& n) {
+Var Tape::gather_rows(const Var& a, const SegmentIndex& idx) {
+  GNNHLS_CHECK_EQ(idx.segments(), a.rows(),
+                  "gather_rows: index segments must match input rows");
+  Matrix out(idx.size(), a.cols());
+  gather_rows_into(a.value(), idx.ids(), out);
+  return record(std::move(out), {a}, [a, idx](VarNode& n) {
     if (!a.requires_grad()) return;
     // Backward of a gather is a scatter-add: grads from every output row
     // that read source row r accumulate into ga[r], in ascending output-row
     // order (the fixed-order partition reduction rule).
-    scatter_add_rows_auto(n.grad, idx, part, zeroed_sink(a));
+    scatter_add_rows_into(n.grad, idx.partition(), zeroed_sink(a));
   });
 }
 
-Var Tape::scatter_add_rows(const Var& a, const std::vector<int>& idx,
-                           int out_rows, SegmentPartitionPtr part) {
-  GNNHLS_CHECK_EQ(static_cast<int>(idx.size()), a.rows(),
+Var Tape::scatter_add_rows(const Var& a, const SegmentIndex& idx) {
+  GNNHLS_CHECK_EQ(idx.size(), a.rows(),
                   "scatter_add_rows: one index per row required");
-  if (part != nullptr) {
-    GNNHLS_CHECK_EQ(part->segments, out_rows,
-                    "scatter_add_rows: partition segments must match output");
-  }
-  Matrix out(out_rows, a.cols());
-  scatter_add_rows_auto(a.value(), idx, part, out);
+  Matrix out(idx.segments(), a.cols());
+  scatter_add_rows_into(a.value(), idx.partition(), out);
   return record(std::move(out), {a}, [a, idx](VarNode& n) {
     if (!a.requires_grad()) return;
     // Backward of a scatter-add is a gather-add: row-parallel, each input
     // row reads exactly one upstream row.
-    gather_add_rows_into(n.grad, idx, zeroed_sink(a));
+    gather_add_rows_into(n.grad, idx.ids(), zeroed_sink(a));
   });
 }
 
-Var Tape::segment_mean(const Var& a, const std::vector<int>& idx,
-                       int segments, SegmentPartitionPtr part) {
-  Var summed = scatter_add_rows(a, idx, segments, part);
-  std::vector<float> inv(static_cast<std::size_t>(segments));
-  if (part != nullptr) {
-    for (int s = 0; s < segments; ++s) {
-      const int c = part->count(s);
-      inv[static_cast<std::size_t>(s)] =
-          c > 0 ? 1.0F / static_cast<float>(c) : 0.0F;
-    }
-  } else {
-    std::vector<int> count(static_cast<std::size_t>(segments), 0);
-    for (int i : idx) count[static_cast<std::size_t>(i)]++;
-    for (std::size_t s = 0; s < count.size(); ++s) {
-      inv[s] = count[s] > 0 ? 1.0F / static_cast<float>(count[s]) : 0.0F;
-    }
+Var Tape::segment_mean(const Var& a, const SegmentIndex& idx) {
+  Var summed = scatter_add_rows(a, idx);
+  std::vector<float> inv(static_cast<std::size_t>(idx.segments()));
+  for (int s = 0; s < idx.segments(); ++s) {
+    const int c = idx.partition().count(s);
+    inv[static_cast<std::size_t>(s)] =
+        c > 0 ? 1.0F / static_cast<float>(c) : 0.0F;
   }
   return scale_rows(summed, inv);
 }
 
 namespace {
 
-/// Shared implementation of segment_max / segment_min.
+/// Shared forward of segment_max / segment_min.
 /// sign = +1 for max, -1 for min. Empty segments produce 0.
-Matrix segment_extreme_forward(const Matrix& a, const std::vector<int>& idx,
-                               int segments, float sign,
+Matrix segment_extreme_forward(const Matrix& a, const SegmentIndex& idx,
+                               float sign,
                                std::vector<int>& arg /*segments*cols*/) {
-  Matrix out(segments, a.cols());
-  arg.assign(static_cast<std::size_t>(segments) * a.cols(), -1);
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    const int s = idx[i];
-    const float* src = a.row_ptr(static_cast<int>(i));
+  GNNHLS_CHECK_EQ(idx.size(), a.rows(),
+                  "segment_max/min: one index per row required");
+  Matrix out(idx.segments(), a.cols());
+  arg.assign(static_cast<std::size_t>(idx.segments()) * a.cols(), -1);
+  for (int i = 0; i < idx.size(); ++i) {
+    const int s = idx[static_cast<std::size_t>(i)];
+    const float* src = a.row_ptr(i);
     for (int j = 0; j < a.cols(); ++j) {
       int& slot = arg[static_cast<std::size_t>(s) * a.cols() + j];
       if (slot < 0 || sign * src[j] > sign * out(s, j)) {
         out(s, j) = src[j];
-        slot = static_cast<int>(i);
+        slot = i;
       }
     }
   }
   return out;
 }
 
+/// Shared backward of segment_max / segment_min: each output element's
+/// grad flows to the input row that won it.
+std::function<void(VarNode&)> segment_extreme_backward(
+    const Var& a, std::shared_ptr<const std::vector<int>> arg) {
+  return [a, arg](VarNode& n) {
+    if (!a.requires_grad()) return;
+    const int cols = a.cols();
+    Matrix& ga = zeroed_sink(a);
+    for (int s = 0; s < n.grad.rows(); ++s) {
+      for (int j = 0; j < cols; ++j) {
+        const int src = (*arg)[static_cast<std::size_t>(s) * cols + j];
+        if (src >= 0) ga(src, j) += n.grad(s, j);
+      }
+    }
+  };
+}
+
 }  // namespace
 
-Var Tape::segment_max(const Var& a, const std::vector<int>& idx,
-                      int segments) {
-  GNNHLS_CHECK_EQ(static_cast<int>(idx.size()), a.rows(),
-                  "segment_max: one index per row required");
+Var Tape::segment_max(const Var& a, const SegmentIndex& idx) {
   auto arg = std::make_shared<std::vector<int>>();
-  Matrix out = segment_extreme_forward(a.value(), idx, segments, 1.0F, *arg);
-  const int cols = a.cols();
-  return record(std::move(out), {a}, [a, arg, cols](VarNode& n) {
-    if (!a.requires_grad()) return;
-    Matrix& ga = zeroed_sink(a);
-    for (int s = 0; s < n.grad.rows(); ++s) {
-      for (int j = 0; j < cols; ++j) {
-        const int src = (*arg)[static_cast<std::size_t>(s) * cols + j];
-        if (src >= 0) ga(src, j) += n.grad(s, j);
-      }
-    }
-  });
+  Matrix out = segment_extreme_forward(a.value(), idx, 1.0F, *arg);
+  return record(std::move(out), {a},
+                segment_extreme_backward(a, std::move(arg)));
 }
 
-Var Tape::segment_min(const Var& a, const std::vector<int>& idx,
-                      int segments) {
-  GNNHLS_CHECK_EQ(static_cast<int>(idx.size()), a.rows(),
-                  "segment_min: one index per row required");
+Var Tape::segment_min(const Var& a, const SegmentIndex& idx) {
   auto arg = std::make_shared<std::vector<int>>();
-  Matrix out = segment_extreme_forward(a.value(), idx, segments, -1.0F, *arg);
-  const int cols = a.cols();
-  return record(std::move(out), {a}, [a, arg, cols](VarNode& n) {
-    if (!a.requires_grad()) return;
-    Matrix& ga = zeroed_sink(a);
-    for (int s = 0; s < n.grad.rows(); ++s) {
-      for (int j = 0; j < cols; ++j) {
-        const int src = (*arg)[static_cast<std::size_t>(s) * cols + j];
-        if (src >= 0) ga(src, j) += n.grad(s, j);
-      }
-    }
-  });
+  Matrix out = segment_extreme_forward(a.value(), idx, -1.0F, *arg);
+  return record(std::move(out), {a},
+                segment_extreme_backward(a, std::move(arg)));
 }
 
-Var Tape::segment_sum_rows(const Var& a, const std::vector<int>& seg,
-                           int segments, SegmentPartitionPtr part) {
-  GNNHLS_CHECK_EQ(static_cast<int>(seg.size()), a.rows(),
-                  "segment_sum_rows: one segment id per row required");
-  return scatter_add_rows(a, seg, segments, std::move(part));
-}
-
-Var Tape::segment_mean_rows(const Var& a, const std::vector<int>& seg,
-                            int segments, SegmentPartitionPtr part) {
-  GNNHLS_CHECK_EQ(static_cast<int>(seg.size()), a.rows(),
-                  "segment_mean_rows: one segment id per row required");
-  return segment_mean(a, seg, segments, std::move(part));
-}
-
-Var Tape::broadcast_rows_by_segment(const Var& a,
-                                    const std::vector<int>& seg,
-                                    SegmentPartitionPtr part) {
-  // gather_rows bounds-checks every segment id itself.
-  return gather_rows(a, seg, std::move(part));
-}
-
-Var Tape::segment_softmax(const Var& a, const std::vector<int>& idx,
-                          int segments) {
+Var Tape::segment_softmax(const Var& a, const SegmentIndex& idx) {
   GNNHLS_CHECK(a.cols() == 1, "segment_softmax: input must be [k,1]");
-  GNNHLS_CHECK_EQ(static_cast<int>(idx.size()), a.rows(),
+  GNNHLS_CHECK_EQ(idx.size(), a.rows(),
                   "segment_softmax: one index per row required");
-  std::vector<float> seg_max(static_cast<std::size_t>(segments),
+  const std::vector<int>& seg = idx.ids();
+  std::vector<float> seg_max(static_cast<std::size_t>(idx.segments()),
                              -std::numeric_limits<float>::infinity());
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    seg_max[idx[i]] = std::max(seg_max[idx[i]],
+  for (std::size_t i = 0; i < seg.size(); ++i) {
+    seg_max[seg[i]] = std::max(seg_max[seg[i]],
                                a.value()(static_cast<int>(i), 0));
   }
-  std::vector<float> seg_sum(static_cast<std::size_t>(segments), 0.0F);
+  std::vector<float> seg_sum(static_cast<std::size_t>(idx.segments()), 0.0F);
   Matrix out(a.rows(), 1);
-  for (std::size_t i = 0; i < idx.size(); ++i) {
+  for (std::size_t i = 0; i < seg.size(); ++i) {
     const float e =
-        std::exp(a.value()(static_cast<int>(i), 0) - seg_max[idx[i]]);
+        std::exp(a.value()(static_cast<int>(i), 0) - seg_max[seg[i]]);
     out(static_cast<int>(i), 0) = e;
-    seg_sum[idx[i]] += e;
+    seg_sum[seg[i]] += e;
   }
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    out(static_cast<int>(i), 0) /= seg_sum[idx[i]];
+  for (std::size_t i = 0; i < seg.size(); ++i) {
+    out(static_cast<int>(i), 0) /= seg_sum[seg[i]];
   }
-  const int nsegs = segments;
-  return record(std::move(out), {a}, [a, idx, nsegs](VarNode& n) {
+  return record(std::move(out), {a}, [a, idx](VarNode& n) {
     if (!a.requires_grad()) return;
     // d s_i = y_i * (g_i - sum_{j in seg} g_j y_j)
-    std::vector<float> dot(static_cast<std::size_t>(nsegs), 0.0F);
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      dot[idx[i]] +=
+    const std::vector<int>& seg = idx.ids();
+    std::vector<float> dot(static_cast<std::size_t>(idx.segments()), 0.0F);
+    for (std::size_t i = 0; i < seg.size(); ++i) {
+      dot[seg[i]] +=
           n.grad(static_cast<int>(i), 0) * n.value(static_cast<int>(i), 0);
     }
-    for (std::size_t i = 0; i < idx.size(); ++i) {
+    for (std::size_t i = 0; i < seg.size(); ++i) {
       const float y = n.value(static_cast<int>(i), 0);
       float& g = n.grad(static_cast<int>(i), 0);
-      g = y * (g - dot[idx[i]]);
+      g = y * (g - dot[seg[i]]);
     }
     accumulate(a, std::move(n.grad));
   });

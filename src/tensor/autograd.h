@@ -9,7 +9,8 @@
 //
 // Graph structure enters through four index-based ops: gather_rows (edge
 // source lookup), scatter_add_rows (message aggregation), the segment_*
-// reductions (per-destination mean/max/min) and segment_softmax (attention).
+// reductions (per-destination mean/max/min) and segment_softmax (attention),
+// each indexed by a SegmentIndex (tensor/segment_ops.h).
 // Everything a GNN layer needs is a composition of these and the dense ops.
 //
 // Gradients are lazy. backward() allocates nothing up front: the first
@@ -125,45 +126,27 @@ class Tape {
   // ----- structure ops -----
   // The gather/scatter family runs on the deterministic parallel kernels in
   // tensor/segment_ops.h (fixed-order partition reduction: bit-identical to
-  // the serial loops at any thread-pool width). The optional `part` is a
-  // precomputed destination partition of `idx`/`seg` — pass the one cached
-  // on GraphTensors (src_part/dst_part/...) to skip the per-call O(rows)
-  // plan build; null means build-on-demand for large inputs, serial loop
-  // for small ones. The partition never changes results, only scheduling.
+  // the serial loops at any thread-pool width). Every op takes a
+  // SegmentIndex, whose partition drives the scatter side of the forward
+  // or the backward; pass the ones GraphTensors holds so a plan is built
+  // once per graph, not once per call. A segment op over graph_id (one
+  // segment per member graph of a GraphBatch) reduces each member's rows
+  // in the same order as sum_rows / mean_rows / repeat_row over that graph
+  // alone, which keeps a graph's rows in a union bit-identical to its solo
+  // forward.
 
-  /// out[i,:] = a[idx[i],:]. `part` groups idx by source row (over a.rows());
-  /// the backward scatter-accumulates through it.
-  Var gather_rows(const Var& a, const std::vector<int>& idx,
-                  SegmentPartitionPtr part = nullptr);
-  /// out[idx[i],:] += a[i,:]. `part` groups idx by destination (over
-  /// out_rows); the forward accumulates through it.
-  Var scatter_add_rows(const Var& a, const std::vector<int>& idx, int out_rows,
-                       SegmentPartitionPtr part = nullptr);
-  Var segment_mean(const Var& a, const std::vector<int>& idx, int segments,
-                   SegmentPartitionPtr part = nullptr);
-
-  Var segment_max(const Var& a, const std::vector<int>& idx, int segments);
-  Var segment_min(const Var& a, const std::vector<int>& idx, int segments);
+  /// out[i,:] = a[idx[i],:]; idx.segments() must equal a.rows(). The
+  /// backward scatter-accumulates through idx's partition.
+  Var gather_rows(const Var& a, const SegmentIndex& idx);
+  /// out[idx[i],:] += a[i,:] over idx.segments() output rows.
+  Var scatter_add_rows(const Var& a, const SegmentIndex& idx);
+  /// out[s,:] = mean_{i: idx[i]==s} a[i,:]; empty segments yield zeros.
+  Var segment_mean(const Var& a, const SegmentIndex& idx);
+  /// Per-segment elementwise max / min; empty segments yield zeros.
+  Var segment_max(const Var& a, const SegmentIndex& idx);
+  Var segment_min(const Var& a, const SegmentIndex& idx);
   /// Softmax over the entries of each segment; a must be [k,1].
-  Var segment_softmax(const Var& a, const std::vector<int>& idx, int segments);
-
-  // ----- batched-graph segment ops -----
-  // `seg` assigns every row of a to a segment (e.g. the per-node graph_id of
-  // a GraphBatch). With one segment these reduce to sum_rows / mean_rows /
-  // repeat_row bit-for-bit, which is what keeps a graph's rows in a union
-  // bit-identical to its solo forward.
-
-  /// out[s,:] = sum_{i: seg[i]==s} a[i,:]  ([n,m] -> [segments,m]).
-  Var segment_sum_rows(const Var& a, const std::vector<int>& seg,
-                       int segments, SegmentPartitionPtr part = nullptr);
-  /// out[s,:] = mean_{i: seg[i]==s} a[i,:]; empty segments yield zeros.
-  Var segment_mean_rows(const Var& a, const std::vector<int>& seg,
-                        int segments, SegmentPartitionPtr part = nullptr);
-  /// Inverse broadcast: out[i,:] = a[seg[i],:] for a [segments,m] input
-  /// (virtual-node encoders); backward sums each segment's rows (through
-  /// `part`, a destination partition of seg over a.rows(), when given).
-  Var broadcast_rows_by_segment(const Var& a, const std::vector<int>& seg,
-                                SegmentPartitionPtr part = nullptr);
+  Var segment_softmax(const Var& a, const SegmentIndex& idx);
 
   // ----- shape ops -----
   Var concat_cols(const std::vector<Var>& parts);

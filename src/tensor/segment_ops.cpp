@@ -1,6 +1,7 @@
 #include "tensor/segment_ops.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/check.h"
 #include "support/parallel.h"
@@ -48,10 +49,9 @@ SegmentPartition SegmentPartition::build(const std::vector<int>& seg,
   return part;
 }
 
-SegmentPartitionPtr make_segment_partition(const std::vector<int>& seg,
-                                           int segments) {
-  return std::make_shared<const SegmentPartition>(
-      SegmentPartition::build(seg, segments));
+SegmentIndex::SegmentIndex(std::vector<int> ids, int segments) {
+  SegmentPartition part = SegmentPartition::build(ids, segments);
+  data_ = std::make_shared<const Data>(Data{std::move(ids), std::move(part)});
 }
 
 void gather_rows_into(const Matrix& src, const std::vector<int>& idx,
@@ -126,38 +126,6 @@ void scatter_add_rows_into(const Matrix& src, const SegmentPartition& part,
   const std::vector<int> bounds = balanced_boundaries(
       part.offsets, ThreadPool::global().num_threads() * 4, min_cost);
   parallel_over_ranges(bounds, run);
-}
-
-void scatter_add_rows_auto(const Matrix& src, const std::vector<int>& seg,
-                           const SegmentPartitionPtr& part, Matrix& out) {
-  if (part != nullptr) {
-    GNNHLS_CHECK_EQ(static_cast<int>(part->order.size()),
-                    static_cast<int>(seg.size()),
-                    "scatter_add_rows_auto: partition covers different rows");
-#ifndef NDEBUG
-    // A stale cached partition (indices mutated after build_partitions()
-    // without a rebuild) passes every size check yet silently scatters to
-    // the wrong rows while the backward uses the raw indices. Debug builds
-    // — including the CI sanitizer jobs — verify full consistency.
-    for (int s = 0; s < part->segments; ++s) {
-      for (int e = part->offsets[static_cast<std::size_t>(s)];
-           e < part->offsets[static_cast<std::size_t>(s) + 1]; ++e) {
-        GNNHLS_CHECK_EQ(seg[static_cast<std::size_t>(
-                            part->order[static_cast<std::size_t>(e)])],
-                        s, "scatter_add_rows_auto: stale partition "
-                           "(rebuild after mutating indices)");
-      }
-    }
-#endif
-    scatter_add_rows_into(src, *part, out);
-    return;
-  }
-  if (ThreadPool::global().num_workers() > 0 &&
-      src.size() >= kMinParallelElems) {
-    scatter_add_rows_into(src, SegmentPartition::build(seg, out.rows()), out);
-    return;
-  }
-  scatter_add_rows_serial(src, seg, out);
 }
 
 void scatter_add_rows_serial(const Matrix& src, const std::vector<int>& seg,

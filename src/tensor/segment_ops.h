@@ -12,8 +12,9 @@
 // A SegmentPartition is the reusable half of that plan: a stable CSR
 // grouping of source rows by destination segment. Building one costs
 // O(rows + segments) — negligible next to the O(rows * cols) accumulation
-// it organizes — and graph containers (GraphTensors) cache partitions for
-// their edge arrays so training reuses one plan across layers and epochs.
+// it organizes. A SegmentIndex pairs an id array with its partition, so
+// every gather/scatter carries its plan: graph containers (GraphTensors)
+// build theirs once and training reuses them across layers and epochs.
 #pragma once
 
 #include <memory>
@@ -42,12 +43,33 @@ struct SegmentPartition {
   static SegmentPartition build(const std::vector<int>& seg, int segments);
 };
 
-using SegmentPartitionPtr = std::shared_ptr<const SegmentPartition>;
+/// An immutable id array over [0, segments) paired with its partition —
+/// the one index type of the structure ops (autograd.h). The constructor
+/// validates every id and builds the partition once; copies share storage,
+/// so a copy costs one reference-count bump and the ids and the partition
+/// can never disagree. Safe to read from concurrent tapes.
+class SegmentIndex {
+ public:
+  /// No ids over no segments.
+  SegmentIndex() : SegmentIndex({}, 0) {}
+  /// Throws std::invalid_argument unless every id lies in [0, segments).
+  SegmentIndex(std::vector<int> ids, int segments);
 
-/// Builds a shared partition (the form the autograd ops and GraphTensors
-/// cache).
-SegmentPartitionPtr make_segment_partition(const std::vector<int>& seg,
-                                           int segments);
+  const std::vector<int>& ids() const { return data_->ids; }
+  int size() const { return static_cast<int>(data_->ids.size()); }
+  bool empty() const { return data_->ids.empty(); }
+  int segments() const { return data_->part.segments; }
+  /// The ids grouped by segment (SegmentPartition::build of ids()).
+  const SegmentPartition& partition() const { return data_->part; }
+  int operator[](std::size_t i) const { return data_->ids[i]; }
+
+ private:
+  struct Data {
+    std::vector<int> ids;
+    SegmentPartition part;
+  };
+  std::shared_ptr<const Data> data_;
+};
 
 // ----- kernels -----
 // All kernels run on the global thread pool and honor the fixed-order
@@ -77,12 +99,5 @@ void scatter_add_rows_into(const Matrix& src, const SegmentPartition& part,
 /// partitioned kernel's bit-identity against it.
 void scatter_add_rows_serial(const Matrix& src, const std::vector<int>& seg,
                              Matrix& out);
-
-/// Scatter-add dispatcher: uses `part` when non-null (validated against seg
-/// size and out rows), otherwise builds a partition on the fly when the
-/// input is large enough to parallelize and falls back to the serial loop
-/// when it is not. Every path is bit-identical.
-void scatter_add_rows_auto(const Matrix& src, const std::vector<int>& seg,
-                           const SegmentPartitionPtr& part, Matrix& out);
 
 }  // namespace gnnhls

@@ -42,11 +42,11 @@ Matrix make_test_matrix(int rows, int cols, float scale = 1.0F) {
 
 // ----- segment-op gradients -----
 
-TEST(SegmentOpsTest, SegmentSumRowsForwardAndGrad) {
-  const std::vector<int> seg = {0, 1, 0, 2, 1};
+TEST(SegmentOpsTest, ScatterAddRowsForwardAndGrad) {
+  const SegmentIndex seg({0, 1, 0, 2, 1}, 3);
   Tape tape;
   const Var a = tape.leaf(make_test_matrix(5, 3));
-  const Var out = tape.segment_sum_rows(a, seg, 3);
+  const Var out = tape.scatter_add_rows(a, seg);
   ASSERT_EQ(out.rows(), 3);
   ASSERT_EQ(out.cols(), 3);
   for (int j = 0; j < 3; ++j) {
@@ -57,61 +57,64 @@ TEST(SegmentOpsTest, SegmentSumRowsForwardAndGrad) {
     EXPECT_FLOAT_EQ(out.value()(2, j), a.value()(3, j));
   }
   expect_gradient_matches(make_test_matrix(5, 3), [&](Tape& t, const Var& x) {
-    const Var s = t.segment_sum_rows(x, seg, 3);
+    const Var s = t.scatter_add_rows(x, seg);
     return t.sum_all(t.mul(s, s));
   });
 }
 
-TEST(SegmentOpsTest, SegmentMeanRowsGradAndEmptySegment) {
-  const std::vector<int> seg = {0, 0, 2, 2, 2};  // segment 1 empty
+TEST(SegmentOpsTest, SegmentMeanGradAndEmptySegment) {
+  const SegmentIndex seg({0, 0, 2, 2, 2}, 3);  // segment 1 empty
   Tape tape;
   const Var a = tape.leaf(make_test_matrix(5, 2));
-  const Var out = tape.segment_mean_rows(a, seg, 3);
+  const Var out = tape.segment_mean(a, seg);
   ASSERT_EQ(out.rows(), 3);
   EXPECT_FLOAT_EQ(out.value()(1, 0), 0.0F);  // empty segment -> zeros
   EXPECT_FLOAT_EQ(out.value()(0, 1),
                   (a.value()(0, 1) + a.value()(1, 1)) / 2.0F);
   expect_gradient_matches(make_test_matrix(5, 2), [&](Tape& t, const Var& x) {
-    const Var s = t.segment_mean_rows(x, seg, 3);
+    const Var s = t.segment_mean(x, seg);
     return t.sum_all(t.mul(s, s));
   });
 }
 
-TEST(SegmentOpsTest, BroadcastRowsBySegmentGrad) {
-  const std::vector<int> seg = {0, 1, 0, 2, 1, 2};
+TEST(SegmentOpsTest, GatherRowsBySegmentGrad) {
+  const SegmentIndex seg({0, 1, 0, 2, 1, 2}, 3);
   Tape tape;
   const Var a = tape.leaf(make_test_matrix(3, 4));
-  const Var out = tape.broadcast_rows_by_segment(a, seg);
+  const Var out = tape.gather_rows(a, seg);
   ASSERT_EQ(out.rows(), 6);
-  for (std::size_t i = 0; i < seg.size(); ++i) {
+  for (std::size_t i = 0; i < seg.ids().size(); ++i) {
     for (int j = 0; j < 4; ++j) {
       EXPECT_FLOAT_EQ(out.value()(static_cast<int>(i), j),
                       a.value()(seg[i], j));
     }
   }
   expect_gradient_matches(make_test_matrix(3, 4), [&](Tape& t, const Var& x) {
-    const Var b = t.broadcast_rows_by_segment(x, seg);
+    const Var b = t.gather_rows(x, seg);
     return t.sum_all(t.mul(b, b));
   });
 }
 
 TEST(SegmentOpsTest, SingleSegmentMatchesWholeMatrixOps) {
   const Matrix input = make_test_matrix(7, 3);
-  const std::vector<int> seg(7, 0);
+  const SegmentIndex seg(std::vector<int>(7, 0), 1);
   Tape tape;
   const Var a = tape.leaf(input);
-  const Matrix seg_sum = tape.segment_sum_rows(a, seg, 1).value();
+  const Matrix seg_sum = tape.scatter_add_rows(a, seg).value();
   const Matrix plain_sum = tape.sum_rows(a).value();
   EXPECT_TRUE(seg_sum == plain_sum);  // bitwise: same accumulation order
-  const Matrix seg_mean = tape.segment_mean_rows(a, seg, 1).value();
+  const Matrix seg_mean = tape.segment_mean(a, seg).value();
   const Matrix plain_mean = tape.mean_rows(a).value();
   EXPECT_TRUE(seg_mean == plain_mean);
 }
 
-TEST(SegmentOpsTest, BroadcastRejectsOutOfRangeSegment) {
+TEST(SegmentOpsTest, GatherRejectsOutOfRangeSegment) {
   Tape tape;
   const Var a = tape.leaf(make_test_matrix(2, 2));
-  EXPECT_THROW(tape.broadcast_rows_by_segment(a, {0, 2}),
+  EXPECT_THROW(tape.gather_rows(a, SegmentIndex({0, 2}, a.rows())),
+               std::invalid_argument);
+  // An index over a different row space is rejected as a whole.
+  EXPECT_THROW(tape.gather_rows(a, SegmentIndex({0, 2}, 3)),
                std::invalid_argument);
 }
 
@@ -135,7 +138,7 @@ TEST(GraphBatchTest, DisjointUnionStructure) {
   const GraphTensors& m = batch.merged;
 
   int nodes = 0;
-  std::size_t edges = 0;
+  int edges = 0;
   for (const auto& s : samples) {
     nodes += s.tensors.num_nodes;
     edges += s.tensors.src.size();
@@ -148,7 +151,7 @@ TEST(GraphBatchTest, DisjointUnionStructure) {
   EXPECT_EQ(batch.node_offset[3], nodes);
 
   // Every edge stays inside its member graph's node range.
-  for (std::size_t e = 0; e < m.src.size(); ++e) {
+  for (std::size_t e = 0; e < m.src.ids().size(); ++e) {
     const int gs = m.graph_id[static_cast<std::size_t>(m.src[e])];
     const int gd = m.graph_id[static_cast<std::size_t>(m.dst[e])];
     EXPECT_EQ(gs, gd);
@@ -160,21 +163,40 @@ TEST(GraphBatchTest, DisjointUnionStructure) {
       EXPECT_EQ(m.graph_id[static_cast<std::size_t>(v)], g);
     }
   }
-  // Relation partition still covers every edge exactly once.
-  std::size_t rel_total = 0;
-  for (const auto& rel : m.relation_edges) {
-    for (int e : rel) {
-      ASSERT_GE(e, 0);
-      ASSERT_LT(static_cast<std::size_t>(e), m.src.size());
+  // Each relation view is the members' views in member order, shifted by
+  // node_offset, so the relations still cover every edge exactly once and
+  // no relation edge crosses member graphs.
+  ASSERT_EQ(m.relations.size(),
+            static_cast<std::size_t>(kNumEdgeRelations));
+  int rel_total = 0;
+  for (std::size_t r = 0; r < m.relations.size(); ++r) {
+    const GraphTensors::Relation& rel = m.relations[r];
+    ASSERT_EQ(rel.src.size(), rel.dst.size());
+    EXPECT_EQ(rel.src.segments(), m.num_nodes);
+    EXPECT_EQ(rel.dst.segments(), m.num_nodes);
+    std::vector<int> want_src, want_dst;
+    for (int g = 0; g < 3; ++g) {
+      const auto& member =
+          samples[static_cast<std::size_t>(g)].tensors.relations[r];
+      const int off = batch.node_offset[static_cast<std::size_t>(g)];
+      for (int v : member.src.ids()) want_src.push_back(v + off);
+      for (int v : member.dst.ids()) want_dst.push_back(v + off);
     }
-    rel_total += rel.size();
+    EXPECT_EQ(rel.src.ids(), want_src) << "relation " << r;
+    EXPECT_EQ(rel.dst.ids(), want_dst) << "relation " << r;
+    for (std::size_t i = 0; i < rel.src.ids().size(); ++i) {
+      EXPECT_EQ(m.graph_id[static_cast<std::size_t>(rel.src[i])],
+                m.graph_id[static_cast<std::size_t>(rel.dst[i])]);
+    }
+    rel_total += rel.src.size();
   }
   EXPECT_EQ(rel_total, edges);
   // Per-member PNA averages preserved.
   ASSERT_EQ(m.graph_avg_log_deg.size(), 3U);
   for (int g = 0; g < 3; ++g) {
-    EXPECT_FLOAT_EQ(m.graph_avg_log_deg[static_cast<std::size_t>(g)],
-                    samples[static_cast<std::size_t>(g)].tensors.avg_log_deg);
+    EXPECT_FLOAT_EQ(
+        m.graph_avg_log_deg[static_cast<std::size_t>(g)],
+        samples[static_cast<std::size_t>(g)].tensors.graph_avg_log_deg[0]);
   }
 }
 
@@ -494,16 +516,12 @@ TEST(DeterministicKernelsTest, ScatterAddBitIdenticalAcrossThreadCounts) {
         Matrix::randn(static_cast<int>(l.seg.size()), 48, rng);
     Matrix ref = Matrix::zeros(l.segments, 48);
     scatter_add_rows_serial(src, l.seg, ref);
-    const SegmentPartitionPtr part = make_segment_partition(l.seg, l.segments);
+    const SegmentPartition part = SegmentPartition::build(l.seg, l.segments);
     for (int threads : kKernelThreadCounts) {
       KernelPoolGuard pool(threads);
       Matrix out = Matrix::zeros(l.segments, 48);
-      scatter_add_rows_into(src, *part, out);
+      scatter_add_rows_into(src, part, out);
       EXPECT_TRUE(out == ref) << l.name << " @ " << threads << " threads";
-      Matrix out_auto = Matrix::zeros(l.segments, 48);
-      scatter_add_rows_auto(src, l.seg, nullptr, out_auto);
-      EXPECT_TRUE(out_auto == ref)
-          << l.name << " (on-demand partition) @ " << threads << " threads";
     }
   }
 }
@@ -513,7 +531,7 @@ TEST(DeterministicKernelsTest, SegmentOpGradsBitIdenticalAcrossThreadCounts) {
     Rng rng(29);
     const Matrix input =
         Matrix::randn(static_cast<int>(l.seg.size()), 24, rng);
-    const SegmentPartitionPtr part = make_segment_partition(l.seg, l.segments);
+    const SegmentIndex seg(l.seg, l.segments);
     // Forward + backward through scatter, gather and mean at each width;
     // threads=1 is the serial baseline the others must match bitwise.
     Matrix base_value, base_grad;
@@ -521,9 +539,9 @@ TEST(DeterministicKernelsTest, SegmentOpGradsBitIdenticalAcrossThreadCounts) {
       KernelPoolGuard pool(threads);
       Var leaf = make_leaf(input, /*requires_grad=*/true);
       Tape tape;
-      const Var summed = tape.scatter_add_rows(leaf, l.seg, l.segments, part);
-      const Var spread = tape.gather_rows(summed, l.seg, part);
-      const Var mean = tape.segment_mean(spread, l.seg, l.segments, part);
+      const Var summed = tape.scatter_add_rows(leaf, seg);
+      const Var spread = tape.gather_rows(summed, seg);
+      const Var mean = tape.segment_mean(spread, seg);
       const Var loss = tape.sum_all(tape.mul(mean, mean));
       tape.backward(loss);
       if (threads == 1) {
@@ -537,24 +555,6 @@ TEST(DeterministicKernelsTest, SegmentOpGradsBitIdenticalAcrossThreadCounts) {
       }
     }
   }
-}
-
-TEST(DeterministicKernelsTest, CachedPartitionMatchesOnDemand) {
-  // The cached-partition fast path and the partitionless path must agree
-  // bitwise — the partition only changes scheduling, never results.
-  const SegmentLayout l = adversarial_layouts().front();
-  Rng rng(31);
-  const Matrix input = Matrix::randn(static_cast<int>(l.seg.size()), 16, rng);
-  KernelPoolGuard pool(4);
-  const SegmentPartitionPtr part = make_segment_partition(l.seg, l.segments);
-  Var leaf_a = make_leaf(input, true);
-  Tape ta;
-  ta.backward(ta.sum_all(ta.scatter_add_rows(leaf_a, l.seg, l.segments,
-                                             part)));
-  Var leaf_b = make_leaf(input, true);
-  Tape tb;
-  tb.backward(tb.sum_all(tb.scatter_add_rows(leaf_b, l.seg, l.segments)));
-  EXPECT_TRUE(leaf_a.grad() == leaf_b.grad());
 }
 
 Matrix transposed(const Matrix& m) {

@@ -111,15 +111,45 @@ TEST(EdgeCaseTest, FitRejectsEmptySplit) {
 TEST(EdgeCaseTest, GatherRowsRejectsBadIndex) {
   Tape tape;
   const Var x = tape.leaf(Matrix(3, 2, 1.0F));
-  EXPECT_THROW(tape.gather_rows(x, {0, 3}), std::invalid_argument);
-  EXPECT_THROW(tape.gather_rows(x, {-1}), std::invalid_argument);
+  EXPECT_THROW(tape.gather_rows(x, SegmentIndex({0, 3}, 3)),
+               std::invalid_argument);
+  EXPECT_THROW(tape.gather_rows(x, SegmentIndex({-1}, 3)),
+               std::invalid_argument);
+  // In range for the index, but over a different row count than x.
+  EXPECT_THROW(tape.gather_rows(x, SegmentIndex({0, 1}, 2)),
+               std::invalid_argument);
 }
 
 TEST(EdgeCaseTest, ScatterRejectsBadTarget) {
   Tape tape;
   const Var x = tape.leaf(Matrix(2, 2, 1.0F));
-  EXPECT_THROW(tape.scatter_add_rows(x, {0, 5}, 3), std::invalid_argument);
-  EXPECT_THROW(tape.scatter_add_rows(x, {0}, 3), std::invalid_argument);
+  EXPECT_THROW(tape.scatter_add_rows(x, SegmentIndex({0, 5}, 3)),
+               std::invalid_argument);
+  EXPECT_THROW(tape.scatter_add_rows(x, SegmentIndex({0}, 3)),
+               std::invalid_argument);
+}
+
+// Segment ids {0, 1, 7} over 2 segments: 7 lies outside [0, 2) and must be
+// rejected before any kernel indexes a per-segment buffer with it.
+TEST(EdgeCaseTest, SegmentMaxRejectsOutOfRangeSegment) {
+  Tape tape;
+  const Var x = tape.leaf(Matrix(3, 2, 1.0F));
+  EXPECT_THROW(tape.segment_max(x, SegmentIndex({0, 1, 7}, 2)),
+               std::invalid_argument);
+}
+
+TEST(EdgeCaseTest, SegmentMinRejectsOutOfRangeSegment) {
+  Tape tape;
+  const Var x = tape.leaf(Matrix(3, 2, 1.0F));
+  EXPECT_THROW(tape.segment_min(x, SegmentIndex({0, 1, 7}, 2)),
+               std::invalid_argument);
+}
+
+TEST(EdgeCaseTest, SegmentSoftmaxRejectsOutOfRangeSegment) {
+  Tape tape;
+  const Var x = tape.leaf(Matrix(3, 1, 1.0F));
+  EXPECT_THROW(tape.segment_softmax(x, SegmentIndex({0, 1, 7}, 2)),
+               std::invalid_argument);
 }
 
 TEST(EdgeCaseTest, SliceColsRangeValidation) {
@@ -133,7 +163,8 @@ TEST(EdgeCaseTest, SliceColsRangeValidation) {
 TEST(EdgeCaseTest, SegmentSoftmaxRequiresColumn) {
   Tape tape;
   const Var x = tape.leaf(Matrix(3, 2, 1.0F));
-  EXPECT_THROW(tape.segment_softmax(x, {0, 0, 1}, 2), std::invalid_argument);
+  EXPECT_THROW(tape.segment_softmax(x, SegmentIndex({0, 0, 1}, 2)),
+               std::invalid_argument);
 }
 
 TEST(EdgeCaseTest, HugeBitwidthClampedInResourceModel) {

@@ -27,10 +27,9 @@ const Sample& test_dfg_sample() {
 TEST(GraphTensorsTest, SelfLoopsAppended) {
   const Sample& s = test_sample();
   const GraphTensors& gt = s.tensors;
-  EXPECT_EQ(gt.src_self.size(), gt.src.size() +
-                                    static_cast<std::size_t>(gt.num_nodes));
+  EXPECT_EQ(gt.src_self.size(), gt.src.size() + gt.num_nodes);
   for (int i = 0; i < gt.num_nodes; ++i) {
-    EXPECT_EQ(gt.src_self[gt.src.size() + static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(gt.src_self[static_cast<std::size_t>(gt.src.size() + i)], i);
   }
 }
 
@@ -44,8 +43,11 @@ TEST(GraphTensorsTest, GcnCoefficientsPositiveAndBounded) {
 
 TEST(GraphTensorsTest, RelationPartitionCoversAllEdges) {
   const GraphTensors& gt = test_sample().tensors;
-  std::size_t total = 0;
-  for (const auto& edges : gt.relation_edges) total += edges.size();
+  int total = 0;
+  for (const auto& rel : gt.relations) {
+    EXPECT_EQ(rel.src.size(), rel.dst.size());
+    total += rel.src.size();
+  }
   EXPECT_EQ(total, gt.src.size());
 }
 

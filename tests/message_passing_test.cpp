@@ -2,10 +2,11 @@
 // compositions are bit-identical at every thread-pool width on adversarial
 // edge layouts (power-law hub, empty segments, single node) and match
 // finite differences; every encoder's outputs and parameter gradients are
-// independent of the pool width and of whether GraphTensors carries its
-// cached partitions, and every encoder handles an edgeless graph.
+// independent of the pool width, and every encoder handles an edgeless
+// graph.
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,22 +92,17 @@ struct RunResult {
 /// the scale.
 Var gather_scatter(Tape& t, const Layout& layout, const Var& x,
                    const std::vector<float>& coeff) {
-  Var msgs = t.gather_rows(x, layout.src,
-                           make_segment_partition(layout.src, layout.nodes));
+  Var msgs = t.gather_rows(x, SegmentIndex(layout.src, layout.nodes));
   if (!coeff.empty()) msgs = t.scale_rows(msgs, coeff);
-  return t.scatter_add_rows(msgs, layout.dst, layout.nodes,
-                            make_segment_partition(layout.dst, layout.nodes));
+  return t.scatter_add_rows(msgs, SegmentIndex(layout.dst, layout.nodes));
 }
 
 /// scatter_add(matmul(gather(x, src), w), dst).
 Var gather_matmul_scatter(Tape& t, const Layout& layout, const Var& x,
                           const Var& w) {
   return t.scatter_add_rows(
-      t.matmul(t.gather_rows(x, layout.src,
-                             make_segment_partition(layout.src, layout.nodes)),
-               w),
-      layout.dst, layout.nodes,
-      make_segment_partition(layout.dst, layout.nodes));
+      t.matmul(t.gather_rows(x, SegmentIndex(layout.src, layout.nodes)), w),
+      SegmentIndex(layout.dst, layout.nodes));
 }
 
 RunResult run_gather_scatter(const Layout& layout, const Matrix& x,
@@ -248,40 +244,23 @@ void expect_same_run(const EncRun& run, const EncRun& ref,
   }
 }
 
-/// A copy of `gt` as a hand-assembled GraphTensors would look: no cached
-/// partitions and no relation endpoint views.
-GraphTensors without_caches(GraphTensors gt) {
-  gt.src_part = gt.dst_part = gt.src_self_part = gt.dst_self_part = nullptr;
-  gt.graph_part = nullptr;
-  gt.relation_src.clear();
-  gt.relation_dst.clear();
-  gt.relation_src_part.clear();
-  gt.relation_dst_part.clear();
-  return gt;
-}
-
 /// A copy of `gt` with every edge removed (self loops of the attention
-/// layers kept), partitions rebuilt.
+/// layers kept).
 GraphTensors without_edges(GraphTensors gt) {
-  gt.src.clear();
-  gt.dst.clear();
+  const int n = gt.num_nodes;
+  gt.src = gt.dst = SegmentIndex({}, n);
   gt.gcn_coeff.clear();
-  gt.src_self.clear();
-  gt.dst_self.clear();
-  for (int i = 0; i < gt.num_nodes; ++i) {
-    gt.src_self.push_back(i);
-    gt.dst_self.push_back(i);
-  }
-  for (auto& edges : gt.relation_edges) edges.clear();
-  gt.build_partitions();
+  std::vector<int> self(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) self[static_cast<std::size_t>(i)] = i;
+  gt.src_self = gt.dst_self = SegmentIndex(std::move(self), n);
+  gt.group_relations({});
   return gt;
 }
 
-TEST_P(EncoderInvarianceTest, BitIdenticalAcrossThreadsAndPartitionCaches) {
+TEST_P(EncoderInvarianceTest, BitIdenticalAcrossThreads) {
   const Sample& sample = invariance_sample();
   const Matrix feats =
       InputFeatureBuilder::build(sample.graph(), Approach::kOffTheShelf);
-  const GraphTensors bare = without_caches(sample.tensors);
 
   EncRun ref;
   {
@@ -290,10 +269,8 @@ TEST_P(EncoderInvarianceTest, BitIdenticalAcrossThreadsAndPartitionCaches) {
   }
   for (const int threads : {1, 2, 4, 8}) {
     PoolGuard pool(threads);
-    const std::string ctx = "threads=" + std::to_string(threads);
-    expect_same_run(run_encoder(GetParam(), sample.tensors, feats), ref, ctx);
-    expect_same_run(run_encoder(GetParam(), bare, feats), ref,
-                    ctx + " without cached partitions");
+    expect_same_run(run_encoder(GetParam(), sample.tensors, feats), ref,
+                    "threads=" + std::to_string(threads));
   }
 }
 

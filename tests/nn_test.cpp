@@ -38,18 +38,6 @@ TEST(MlpTest, PaperHeadShape) {
   EXPECT_EQ(head.parameters().size(), 6U);
 }
 
-TEST(EmbeddingTest, LookupReturnsTableRows) {
-  Rng rng(3);
-  Embedding emb(10, 4, rng);
-  Tape tape;
-  const Var e = emb.forward(tape, {7, 7, 2});
-  EXPECT_EQ(e.rows(), 3);
-  EXPECT_EQ(e.cols(), 4);
-  for (int j = 0; j < 4; ++j) {
-    EXPECT_FLOAT_EQ(e.value()(0, j), e.value()(1, j));
-  }
-}
-
 TEST(GruCellTest, OutputShapeAndBounded) {
   Rng rng(4);
   GruCell gru(8, rng);

@@ -16,6 +16,17 @@ std::vector<Sample> tiny_dataset(GraphKind kind) {
   return build_synthetic_dataset(cfg);
 }
 
+/// The rebuilt tensors carry the same edges and relation views.
+void expect_same_edges(const GraphTensors& a, const GraphTensors& b) {
+  EXPECT_EQ(a.src.ids(), b.src.ids());
+  EXPECT_EQ(a.dst.ids(), b.dst.ids());
+  ASSERT_EQ(a.relations.size(), b.relations.size());
+  for (std::size_t r = 0; r < a.relations.size(); ++r) {
+    EXPECT_EQ(a.relations[r].src.ids(), b.relations[r].src.ids());
+    EXPECT_EQ(a.relations[r].dst.ids(), b.relations[r].dst.ids());
+  }
+}
+
 TEST(SerializeTest, RoundTripPreservesEverything) {
   const auto samples = tiny_dataset(GraphKind::kCdfg);
   std::stringstream buffer;
@@ -47,9 +58,7 @@ TEST(SerializeTest, RoundTripPreservesEverything) {
     EXPECT_DOUBLE_EQ(samples[i].truth.cp_ns, records[i].truth.cp_ns);
     EXPECT_DOUBLE_EQ(samples[i].hls_report.ff, records[i].hls_report.ff);
     // Tensors rebuilt identically.
-    EXPECT_EQ(samples[i].tensors.src, records[i].tensors.src);
-    EXPECT_EQ(samples[i].tensors.relation_edges,
-              records[i].tensors.relation_edges);
+    expect_same_edges(samples[i].tensors, records[i].tensors);
   }
 }
 
@@ -200,7 +209,7 @@ TEST(SerializeNegativeTest, DecodeSamplePayloadRoundTripAndRejects) {
   ASSERT_NE(ok.sample, nullptr);
   // Decoded sample is inference-ready and re-encodes bit-identically.
   EXPECT_EQ(encode_sample_payload(*ok.sample), payload);
-  EXPECT_EQ(ok.sample->tensors.src, samples[0].tensors.src);
+  expect_same_edges(ok.sample->tensors, samples[0].tensors);
   EXPECT_NE(ok.sample->uid, samples[0].uid);  // fresh identity
 
   const DecodedSample garbage = decode_sample_payload("garbage");

@@ -141,11 +141,11 @@ TEST(AutogradTest, SigmoidForwardRange) {
 TEST(AutogradTest, GatherScatterRoundTrip) {
   Tape tape;
   const Var x = tape.leaf(make_test_matrix(4, 3));
-  const std::vector<int> idx = {2, 0, 2, 3};
+  const SegmentIndex idx({2, 0, 2, 3}, 4);
   const Var g = tape.gather_rows(x, idx);
   ASSERT_EQ(g.rows(), 4);
   EXPECT_FLOAT_EQ(g.value()(0, 1), x.value()(2, 1));
-  const Var s = tape.scatter_add_rows(g, idx, 4);
+  const Var s = tape.scatter_add_rows(g, idx);
   // Row 2 was gathered twice, so it comes back doubled.
   EXPECT_FLOAT_EQ(s.value()(2, 0), 2.0F * x.value()(2, 0));
   EXPECT_FLOAT_EQ(s.value()(1, 0), 0.0F);  // never targeted
@@ -154,7 +154,7 @@ TEST(AutogradTest, GatherScatterRoundTrip) {
 TEST(AutogradTest, SegmentMeanHandlesEmptySegments) {
   Tape tape;
   const Var x = tape.leaf(make_test_matrix(3, 2));
-  const Var m = tape.segment_mean(x, {0, 0, 2}, 3);
+  const Var m = tape.segment_mean(x, SegmentIndex({0, 0, 2}, 3));
   EXPECT_FLOAT_EQ(m.value()(0, 0),
                   0.5F * (x.value()(0, 0) + x.value()(1, 0)));
   EXPECT_FLOAT_EQ(m.value()(1, 0), 0.0F);  // empty segment
@@ -166,18 +166,17 @@ TEST(AutogradTest, SegmentMaxMinForward) {
   Matrix m(4, 1);
   m(0, 0) = 1; m(1, 0) = 5; m(2, 0) = -3; m(3, 0) = 2;
   const Var x = tape.leaf(m);
-  const std::vector<int> seg = {0, 0, 1, 1};
-  EXPECT_FLOAT_EQ(tape.segment_max(x, seg, 2).value()(0, 0), 5);
-  EXPECT_FLOAT_EQ(tape.segment_max(x, seg, 2).value()(1, 0), 2);
-  EXPECT_FLOAT_EQ(tape.segment_min(x, seg, 2).value()(0, 0), 1);
-  EXPECT_FLOAT_EQ(tape.segment_min(x, seg, 2).value()(1, 0), -3);
+  const SegmentIndex seg({0, 0, 1, 1}, 2);
+  EXPECT_FLOAT_EQ(tape.segment_max(x, seg).value()(0, 0), 5);
+  EXPECT_FLOAT_EQ(tape.segment_max(x, seg).value()(1, 0), 2);
+  EXPECT_FLOAT_EQ(tape.segment_min(x, seg).value()(0, 0), 1);
+  EXPECT_FLOAT_EQ(tape.segment_min(x, seg).value()(1, 0), -3);
 }
 
 TEST(AutogradTest, SegmentSoftmaxSumsToOnePerSegment) {
   Tape tape;
   const Var x = tape.leaf(make_test_matrix(5, 1, 2.0F));
-  const std::vector<int> seg = {0, 0, 0, 1, 1};
-  const Var y = tape.segment_softmax(x, seg, 2);
+  const Var y = tape.segment_softmax(x, SegmentIndex({0, 0, 0, 1, 1}, 2));
   EXPECT_NEAR(y.value()(0, 0) + y.value()(1, 0) + y.value()(2, 0), 1.0F, 1e-5);
   EXPECT_NEAR(y.value()(3, 0) + y.value()(4, 0), 1.0F, 1e-5);
 }
@@ -357,8 +356,8 @@ TEST_P(GradCheckTest, MatchesFiniteDifference) {
   expect_gradient_matches(make_test_matrix(4, 3), GetParam().fn);
 }
 
-const std::vector<int> kIdx = {1, 0, 3, 1, 2};
-const std::vector<int> kSeg = {0, 0, 1, 2, 2};
+const SegmentIndex kIdx({1, 0, 3, 1, 2}, 4);
+const SegmentIndex kSeg({0, 0, 1, 2, 2}, 3);
 
 INSTANTIATE_TEST_SUITE_P(
     Ops, GradCheckTest,
@@ -437,24 +436,24 @@ INSTANTIATE_TEST_SUITE_P(
         GradCase{"scatter_add",
                  [](Tape& t, const Var& x) {
                    const Var g = t.gather_rows(x, kIdx);
-                   const Var s = t.scatter_add_rows(g, kSeg, 3);
+                   const Var s = t.scatter_add_rows(g, kSeg);
                    return t.sum_all(t.mul(s, s));
                  }},
         GradCase{"segment_mean",
                  [](Tape& t, const Var& x) {
                    const Var g = t.gather_rows(x, kIdx);
-                   const Var s = t.segment_mean(g, kSeg, 3);
+                   const Var s = t.segment_mean(g, kSeg);
                    return t.sum_all(t.mul(s, s));
                  }},
         GradCase{"segment_max",
                  [](Tape& t, const Var& x) {
                    const Var g = t.gather_rows(x, kIdx);
-                   return t.sum_all(t.segment_max(g, kSeg, 3));
+                   return t.sum_all(t.segment_max(g, kSeg));
                  }},
         GradCase{"segment_min",
                  [](Tape& t, const Var& x) {
                    const Var g = t.gather_rows(x, kIdx);
-                   return t.sum_all(t.segment_min(g, kSeg, 3));
+                   return t.sum_all(t.segment_min(g, kSeg));
                  }},
         GradCase{"concat_slice",
                  [](Tape& t, const Var& x) {
@@ -491,7 +490,7 @@ INSTANTIATE_TEST_SUITE_P(
                  [](Tape& t, const Var& x) {
                    const Var col = t.slice_cols(x, 0, 1);
                    const Var g = t.gather_rows(col, kIdx);
-                   const Var sm = t.segment_softmax(g, kSeg, 3);
+                   const Var sm = t.segment_softmax(g, kSeg);
                    const Var weighted =
                        t.mul_col_broadcast(t.gather_rows(x, kIdx), sm);
                    return t.sum_all(t.mul(weighted, weighted));
