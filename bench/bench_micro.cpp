@@ -702,7 +702,7 @@ void BM_TrainerEpoch(benchmark::State& state) {
     restore_parameters(model, initial);  // same workload every iteration
     state.ResumeTiming();
     Trainer trainer(model, tc, hooks, 99);
-    trainer.fit(plan, FitOptions{}, nullptr);
+    trainer.fit(plan, FitOptions{});
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(trainer_corpus().size()));
@@ -726,7 +726,7 @@ void BM_TrainerFirstEpoch(benchmark::State& state) {
     state.ResumeTiming();
     BatchPlan plan = build_trainer_plan(tc);
     Trainer trainer(model, tc, hooks, 99);
-    trainer.fit(plan, FitOptions{}, nullptr);
+    trainer.fit(plan, FitOptions{});
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(trainer_corpus().size()));

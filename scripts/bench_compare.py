@@ -8,8 +8,11 @@ Understands both artifact dialects the repo produces:
     better), otherwise real_time (lower is better).
   * the bench_common BenchJsonLog format ({"bench": ..., "entries":
     [{name, value, unit}, ...]}): units ending in "/s" are higher-is-better,
-    time units (ns/us/ms/s) lower-is-better, anything else (e.g. "rho"
-    rank-quality scores) is compared as an absolute quantity.
+    time units (ns/us/ms/s) lower-is-better. The quality units are absolute
+    quantities with a fixed direction: "mape" (percent error) and "ratio"
+    (e.g. a shed rate) lower-is-better, "rho" (rank correlation) and "acc"
+    (accuracy) higher-is-better. Any other unit is a parse error (exit 2):
+    a new unit must get its direction here before it can be compared.
 
 A regression is a shared entry that got worse by more than --threshold
 (default 0.15 = 15%). Entries present on only one side are reported but
@@ -21,9 +24,9 @@ shared by both files. That cancels the absolute speed difference between
 the machine that produced the baseline and the machine running the check,
 leaving only the *relative* shape of the bench suite — which is what a
 cross-machine CI gate can meaningfully enforce. Absolute units (scores like
-"rho") are never normalized. Needs >= 2 shared entries per direction group
-to be meaningful; with fewer, normalized comparison of that group is
-vacuous and the script says so.
+"rho" or "mape") are never normalized. Needs >= 2 shared entries per
+direction group to be meaningful; with fewer, normalized comparison of that
+group is vacuous and the script says so.
 
 Pair mode (--pair ARTIFACT --pair-a REGEX --pair-b REGEX) compares two
 bench families WITHIN one artifact instead of across two artifacts: each
@@ -53,6 +56,26 @@ import re
 import sys
 
 TIME_UNITS = {"ns", "us", "ms", "s"}
+# Absolute (never normalized) units -> direction: +1 higher is better.
+ABSOLUTE_UNITS = {"mape": -1, "ratio": -1, "rho": +1, "acc": +1}
+
+
+def fail(msg):
+    """Usage or parse error: exit status 2 (1 is reserved for regressions)."""
+    print(f"error: {msg}", file=sys.stderr)
+    sys.exit(2)
+
+
+def unit_direction(unit):
+    """Returns (direction, normalizable) for a BenchJsonLog unit, or None
+    for a unit whose direction is unknown."""
+    if unit.endswith("/s"):
+        return +1, True
+    if unit in TIME_UNITS:
+        return -1, True
+    if unit in ABSOLUTE_UNITS:
+        return ABSOLUTE_UNITS[unit], False
+    return None
 
 
 def load_entries(path):
@@ -62,7 +85,7 @@ def load_entries(path):
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"error: cannot read {path}: {e}")
+        fail(f"cannot read {path}: {e}")
 
     entries = {}
     if isinstance(doc, dict) and "benchmarks" in doc:
@@ -79,17 +102,15 @@ def load_entries(path):
         # BenchJsonLog dialect.
         for e in doc["entries"]:
             unit = e.get("unit", "")
-            if unit.endswith("/s"):
-                direction, normalizable = +1, True
-            elif unit in TIME_UNITS:
-                direction, normalizable = -1, True
-            else:
-                direction, normalizable = +1, False
-            entries[e["name"]] = (float(e["value"]), direction, normalizable)
+            kind = unit_direction(unit)
+            if kind is None:
+                fail(f"{path}: entry {e['name']!r} has unknown unit "
+                     f"{unit!r}")
+            entries[e["name"]] = (float(e["value"]), *kind)
     else:
-        sys.exit(f"error: {path} is not a recognized bench JSON artifact")
+        fail(f"{path} is not a recognized bench JSON artifact")
     if not entries:
-        sys.exit(f"error: {path} contains no comparable entries")
+        fail(f"{path} contains no comparable entries")
     return entries
 
 
@@ -101,7 +122,7 @@ def load_times(path):
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"error: cannot read {path}: {e}")
+        fail(f"cannot read {path}: {e}")
     times = {}
     if isinstance(doc, dict) and "benchmarks" in doc:
         for b in doc["benchmarks"]:
@@ -116,21 +137,21 @@ def load_times(path):
             if e.get("unit", "") in TIME_UNITS:
                 times[e["name"]] = float(e["value"])
     else:
-        sys.exit(f"error: {path} is not a recognized bench JSON artifact")
+        fail(f"{path} is not a recognized bench JSON artifact")
     if not times:
-        sys.exit(f"error: {path} contains no timed entries")
+        fail(f"{path} contains no timed entries")
     return times
 
 
 def run_pair(args):
     for flag in ("pair_a", "pair_b"):
         if getattr(args, flag) is None:
-            sys.exit(f"error: --pair requires --{flag.replace('_', '-')}")
+            fail(f"--pair requires --{flag.replace('_', '-')}")
     try:
         pat_a = re.compile(args.pair_a)
         pat_b = re.compile(args.pair_b)
     except re.error as e:
-        sys.exit(f"error: bad pair regex: {e}")
+        fail(f"bad pair regex: {e}")
     times = load_times(args.pair)
     # Join key: the name with the family regex stripped, so the A and B
     # variants of the same arg tuple line up.
@@ -139,12 +160,12 @@ def run_pair(args):
     side_b = {pat_b.sub("", n): (n, t) for n, t in times.items()
               if pat_b.search(n)}
     if not side_a:
-        sys.exit(f"error: --pair-a matched no entries in {args.pair}")
+        fail(f"--pair-a matched no entries in {args.pair}")
     if not side_b:
-        sys.exit(f"error: --pair-b matched no entries in {args.pair}")
+        fail(f"--pair-b matched no entries in {args.pair}")
     missing = sorted(k for k in side_b if k not in side_a)
     if missing:
-        sys.exit("error: no --pair-a partner for: " +
+        fail("no --pair-a partner for: " +
                  ", ".join(side_b[k][0] for k in missing))
 
     shared = sorted(k for k in side_b if k in side_a)
@@ -222,18 +243,18 @@ def main():
         try:
             pat = re.compile(args.filter)
         except re.error as e:
-            sys.exit(f"error: bad --filter regex: {e}")
+            fail(f"bad --filter regex: {e}")
         base = {n: v for n, v in base.items() if pat.search(n)}
         fresh = {n: v for n, v in fresh.items() if pat.search(n)}
         if not base or not fresh:
-            sys.exit("error: --filter matched no entries in one of the "
+            fail("--filter matched no entries in one of the "
                      "artifacts")
 
     shared = sorted(set(base) & set(fresh))
     only_base = sorted(set(base) - set(fresh))
     only_fresh = sorted(set(fresh) - set(base))
     if not shared:
-        sys.exit("error: the two artifacts share no benchmark names")
+        fail("the two artifacts share no benchmark names")
 
     scale = {+1: (1.0, 1.0), -1: (1.0, 1.0)}  # direction -> (base, fresh)
     if args.normalize:

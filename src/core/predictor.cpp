@@ -26,18 +26,12 @@ Trainer::Hooks classifier_hooks(const NodeClassifier& classifier) {
   return hooks;
 }
 
-/// Regressor training hooks: model forward + batch-mean MSE.
-Trainer::Hooks regressor_hooks(const GraphRegressor& regressor) {
-  Trainer::Hooks hooks;
-  hooks.forward = [&regressor](Tape& tape, const GraphTensors& gt,
-                               const Matrix& feats, Rng& rng) {
-    return regressor.forward(tape, gt, feats, rng, true);
-  };
-  hooks.loss = [](Tape& tape, const Var& pred, const Matrix& target) {
-    // One prediction row per member graph; MSE averages over the batch.
-    return tape.mse_loss(pred, target);
-  };
-  return hooks;
+/// Fresh seeded node classifier on off-the-shelf features.
+std::unique_ptr<NodeClassifier> make_classifier(const ModelConfig& mc,
+                                                std::uint64_t seed) {
+  Rng init_rng(seed * 7919 + 13);
+  return std::make_unique<NodeClassifier>(
+      mc, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf), init_rng);
 }
 
 /// Classifier data plan: off-the-shelf features, node-type label rows —
@@ -64,21 +58,6 @@ BatchPlan classifier_plan(const std::vector<Sample>& samples,
 
 }  // namespace
 
-std::vector<Matrix> snapshot_parameters(const Module& m) {
-  std::vector<Matrix> snap;
-  snap.reserve(m.parameters().size());
-  for (const Parameter* p : m.parameters()) snap.push_back(p->value());
-  return snap;
-}
-
-void restore_parameters(Module& m, const std::vector<Matrix>& snap) {
-  GNNHLS_CHECK_EQ(snap.size(), m.parameters().size(),
-                  "parameter snapshot shape mismatch");
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    m.parameters()[i]->mutable_value() = snap[i];
-  }
-}
-
 QorPredictor::QorPredictor(Approach approach, ModelConfig model_cfg,
                            TrainConfig train_cfg, InfusedInference infused)
     : approach_(approach),
@@ -104,51 +83,49 @@ Matrix QorPredictor::infused_features(const Sample& s) const {
 void QorPredictor::fit_classifier(const std::vector<Sample>& samples,
                                   const std::vector<int>& train_idx,
                                   std::uint64_t seed) {
-  Rng init_rng(seed * 7919 + 13);
-  classifier_ = std::make_unique<NodeClassifier>(
-      model_cfg_, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf),
-      init_rng);
+  classifier_ = make_classifier(model_cfg_, seed);
   TrainConfig tc = train_cfg_;
   tc.seed = seed;
   BatchPlan plan = classifier_plan(samples, train_idx, tc);
   Trainer trainer(*classifier_, tc, classifier_hooks(*classifier_),
                   seed * 17 + 3);
-  trainer.fit(plan, FitOptions{}, nullptr);  // -I keeps the last epoch
+  trainer.fit(plan, FitOptions{});  // no validation hook: last epoch kept
 }
 
-FitReport QorPredictor::train_regressor(BatchPlan& plan, Trainer& trainer,
-                                        const FitOptions& opts) {
-  FitReport report;
-  std::vector<Matrix> best_params;
-  AdamState best_opt;
-  const bool select_best =
-      opts.validation == FitOptions::Validation::kBestEpoch;
-  const FitReport run = trainer.fit(plan, opts, [&](int epoch) {
-    // Validation model selection. NOTE: -I validates through the full
-    // hierarchical path (classifier bits), matching deployment.
-    const double val = evaluate_mape(corpus_, split_.val);
-    report.val_curve.push_back(val);
-    if (report.best_epoch < 0 || val < report.best_val) {
-      report.best_val = val;
-      report.best_epoch = epoch;
-      if (select_best) {
-        // Snapshot both halves of the checkpoint: a later warm start must
-        // resume from the SELECTED model, weights and moments together.
-        best_params = snapshot_parameters(*regressor_);
-        best_opt = trainer.export_optimizer_state();
-      }
-    }
-  });
-  report.epochs_run = run.epochs_run;
-  report.steps = run.steps;
-  report.warm_started = run.warm_started;
-  if (select_best && !best_params.empty()) {
-    restore_parameters(*regressor_, best_params);
-    adam_state_ = std::move(best_opt);
-  } else {
-    adam_state_ = trainer.export_optimizer_state();
-  }
-  return report;
+void QorPredictor::init_regressor(std::uint64_t seed) {
+  Rng init_rng(seed * 104729 + static_cast<int>(metric_));
+  regressor_ = std::make_unique<GraphRegressor>(
+      model_cfg_, InputFeatureBuilder::feature_dim(approach_), init_rng);
+  adam_state_.reset();
+}
+
+BatchPlan::FeatureFn QorPredictor::feature_fn() const {
+  return [approach = approach_](const Sample& s) -> const Matrix& {
+    return FeatureCache::global().features(s, approach);
+  };
+}
+
+BatchPlan::LabelFn QorPredictor::label_fn() const {
+  return [metric = metric_](const Sample& s) {
+    return Matrix(1, 1, encode_target(metric_of(s.truth, metric), metric));
+  };
+}
+
+Trainer::Hooks QorPredictor::regressor_hooks() const {
+  Trainer::Hooks hooks;
+  hooks.forward = [&regressor = *regressor_](Tape& tape,
+                                             const GraphTensors& gt,
+                                             const Matrix& feats, Rng& rng) {
+    return regressor.forward(tape, gt, feats, rng, true);
+  };
+  hooks.loss = [](Tape& tape, const Var& pred, const Matrix& target) {
+    // One prediction row per member graph; MSE averages over the batch.
+    return tape.mse_loss(pred, target);
+  };
+  // Validation model selection. NOTE: -I validates through the full
+  // hierarchical path (classifier bits), matching deployment.
+  hooks.validate = [this] { return evaluate_mape(corpus_, split_.val); };
+  return hooks;
 }
 
 FitReport QorPredictor::fit(const std::vector<Sample>& samples,
@@ -166,10 +143,7 @@ FitReport QorPredictor::fit(const std::vector<Sample>& samples,
         infused_ == InfusedInference::kSelfInferred) {
       fit_classifier(samples, split.train, seed);
     }
-    Rng init_rng(seed * 104729 + static_cast<int>(metric));
-    regressor_ = std::make_unique<GraphRegressor>(
-        model_cfg_, InputFeatureBuilder::feature_dim(approach_), init_rng);
-    adam_state_.reset();
+    init_regressor(seed);
   }
 
   // Retain the corpus and split (Sample copies keep their uids, so cached
@@ -190,25 +164,16 @@ FitReport QorPredictor::fit(const std::vector<Sample>& samples,
   const std::string key = BatchPlan::share_key(
       "train/reg/a" + std::to_string(static_cast<int>(approach_)), order_seed,
       train_cfg_.batch_size, corpus_, split.train);
-  BatchPlan plan = BatchPlan::build(
-      corpus_, split.train, train_cfg_.batch_size,
-      [this](const Sample& s) -> const Matrix& {
-        return FeatureCache::global().features(s, approach_);
-      },
-      [this](const Sample& s) {
-        return Matrix(1, 1,
-                      encode_target(metric_of(s.truth, metric_), metric_));
-      },
-      Rng(order_seed), key);
+  BatchPlan plan =
+      BatchPlan::build(corpus_, split.train, train_cfg_.batch_size,
+                       feature_fn(), label_fn(), Rng(order_seed), key);
   // Segment 0 of any future refit: the same (idx, seed, key) triple this
   // plan resolved its cores under, so the refit's base segment is a pure
   // BatchCoreCache hit.
   segments_.push_back(BatchPlan::Segment{split.train, order_seed, key});
 
-  Trainer trainer(*regressor_, train_cfg_, regressor_hooks(*regressor_),
-                  seed * 17 + 2);
-  if (warm && adam_state_) trainer.import_optimizer_state(*adam_state_);
-  return train_regressor(plan, trainer, opts);
+  Trainer trainer(*regressor_, train_cfg_, regressor_hooks(), seed * 17 + 2);
+  return trainer.fit(plan, opts, &adam_state_);
 }
 
 FitOptions QorPredictor::refit_defaults() {
@@ -241,18 +206,8 @@ FitReport QorPredictor::refit(const std::vector<Sample>& new_samples,
     // Cold refit: retrain from a fresh seeded init over the grown corpus
     // (the -I classifier is kept either way — feedback refits sharpen the
     // regressor only).
-    Rng init_rng(seed * 104729 + static_cast<int>(metric_));
-    regressor_ = std::make_unique<GraphRegressor>(
-        model_cfg_, InputFeatureBuilder::feature_dim(approach_), init_rng);
-    adam_state_.reset();
+    init_regressor(seed);
   }
-
-  const auto feature_of = [this](const Sample& s) -> const Matrix& {
-    return FeatureCache::global().features(s, approach_);
-  };
-  const auto label_of = [this](const Sample& s) {
-    return Matrix(1, 1, encode_target(metric_of(s.truth, metric_), metric_));
-  };
 
   // The delta becomes its own segment with generation-salted seeds (pure
   // functions of (fit seed, generation): refit trajectories are reproducible
@@ -267,60 +222,52 @@ FitReport QorPredictor::refit(const std::vector<Sample>& new_samples,
   segments_.push_back(std::move(seg));
 
   BatchPlan plan = BatchPlan::build_segments(
-      corpus_, segments_, train_cfg_.batch_size, feature_of, label_of,
+      corpus_, segments_, train_cfg_.batch_size, feature_fn(), label_fn(),
       Rng(seed * 31 + 11 + gen));
 
-  Trainer trainer(*regressor_, train_cfg_, regressor_hooks(*regressor_),
+  Trainer trainer(*regressor_, train_cfg_, regressor_hooks(),
                   seed * 17 + 2 + gen * 0x85EBCA6BULL);
-  if (opts.warm_start && adam_state_) {
-    trainer.import_optimizer_state(*adam_state_);
-  }
-  return train_regressor(plan, trainer, opts);
+  return trainer.fit(plan, opts, &adam_state_);
 }
 
 double QorPredictor::predict(const Sample& sample) const {
-  GNNHLS_CHECK(regressor_ != nullptr, "predict before fit");
-  const float encoded =
-      pure_inference_features()
-          ? regressor_->predict(
-                sample.tensors,
-                FeatureCache::global().features(sample, approach_))
-          : regressor_->predict(sample.tensors, infused_features(sample));
-  return decode_target(encoded, metric_);
+  return predict_many({&sample})[0];
 }
 
 std::vector<double> QorPredictor::predict_many(
     const std::vector<const Sample*>& samples) const {
   GNNHLS_CHECK(regressor_ != nullptr, "predict before fit");
   if (samples.empty()) return {};
-  // On the pure path the stacked features point straight into the
-  // FeatureCache (zero rebuild, zero copy); the hierarchical -I path runs
-  // the classifier per sample and owns its feature matrices for the
-  // duration of the batch.
+  // On the pure path the features point straight into the FeatureCache
+  // (zero rebuild, zero copy); the hierarchical -I path runs the classifier
+  // per sample and owns its feature matrices for the duration of the call.
   const bool pure = pure_inference_features();
   std::vector<Matrix> owned;
+  owned.reserve(pure ? 0 : samples.size());  // fparts points into it
   std::vector<const GraphTensors*> parts;
   std::vector<const Matrix*> fparts;
-  if (pure) {
-    fparts.reserve(samples.size());
-  } else {
-    owned.reserve(samples.size());
-  }
   parts.reserve(samples.size());
+  fparts.reserve(samples.size());
   for (const Sample* s : samples) {
     GNNHLS_CHECK(s != nullptr, "predict_many: null sample");
     if (pure) {
       fparts.push_back(&FeatureCache::global().features(*s, approach_));
     } else {
       owned.push_back(infused_features(*s));
+      fparts.push_back(&owned.back());
     }
     parts.push_back(&s->tensors);
   }
-  const GraphBatch batch = GraphBatch::build(parts);
-  const Matrix stacked = pure ? GraphBatch::stack_features(fparts)
-                              : GraphBatch::stack_features(owned);
-  const std::vector<float> encoded =
-      regressor_->predict_batch(batch.merged, stacked);
+  // One sample runs on its own tensors, as BatchPlan runs a one-graph
+  // batch: no union to build.
+  std::vector<float> encoded;
+  if (samples.size() == 1) {
+    encoded = regressor_->predict_batch(*parts[0], *fparts[0]);
+  } else {
+    const GraphBatch batch = GraphBatch::build(parts);
+    encoded = regressor_->predict_batch(batch.merged,
+                                        GraphBatch::stack_features(fparts));
+  }
   std::vector<double> pred;
   pred.reserve(encoded.size());
   for (float e : encoded) pred.push_back(decode_target(e, metric_));
@@ -359,10 +306,7 @@ double QorPredictor::evaluate_mape(const std::vector<Sample>& samples,
     // boundaries and per-chunk math are exactly the serial loop's, so the
     // result is bit-identical to serial evaluation at any pool width.
     const BatchPlan plan = BatchPlan::build_eval(
-        samples, idx, static_cast<int>(bs),
-        [this](const Sample& s) -> const Matrix& {
-          return FeatureCache::global().features(s, approach_);
-        },
+        samples, idx, static_cast<int>(bs), feature_fn(),
         BatchPlan::share_key(
             "eval/a" + std::to_string(static_cast<int>(approach_)),
             /*order_seed=*/0, static_cast<int>(bs), samples, idx));
@@ -397,47 +341,20 @@ FitReport NodeTypePredictor::fit(const std::vector<Sample>& samples,
   const std::uint64_t seed = opts.seed != 0 ? opts.seed : train_cfg_.seed;
   const bool warm = opts.warm_start && classifier_ != nullptr;
   if (!warm) {
-    Rng init_rng(seed * 7919 + 13);
-    classifier_ = std::make_unique<NodeClassifier>(
-        model_cfg_, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf),
-        init_rng);
+    classifier_ = make_classifier(model_cfg_, seed);
     adam_state_.reset();
   }
   TrainConfig tc = train_cfg_;
   tc.seed = seed;
   BatchPlan plan = classifier_plan(samples, split.train, tc);
-  Trainer trainer(*classifier_, tc, classifier_hooks(*classifier_),
-                  seed * 17 + 3);
-  if (warm && adam_state_) trainer.import_optimizer_state(*adam_state_);
-
-  FitReport report;
-  std::vector<Matrix> best_params;
-  AdamState best_opt;
-  const bool select_best =
-      opts.validation == FitOptions::Validation::kBestEpoch;
-  const FitReport run = trainer.fit(plan, opts, [&](int epoch) {
+  Trainer::Hooks hooks = classifier_hooks(*classifier_);
+  hooks.validate = [&] {
     const NodeClassifierScores val = evaluate(samples, split.val);
-    const double mean_acc = (val.dsp + val.lut + val.ff) / 3.0;
-    report.val_curve.push_back(mean_acc);
-    if (report.best_epoch < 0 || mean_acc > report.best_val) {
-      report.best_val = mean_acc;
-      report.best_epoch = epoch;
-      if (select_best) {
-        best_params = snapshot_parameters(*classifier_);
-        best_opt = trainer.export_optimizer_state();
-      }
-    }
-  });
-  report.epochs_run = run.epochs_run;
-  report.steps = run.steps;
-  report.warm_started = run.warm_started;
-  if (select_best && !best_params.empty()) {
-    restore_parameters(*classifier_, best_params);
-    adam_state_ = std::move(best_opt);
-  } else {
-    adam_state_ = trainer.export_optimizer_state();
-  }
-  return report;
+    return (val.dsp + val.lut + val.ff) / 3.0;
+  };
+  hooks.higher_is_better = true;
+  Trainer trainer(*classifier_, tc, std::move(hooks), seed * 17 + 3);
+  return trainer.fit(plan, opts, &adam_state_);
 }
 
 NodeClassifierScores NodeTypePredictor::evaluate(

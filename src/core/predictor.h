@@ -15,9 +15,9 @@
 // The paper's training recipe (Adam, fixed epoch budget, minibatch
 // accumulation, best-validation-epoch parameter selection) lives in the
 // src/train/ subsystem: each fit here builds a BatchPlan over cached feature
-// tensors (FeatureCache) and delegates the epochs to the sharded Trainer;
-// this file keeps only model construction, validation-driven model
-// selection, and inference.
+// tensors (FeatureCache) and hands the epochs, the validation policy and the
+// optimizer checkpoint to the sharded Trainer; this file keeps only model
+// construction, the validation score, and inference.
 //
 // Online refit (model-in-the-loop DSE): fit() retains the corpus, split and
 // the selected epoch's optimizer moments; refit(new_samples, opts) then
@@ -87,16 +87,18 @@ class QorPredictor {
   int refits() const { return refits_; }
 
   /// Decoded QoR prediction for one sample (for -I, runs hierarchical
-  /// inference: classifier -> annotated features -> regressor).
+  /// inference: classifier -> annotated features -> regressor):
+  /// predict_many({&sample})[0].
   double predict(const Sample& sample) const;
 
-  /// Batched inference: one GraphBatch disjoint union over all of `samples`,
-  /// one regressor forward, decoded predictions returned in input order.
-  /// Bit-identical to calling predict() per sample — the union introduces no
-  /// cross-graph edges and the segment readout pools each member's rows in
-  /// the same order as the single-graph path, so per-member float
-  /// trajectories are exactly those of the solo forward (asserted across all
-  /// 14 encoder kinds in serve_test/batch_test).
+  /// Batched inference: one regressor forward, decoded predictions returned
+  /// in input order. One sample runs on its own tensors (the solo forward);
+  /// several run as one GraphBatch disjoint union. Bit-identical to the
+  /// solo forward per sample — the union introduces no cross-graph edges and
+  /// the segment readout pools each member's rows in the same order as the
+  /// single-graph path, so per-member float trajectories are exactly those
+  /// of the solo forward (asserted across all 14 encoder kinds in
+  /// serve_test/batch_test).
   ///
   /// Thread safety: const and safe to call concurrently from many threads
   /// after fit() returns (forward builds a private tape; feature matrices
@@ -133,11 +135,17 @@ class QorPredictor {
   void fit_classifier(const std::vector<Sample>& samples,
                       const std::vector<int>& train_idx, std::uint64_t seed);
 
-  /// Shared epoch loop: runs the trainer, tracks per-epoch validation, and
-  /// applies the FitOptions validation policy (parameter + optimizer-state
-  /// restore on kBestEpoch).
-  FitReport train_regressor(BatchPlan& plan, Trainer& trainer,
-                            const FitOptions& opts);
+  /// Fresh seeded regressor init (drops the optimizer checkpoint).
+  void init_regressor(std::uint64_t seed);
+
+  /// Per-sample features (FeatureCache; the pure inference features too)
+  /// and encoded-target label row, as BatchPlan callbacks.
+  BatchPlan::FeatureFn feature_fn() const;
+  BatchPlan::LabelFn label_fn() const;
+
+  /// Regressor hooks: forward, batch-mean MSE, and validation MAPE on the
+  /// retained split (lower is better).
+  Trainer::Hooks regressor_hooks() const;
 
   Approach approach_;
   ModelConfig model_cfg_;
@@ -153,7 +161,7 @@ class QorPredictor {
   /// One entry per training segment: [0] the original split.train, then one
   /// per refit delta. Each pins the share_key its fit resolved cores under.
   std::vector<BatchPlan::Segment> segments_;
-  std::optional<AdamState> adam_state_;  // selected epoch's optimizer moments
+  std::optional<AdamState> adam_state_;  // kept epoch's optimizer moments
   std::uint64_t fit_seed_ = 0;           // effective seed of the last fresh fit
   int refits_ = 0;
 };
@@ -187,12 +195,7 @@ class NodeTypePredictor {
   ModelConfig model_cfg_;
   TrainConfig train_cfg_;
   std::unique_ptr<NodeClassifier> classifier_;
-  std::optional<AdamState> adam_state_;  // selected epoch's optimizer moments
+  std::optional<AdamState> adam_state_;  // kept epoch's optimizer moments
 };
-
-// ----- parameter snapshot/restore for best-epoch selection -----
-
-std::vector<Matrix> snapshot_parameters(const Module& m);
-void restore_parameters(Module& m, const std::vector<Matrix>& snap);
 
 }  // namespace gnnhls

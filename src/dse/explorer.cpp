@@ -127,6 +127,13 @@ std::vector<double> PredictorScorer::member_predictions(
 
 ServingScorer::ServingScorer(ModelTable table, SchedulerConfig cfg)
     : ModelScorerBase(std::move(table)) {
+  // score() submits a whole candidate set at once and waits on worker
+  // threads: a queue cap would shed part of it, and virtual time has no
+  // workers to drain it.
+  GNNHLS_CHECK(cfg.max_queue == 0,
+               "ServingScorer: max_queue must be 0 (DSE answers every sample)");
+  GNNHLS_CHECK(!cfg.virtual_time,
+               "ServingScorer: virtual_time has no workers to drain score()");
   std::vector<const QorPredictor*> predictors = this->table().flat();
   sched_ = std::make_unique<ServingScheduler>(std::move(predictors), cfg);
 }

@@ -201,8 +201,9 @@ class PredictorScorer : public ModelScorerBase {
 class ServingScorer : public ModelScorerBase {
  public:
   /// `cfg.workers`/`max_batch`/`batch_window_us`/`adaptive_window` apply
-  /// to the shared scheduler; admission knobs (max_queue, deadlines)
-  /// are left off — DSE scoring must answer every sample.
+  /// to the shared scheduler. DSE scoring must answer every sample on real
+  /// worker threads, so a nonzero `max_queue` or `virtual_time` throws
+  /// std::invalid_argument; requests carry no deadline.
   explicit ServingScorer(ModelTable table, SchedulerConfig cfg = {});
 
   /// Scheduler counters (per_model_completed is in table().flat() order).

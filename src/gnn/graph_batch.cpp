@@ -116,13 +116,6 @@ Matrix GraphBatch::stack_features(const std::vector<const Matrix*>& parts) {
   return out;
 }
 
-Matrix GraphBatch::stack_features(const std::vector<Matrix>& parts) {
-  std::vector<const Matrix*> ptrs;
-  ptrs.reserve(parts.size());
-  for (const Matrix& p : parts) ptrs.push_back(&p);
-  return stack_features(ptrs);
-}
-
 Matrix GraphBatch::member_rows(const Matrix& merged_rows, int g) const {
   GNNHLS_CHECK(g >= 0 && g < num_graphs(), "member_rows: bad graph index");
   GNNHLS_CHECK_EQ(merged_rows.rows(), num_nodes(),

@@ -54,11 +54,6 @@ struct GraphBatch {
   /// thread pool for large batches.
   static Matrix stack_features(const std::vector<const Matrix*>& parts);
 
-  /// Convenience overload for callers holding the member matrices by value
-  /// (the hierarchical inference path owns its classifier-annotated
-  /// feature matrices for the duration of a batch).
-  static Matrix stack_features(const std::vector<Matrix>& parts);
-
   /// Extracts member g's rows from a merged [num_nodes, d] matrix
   /// (round-trip testing and per-graph result scatter).
   Matrix member_rows(const Matrix& merged_rows, int g) const;

@@ -1,16 +1,15 @@
-// FitOptions / FitReport — the redesigned training entry-point contract.
+// FitOptions / FitReport — the training entry-point contract of every fit
+// loop in the library (QorPredictor, NodeTypePredictor, Trainer).
 //
-// Every fit loop in the library (QorPredictor, NodeTypePredictor, Trainer)
-// used to take positional knobs and return one scalar; model-in-the-loop
-// DSE needs more: warm starts (continue from the current weights and Adam
-// moments instead of re-initializing), per-call epoch budgets (a refit
-// round is a handful of epochs, not a full training run), and a validation
-// policy (best-epoch selection is right for a from-scratch fit; a warm
-// refit on feedback data usually wants the final weights, because the
-// original validation split no longer represents the distribution being
-// refit on). FitOptions packs those; FitReport returns what the old double
-// hid — the full validation curve, the selected epoch, and how much work
-// actually ran.
+// FitOptions carries warm starts (continue from the current weights and
+// Adam moments instead of re-initializing), per-call epoch budgets (a refit
+// round is a handful of epochs, not a full training run), a seed override,
+// and a validation policy (best-epoch selection is right for a from-scratch
+// fit; a warm refit on feedback data usually wants the final weights,
+// because the original validation split no longer represents the
+// distribution being refit on). FitReport returns the full validation
+// curve, the selected epoch, and how much work actually ran. The owner
+// resolves the seed and fresh-vs-warm init; Trainer::fit runs the rest.
 //
 // Determinism: a fit's trajectory is a pure function of (model init or
 // warm-start weights, data plan, TrainConfig, FitOptions) — nothing here

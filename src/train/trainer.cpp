@@ -44,14 +44,18 @@ Trainer::Trainer(Module& model, TrainConfig cfg, Hooks hooks,
   }
 }
 
-void Trainer::import_optimizer_state(const AdamState& state) {
-  opt_.import_state(state);
-  warm_started_ = true;
-}
-
 FitReport Trainer::fit(BatchPlan& plan, const FitOptions& opts,
-                       const std::function<void(int)>& on_epoch_end) {
+                       std::optional<AdamState>* checkpoint) {
+  FitReport report;
+  report.warm_started = checkpoint != nullptr && checkpoint->has_value();
+  if (report.warm_started) opt_.import_state(**checkpoint);
   const int epochs = opts.epochs >= 0 ? opts.epochs : cfg_.epochs;
+  const bool select_best =
+      hooks_.validate && opts.validation == FitOptions::Validation::kBestEpoch;
+  // The selected epoch's weights and moments, kept together: a later warm
+  // start must resume from the SELECTED model.
+  std::vector<Matrix> best_params;
+  AdamState best_opt;
   // Warm starts resume moments but restart the lr schedule over THIS call's
   // budget: a refit is its own short anneal, not a continuation of the
   // original schedule (whose decay points were sized for the full budget).
@@ -60,12 +64,27 @@ FitReport Trainer::fit(BatchPlan& plan, const FitOptions& opts,
     const ObsSpan epoch_span(cfg_.obs.trace, "epoch", "train");
     opt_.set_lr(lr_at_epoch(cfg_.lr, epoch, epochs));
     run_epoch(plan, epoch);
-    if (on_epoch_end) on_epoch_end(epoch);
+    if (!hooks_.validate) continue;
+    const double val = hooks_.validate();
+    report.val_curve.push_back(val);
+    const bool better = hooks_.higher_is_better ? val > report.best_val
+                                                : val < report.best_val;
+    if (report.best_epoch < 0 || better) {
+      report.best_val = val;
+      report.best_epoch = epoch;
+      if (select_best) {
+        best_params = snapshot_parameters(model_);
+        best_opt = opt_.export_state();
+      }
+    }
   }
-  FitReport report;
   report.epochs_run = epochs;
   report.steps = opt_.step_count() - steps_before;
-  report.warm_started = warm_started_;
+  const bool restore = !best_params.empty();
+  if (restore) restore_parameters(model_, best_params);
+  if (checkpoint != nullptr) {
+    *checkpoint = restore ? std::move(best_opt) : opt_.export_state();
+  }
   return report;
 }
 
@@ -116,6 +135,21 @@ void Trainer::run_epoch(BatchPlan& plan, int epoch) {
       opt_.accumulate(parked_grads_[static_cast<std::size_t>(b - lead)]);
     }
     opt_.step();
+  }
+}
+
+std::vector<Matrix> snapshot_parameters(const Module& m) {
+  std::vector<Matrix> snap;
+  snap.reserve(m.parameters().size());
+  for (const Parameter* p : m.parameters()) snap.push_back(p->value());
+  return snap;
+}
+
+void restore_parameters(Module& m, const std::vector<Matrix>& snap) {
+  GNNHLS_CHECK_EQ(snap.size(), m.parameters().size(),
+                  "parameter snapshot shape mismatch");
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    m.parameters()[i]->mutable_value() = snap[i];
   }
 }
 

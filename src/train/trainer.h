@@ -1,13 +1,15 @@
 // The training-loop engine implementing the paper's recipe (§5.1): Adam, a
 // fixed epoch budget, minibatch gradient accumulation, step learning-rate
-// decay, best-validation-epoch selection delegated to the caller.
+// decay, per-epoch validation and best-validation-epoch selection.
 //
 // One Trainer serves every fit loop in the library (QoR regressor, the
 // hierarchical approach's node classifier, the standalone NodeTypePredictor)
-// through two hooks: forward (model tape construction over a graph view) and
-// loss. Data comes from a BatchPlan, whose batches hold batch_size graphs
-// (a one-graph batch is the sample itself). There is one epoch loop, and it
-// is *sharded*:
+// through its hooks: forward (model tape construction over a graph view),
+// loss, and an optional validation score. It runs the whole FitOptions
+// contract — warm start from an optimizer checkpoint, epoch budget,
+// validation policy — and fills the whole FitReport. Data comes from a
+// BatchPlan, whose batches hold batch_size graphs (a one-graph batch is the
+// sample itself). There is one epoch loop, and it is *sharded*:
 //
 //   * each optimizer step spans batch_graphs (at batch_size 1) or
 //     grad_accum (above) consecutive batches of the epoch's visit order;
@@ -30,6 +32,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <vector>
 
 #include "nn/adam.h"
 #include "obs/obs_config.h"
@@ -84,10 +88,10 @@ float lr_at_epoch(float base_lr, int epoch, int total_epochs);
 /// independent of that pool's width.
 class Trainer {
  public:
-  /// Model-specific callbacks. Both hooks may be invoked concurrently from
-  /// shard workers (one tape per batch), so they must be pure with respect
-  /// to shared state: read the model, build onto the passed tape, touch
-  /// nothing else. Each invocation's rng is an independent per-(epoch,
+  /// Model-specific callbacks. forward and loss may be invoked concurrently
+  /// from shard workers (one tape per batch), so they must be pure with
+  /// respect to shared state: read the model, build onto the passed tape,
+  /// touch nothing else. Each invocation's rng is an independent per-(epoch,
   /// batch) stream owned by the caller of the hook.
   struct Hooks {
     /// Builds the model's tape output over a batch's graph view (a single
@@ -98,6 +102,14 @@ class Trainer {
         forward;
     /// Builds the scalar loss for the view's stacked labels.
     std::function<Var(Tape&, const Var& out, const Matrix& labels)> loss;
+    /// Optional validation score of the model's current weights, called on
+    /// the fit() thread after each epoch's last optimizer step. Unset: no
+    /// validation, FitReport's validation fields stay empty, and fit()
+    /// keeps the final epoch under either policy.
+    std::function<double()> validate;
+    /// Direction of validate's score: false for lower-is-better (MAPE),
+    /// true for higher-is-better (accuracy).
+    bool higher_is_better = false;
   };
 
   /// dropout_seed derives the independent per-(epoch, batch) dropout
@@ -106,27 +118,18 @@ class Trainer {
           std::uint64_t dropout_seed);
 
   /// Runs the epoch budget (opts.epochs when >= 0, else TrainConfig::epochs)
-  /// over the plan. on_epoch_end(epoch) fires after each epoch's optimizer
-  /// steps — validation, model selection and early snapshots live with the
-  /// caller, which fills FitReport's validation fields; the Trainer fills
-  /// epochs_run / steps / warm_started. Model init, plan construction and
-  /// dropout_seed were resolved by the owner before this call, so of
-  /// FitOptions only the epoch budget acts here: warm starts are expressed
-  /// by handing the Trainer a previously-trained model plus
-  /// import_optimizer_state(), both the owner's job.
+  /// over the plan, scoring every epoch through hooks.validate when it is
+  /// set. Under kBestEpoch the parameters and Adam moments of the
+  /// best-scoring epoch are restored at the end; under kFinalEpoch the last
+  /// epoch's are kept. `checkpoint`
+  /// carries the optimizer moments in and out: when it holds a state on
+  /// entry, Adam resumes from it (a warm start — the model must already hold
+  /// the weights that state was taken with); on return it holds the moments
+  /// of the epoch fit() kept. nullptr starts Adam fresh and hands nothing
+  /// back. Model init, plan construction and dropout_seed were resolved by
+  /// the owner from opts.warm_start / opts.seed before this call.
   FitReport fit(BatchPlan& plan, const FitOptions& opts,
-                const std::function<void(int)>& on_epoch_end);
-
-  /// Resumes the optimizer from a snapshot (same model architecture) so the
-  /// next fit() continues the Adam trajectory instead of restarting the
-  /// moment estimates. Call before fit(); marks the run warm-started.
-  void import_optimizer_state(const AdamState& state);
-
-  /// Snapshots the optimizer moments + step counter. Callable from
-  /// on_epoch_end, which runs at a step barrier — the canonical use is
-  /// capturing the best-validation epoch's optimizer state alongside the
-  /// parameter snapshot so a later refit resumes from the *selected* model.
-  AdamState export_optimizer_state() const { return opt_.export_state(); }
+                std::optional<AdamState>* checkpoint = nullptr);
 
  private:
   void run_epoch(BatchPlan& plan, int epoch);
@@ -136,10 +139,7 @@ class Trainer {
   Hooks hooks_;
   std::uint64_t dropout_seed_;
   std::vector<Var> param_leaves_;
-  /// The optimizer lives with the Trainer (not a fit() local) so warm-started
-  /// refits can seed its moments and on_epoch_end can snapshot them.
   Adam opt_;
-  bool warm_started_ = false;
   /// Gradient buffers, one sink per parameter: shard 0's single
   /// fold-as-you-go buffer, and one parked buffer per batch of the later
   /// shards. Each LeafGradRedirect scope empties its buffer's sinks and
@@ -149,5 +149,11 @@ class Trainer {
   std::vector<Matrix> lead_grads_;
   std::vector<std::vector<Matrix>> parked_grads_;
 };
+
+/// Copies out a model's parameter values (the best-epoch snapshot; tests and
+/// benches use it to compare or reset weights).
+std::vector<Matrix> snapshot_parameters(const Module& m);
+/// Writes a snapshot_parameters() result back into the same model.
+void restore_parameters(Module& m, const std::vector<Matrix>& snap);
 
 }  // namespace gnnhls

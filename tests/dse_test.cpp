@@ -293,6 +293,26 @@ TEST(ExplorerTest, ServingScorerBitIdenticalToDirect) {
                            via_serving.successive_halving());
 }
 
+// score() submits every candidate at once and waits on worker threads, so a
+// queue cap would shed part of a candidate set (a 30-sample score() with
+// max_queue 1 threw "queue over capacity") and virtual time would leave it
+// blocked forever: both are rejected up front.
+TEST(ExplorerTest, ServingScorerRejectsQueueCap) {
+  const Trained& t = trained_predictors();
+  SchedulerConfig sc;
+  sc.max_queue = 1;
+  EXPECT_THROW(ServingScorer(lut_ff_table(t.lut, t.ff), sc),
+               std::invalid_argument);
+}
+
+TEST(ExplorerTest, ServingScorerRejectsVirtualTime) {
+  const Trained& t = trained_predictors();
+  SchedulerConfig sc;
+  sc.virtual_time = true;
+  EXPECT_THROW(ServingScorer(lut_ff_table(t.lut, t.ff), sc),
+               std::invalid_argument);
+}
+
 TEST(ExplorerTest, HalvingRespectsGroundTruthBudget) {
   const DesignSpace space = make_kernel_design_space("gemm");  // 12 points
   const PredictorScorer scorer = direct_scorer();

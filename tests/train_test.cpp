@@ -199,26 +199,65 @@ TEST(RefitTest, FitReportCurveAndBestEpoch) {
   tc.epochs = 5;
   tc.lr = 1e-2F;
   tc.batch_size = 4;
-  QorPredictor p(Approach::kOffTheShelf, mc, tc);
-  const FitReport report = p.fit(samples, split, Metric::kLut, FitOptions{});
-  EXPECT_FALSE(report.warm_started);
-  EXPECT_EQ(report.epochs_run, tc.epochs);
-  EXPECT_GT(report.steps, 0);
-  ASSERT_EQ(report.val_curve.size(), static_cast<std::size_t>(tc.epochs));
-  ASSERT_GE(report.best_epoch, 0);
-  ASSERT_LT(report.best_epoch, tc.epochs);
-  EXPECT_EQ(report.best_val,
-            *std::min_element(report.val_curve.begin(),
-                              report.val_curve.end()));
-  EXPECT_EQ(report.best_val,
-            report.val_curve[static_cast<std::size_t>(report.best_epoch)]);
-  // kBestEpoch restored the selected checkpoint: deployed validation MAPE
-  // is the best epoch's, not the final one's.
-  EXPECT_EQ(p.evaluate_mape(samples, split.val), report.best_val);
+  // One fit's report against the weights it deployed: `deployed` is the
+  // validation score of the kept model, `higher` the score's direction
+  // (MAPE lower-is-better, classifier accuracy higher-is-better).
+  const auto check = [&](const FitReport& report, FitOptions::Validation policy,
+                         double deployed, bool higher) {
+    EXPECT_FALSE(report.warm_started);
+    EXPECT_EQ(report.epochs_run, tc.epochs);
+    EXPECT_GT(report.steps, 0);
+    const std::vector<double>& curve = report.val_curve;
+    ASSERT_EQ(curve.size(), static_cast<std::size_t>(tc.epochs));
+    ASSERT_GE(report.best_epoch, 0);
+    ASSERT_LT(report.best_epoch, tc.epochs);
+    EXPECT_EQ(report.best_val,
+              higher ? *std::max_element(curve.begin(), curve.end())
+                     : *std::min_element(curve.begin(), curve.end()));
+    EXPECT_EQ(report.best_val,
+              curve[static_cast<std::size_t>(report.best_epoch)]);
+    // kBestEpoch restored the selected checkpoint: the deployed validation
+    // score is the best epoch's. kFinalEpoch kept the last epoch's weights.
+    EXPECT_EQ(deployed, policy == FitOptions::Validation::kBestEpoch
+                            ? report.best_val
+                            : curve.back());
+  };
+  // The classifier's larger step makes its accuracy peak before the last
+  // epoch, as the regressor's MAPE does at tc.lr.
+  TrainConfig cls_tc = tc;
+  cls_tc.lr = 5e-2F;
+  std::vector<FitReport> qor, cls;
+  for (const FitOptions::Validation policy :
+       {FitOptions::Validation::kBestEpoch,
+        FitOptions::Validation::kFinalEpoch}) {
+    FitOptions opts;
+    opts.validation = policy;
+    {
+      SCOPED_TRACE("QorPredictor");
+      QorPredictor p(Approach::kOffTheShelf, mc, tc);
+      const FitReport report = p.fit(samples, split, Metric::kLut, opts);
+      check(report, policy, p.evaluate_mape(samples, split.val), false);
+      qor.push_back(report);
+    }
+    {
+      SCOPED_TRACE("NodeTypePredictor");
+      NodeTypePredictor n(mc, cls_tc);
+      const FitReport report = n.fit(samples, split, opts);
+      const NodeClassifierScores val = n.evaluate(samples, split.val);
+      check(report, policy, (val.dsp + val.lut + val.ff) / 3.0, true);
+      cls.push_back(report);
+    }
+  }
+  // The policy decides what is kept, never the trajectory; both curves peak
+  // before the last epoch, so the two policies deployed different weights.
+  EXPECT_EQ(qor[0].val_curve, qor[1].val_curve);
+  EXPECT_EQ(cls[0].val_curve, cls[1].val_curve);
+  EXPECT_LT(qor[0].best_epoch, tc.epochs - 1);
+  EXPECT_LT(cls[0].best_epoch, tc.epochs - 1);
   // A second identical fit reports the same selection.
   QorPredictor again(Approach::kOffTheShelf, mc, tc);
   EXPECT_EQ(again.fit(samples, split, Metric::kLut, FitOptions{}).best_val,
-            report.best_val);
+            qor[0].best_val);
 }
 
 TEST(RefitTest, RefitBitIdenticalAcrossShardsAndThreads) {
