@@ -9,8 +9,8 @@
 //   --smoke      runs the CI canary subset: Trainer epochs, the union
 //                encoder pass (plus its obs twin) and the deterministic
 //                kernel benches (segment scatter, blocked matmul, the
-//                dY*W^T backward — whose in-bench bit-identity asserts are
-//                the gate)
+//                dY*W^T backward, the Adam step per ISA — whose in-bench
+//                bit-identity asserts are the gate)
 //   --json=PATH  write results as JSON (google-benchmark's console output
 //                stays on stdout); shorthand for --benchmark_out=PATH
 //                --benchmark_out_format=json, matching the --json flag of
@@ -347,6 +347,79 @@ void BM_MatmulKernelFitShape(benchmark::State& state) {
   ThreadPool::set_global_threads(g_default_threads);
 }
 BENCHMARK(BM_MatmulKernelFitShape)->DenseRange(0, 2)->UseRealTime();
+
+/// Registers one row per update variant this host can run (0 = portable,
+/// 1 = avx2).
+void available_isas(benchmark::internal::Benchmark* b) {
+  b->Arg(0);
+  if (kernel_isa_available(KernelIsa::kAvx2)) b->Arg(1);
+}
+
+/// One Adam step over the parameter shapes of the fit regressor (-I RGCN,
+/// hidden 64, 3 layers: perfbench's fit workload) at the Trainer's default
+/// decay and clip, by update variant. Each iteration also copies a fixed
+/// gradient into place, as backward's accumulation would (a step zeroes
+/// the grads, and decaying moments would turn subnormal within a few
+/// hundred iterations). Before timing, three steps of the variant are
+/// hard-checked against three portable steps: values and both moments bit
+/// for bit.
+void BM_AdamStep(benchmark::State& state) {
+  const KernelIsa isa =
+      state.range(0) == 0 ? KernelIsa::kPortable : KernelIsa::kAvx2;
+  ModelConfig mc;
+  mc.kind = GnnKind::kRgcn;
+  mc.hidden = 64;
+  mc.layers = 3;
+  const int in_dim =
+      InputFeatureBuilder::feature_dim(Approach::kKnowledgeInfused);
+  // Two models from one seed: the same weights, one per optimizer.
+  auto make_model = [&] {
+    Rng rng(6);
+    return std::make_unique<GraphRegressor>(mc, in_dim, rng);
+  };
+  const auto ref_model = make_model();
+  const auto model = make_model();
+  Rng rng(7);
+  std::vector<Matrix> grads;
+  for (const Parameter* p : model->parameters()) {
+    grads.push_back(
+        Matrix::randn(p->value().rows(), p->value().cols(), rng, 0.05F));
+  }
+  auto load_grads = [&grads](const Module& m) {
+    for (std::size_t k = 0; k < grads.size(); ++k) {
+      m.parameters()[k]->mutable_grad() = grads[k];
+    }
+  };
+  const AdamConfig cfg{.lr = 1e-2F, .weight_decay = 1e-5F, .grad_clip = 5.0F};
+  Adam ref_opt(*ref_model, cfg);
+  Adam opt(*model, cfg);
+  for (int step = 0; step < 3; ++step) {
+    load_grads(*ref_model);
+    ref_opt.step_isa(KernelIsa::kPortable);
+    load_grads(*model);
+    opt.step_isa(isa);
+  }
+  const AdamState ref_state = ref_opt.export_state();
+  const AdamState got_state = opt.export_state();
+  for (std::size_t k = 0; k < grads.size(); ++k) {
+    die_on_mismatch(same_bits(model->parameters()[k]->value(),
+                              ref_model->parameters()[k]->value()) &&
+                        same_bits(got_state.m[k], ref_state.m[k]) &&
+                        same_bits(got_state.v[k], ref_state.v[k]),
+                    "Adam step");
+  }
+  for (auto _ : state) {
+    load_grads(*model);
+    opt.step_isa(isa);
+    benchmark::DoNotOptimize(model->parameters().front()->value().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(model->parameter_count()));
+  state.SetLabel(kernel_isa_name(isa));
+}
+BENCHMARK(BM_AdamStep)->Apply(available_isas)->UseRealTime();
 
 void BM_GatherScatter(benchmark::State& state) {
   LoweredProgram p = lower_to_cdfg(generate_cdfg_program(3));
@@ -778,7 +851,7 @@ int main(int argc, char** argv) {
   if (smoke) {
     storage.push_back(
         "--benchmark_filter=BM_Trainer|BM_SegmentScatter|"
-        "BM_SegmentGather|BM_MatmulKernel|BM_MatmulTbKernel|"
+        "BM_SegmentGather|BM_MatmulKernel|BM_MatmulTbKernel|BM_AdamStep|"
         "BM_UnionEncoderPass");
   }
   gnnhls::g_default_threads = threads;

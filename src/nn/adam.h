@@ -5,6 +5,7 @@
 
 #include "nn/module.h"
 #include "tensor/matrix.h"
+#include "tensor/matrix_kernels.h"
 
 namespace gnnhls {
 
@@ -34,8 +35,12 @@ class Adam {
   explicit Adam(const Module& module, AdamConfig config = {})
       : Adam(module.parameters(), config) {}
 
-  /// Applies one update from accumulated gradients, then zeroes them.
-  void step();
+  /// Applies one update from accumulated gradients, then zeroes them. The
+  /// per-element update runs the variant selected_kernel_isa() picks.
+  void step() { step_isa(selected_kernel_isa()); }
+  /// step() with the update's variant pinned (`isa` must be available).
+  /// Every variant writes the same bits.
+  void step_isa(KernelIsa isa);
 
   /// Adds one gradient buffer (parameter-ordered, as filled by
   /// LeafGradRedirect) into the parameters' grad accumulators; empty

@@ -95,9 +95,9 @@ class Tape {
   /// Tape-scoped constant/input leaf.
   Var leaf(Matrix value, bool requires_grad = false);
 
-  /// Re-registers a persistent leaf (parameter) so backward can reach it.
-  /// (Parameters need no registration — backward reaches them as parents —
-  /// but this keeps them alive for the tape's lifetime.)
+  /// Checks that `v` is valid and returns it. Parameters need no
+  /// registration: backward reaches a persistent leaf as the parent of the
+  /// ops that use it, and those ops' nodes hold it alive.
   Var use(const Var& v);
 
   // ----- dense ops -----

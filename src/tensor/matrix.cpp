@@ -14,6 +14,10 @@
 #include "support/parallel.h"
 #include "tensor/matrix_kernels.h"
 
+#if defined(GNNHLS_KERNEL_AVX2)
+#include <immintrin.h>
+#endif
+
 namespace gnnhls {
 
 void tune_malloc_for_tensor_workloads() {
@@ -89,9 +93,6 @@ int row_grain(int inner, int cols) {
 // variant either): every output element still takes one rounded multiply and
 // one rounded add per k in ascending-k order, and both variants return the
 // same bits as the serial references.
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-#define GNNHLS_KERNEL_AVX2 1
-#endif
 #define GNNHLS_ALWAYS_INLINE inline __attribute__((always_inline))
 
 /// out[0..W) += arow[k] * b[k][0..W) for each listed k = nz[0..count), in
@@ -198,24 +199,86 @@ __attribute__((target("avx2"))) void matmul_rows_avx2(const Matrix& a,
 #endif
 
 MatmulRowsFn matmul_rows_kernel(KernelIsa isa) {
-  GNNHLS_CHECK(kernel_isa_available(isa),
-               "dense kernels: instruction set not available on this host");
+  require_kernel_isa(isa);
 #if defined(GNNHLS_KERNEL_AVX2)
   if (isa == KernelIsa::kAvx2) return matmul_rows_avx2;
 #endif
   return matmul_rows_portable;
 }
 
-Matrix transposed(const Matrix& m) {
-  Matrix t(m.cols(), m.rows());
-  for (int r = 0; r < m.rows(); ++r) {
+/// t[c][r] = m[r][c] for the rows [r_lo, r_hi) and columns [c_lo, c_hi)
+/// of m, one strided store per element.
+void transpose_range(const Matrix& m, Matrix& t, int r_lo, int r_hi, int c_lo,
+                     int c_hi) {
+  for (int r = r_lo; r < r_hi; ++r) {
     const float* row = m.row_ptr(r);
-    for (int c = 0; c < m.cols(); ++c) t(c, r) = row[c];
+    for (int c = c_lo; c < c_hi; ++c) t(c, r) = row[c];
   }
+}
+
+#if defined(GNNHLS_KERNEL_AVX2)
+/// Copies every full 8x8 block of m through registers: eight row loads, an
+/// in-register transpose (unpack, shuffle, then 128-bit lane permute) and
+/// eight row stores into t. The ragged right columns and bottom rows take
+/// transpose_range. Every instruction only moves bits, so t holds exactly
+/// what the portable copy writes, -0 and NaN payloads included.
+__attribute__((target("avx2"))) void transpose_avx2(const Matrix& m,
+                                                    Matrix& t) {
+  const int rows = m.rows();
+  const int cols = m.cols();
+  const int rows8 = rows - rows % 8;
+  const int cols8 = cols - cols % 8;
+  const std::size_t ldt = static_cast<std::size_t>(rows);
+  for (int r = 0; r < rows8; r += 8) {
+    for (int c = 0; c < cols8; c += 8) {
+      __m256 x[8];
+      for (int k = 0; k < 8; ++k) x[k] = _mm256_loadu_ps(m.row_ptr(r + k) + c);
+      __m256 lo[4], hi[4];
+      for (int k = 0; k < 4; ++k) {
+        lo[k] = _mm256_unpacklo_ps(x[2 * k], x[2 * k + 1]);
+        hi[k] = _mm256_unpackhi_ps(x[2 * k], x[2 * k + 1]);
+      }
+      __m256 q[8];
+      for (int k = 0; k < 2; ++k) {
+        q[4 * k + 0] = _mm256_shuffle_ps(lo[2 * k], lo[2 * k + 1], 0x44);
+        q[4 * k + 1] = _mm256_shuffle_ps(lo[2 * k], lo[2 * k + 1], 0xEE);
+        q[4 * k + 2] = _mm256_shuffle_ps(hi[2 * k], hi[2 * k + 1], 0x44);
+        q[4 * k + 3] = _mm256_shuffle_ps(hi[2 * k], hi[2 * k + 1], 0xEE);
+      }
+      float* out = t.data() + static_cast<std::size_t>(c) * ldt + r;
+      for (int k = 0; k < 4; ++k) {
+        _mm256_storeu_ps(out + k * ldt,
+                         _mm256_permute2f128_ps(q[k], q[k + 4], 0x20));
+        _mm256_storeu_ps(out + (k + 4) * ldt,
+                         _mm256_permute2f128_ps(q[k], q[k + 4], 0x31));
+      }
+    }
+  }
+  transpose_range(m, t, 0, rows8, cols8, cols);
+  transpose_range(m, t, rows8, rows, 0, cols);
+}
+#endif
+
+/// m^T, copied by the `isa` variant.
+Matrix transposed_isa(KernelIsa isa, const Matrix& m) {
+  require_kernel_isa(isa);
+  Matrix t(m.cols(), m.rows());
+#if defined(GNNHLS_KERNEL_AVX2)
+  if (isa == KernelIsa::kAvx2) {
+    transpose_avx2(m, t);
+    return t;
+  }
+#endif
+  transpose_range(m, t, 0, m.rows(), 0, m.cols());
   return t;
 }
 
 }  // namespace
+
+void require_kernel_isa(KernelIsa isa) {
+  GNNHLS_CHECK(kernel_isa_available(isa),
+               "kernels: instruction set not available on this host");
+}
 
 bool kernel_isa_available(KernelIsa isa) {
   if (isa == KernelIsa::kPortable) return true;
@@ -257,7 +320,7 @@ Matrix matmul_transpose_a_isa(KernelIsa isa, const Matrix& a,
   // upstream gradient): the O(M·K) copy is small next to the O(M·K·N)
   // product, and it turns a's columns into rows the kernel can scan for
   // zeros.
-  return matmul_isa(isa, transposed(a), b);
+  return matmul_isa(isa, transposed_isa(isa, a), b);
 }
 
 Matrix matmul_transpose_b_isa(KernelIsa isa, const Matrix& a,
@@ -268,7 +331,7 @@ Matrix matmul_transpose_b_isa(KernelIsa isa, const Matrix& a,
   // O(M·K·N) product. Each output element then sums a[i][k]·b[j][k] in
   // ascending k from +0, exactly as the reference's dot product does; the
   // reference's final `+0 + acc` is exact because acc is never -0.
-  return matmul_isa(isa, a, transposed(b));
+  return matmul_isa(isa, a, transposed_isa(isa, b));
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {

@@ -61,7 +61,8 @@ class Matrix {
   /// In-place accumulate with scale: *this += alpha * other.
   void add_scaled_inplace(const Matrix& other, float alpha);
 
-  /// Squared Frobenius norm; used by gradient-norm diagnostics.
+  /// Squared Frobenius norm, summed in double in storage order: Adam's
+  /// global-norm gradient clip adds these over the parameters.
   double squared_norm() const;
 
   bool operator==(const Matrix& other) const {

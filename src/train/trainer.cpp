@@ -147,7 +147,11 @@ std::vector<Matrix> snapshot_parameters(const Module& m) {
 
 void restore_parameters(Module& m, const std::vector<Matrix>& snap) {
   GNNHLS_CHECK_EQ(snap.size(), m.parameters().size(),
-                  "parameter snapshot shape mismatch");
+                  "restore_parameters: snapshot / parameter count mismatch");
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    GNNHLS_CHECK(snap[i].same_shape(m.parameters()[i]->value()),
+                 "restore_parameters: parameter shape mismatch");
+  }
   for (std::size_t i = 0; i < snap.size(); ++i) {
     m.parameters()[i]->mutable_value() = snap[i];
   }

@@ -153,7 +153,9 @@ class Trainer {
 /// Copies out a model's parameter values (the best-epoch snapshot; tests and
 /// benches use it to compare or reset weights).
 std::vector<Matrix> snapshot_parameters(const Module& m);
-/// Writes a snapshot_parameters() result back into the same model.
+/// Writes a snapshot_parameters() result back into the same model. Checks
+/// the count and every shape before writing anything: a snapshot of another
+/// architecture throws and leaves the model as it was.
 void restore_parameters(Module& m, const std::vector<Matrix>& snap);
 
 }  // namespace gnnhls

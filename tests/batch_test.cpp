@@ -571,30 +571,37 @@ TEST(DeterministicKernelsTest, BlockedMatmulMatchesReference) {
   // profile (86 rows is a fit graph), the [E,64] edge-message shape whose
   // a^T*b is the weight gradient, the N=1 readout score and its K=1
   // backward, the N=3 head output, N=107 (one 64-, 32- and 8-wide column
-  // tile plus three single columns), odd M, and empty M and K.
+  // tile plus three single columns), odd M, and empty M and K. The
+  // transposed copies see a as [M,K] and bt as [N,K]; the last four shapes
+  // put those below, at and across the AVX2 copy's 8x8 blocks, so its block
+  // path and both ragged edges run.
   const int shapes[][3] = {{256, 64, 64}, {301, 96, 96}, {5, 3, 2},
                            {63, 300, 300}, {1, 1, 1},   {1536, 64, 64},
                            {300, 64, 1},   {300, 1, 64}, {86, 64, 64},
                            {86, 64, 3},    {77, 64, 107}, {0, 64, 64},
-                           {86, 0, 64}};
+                           {86, 0, 64},    {7, 9, 17},  {8, 8, 8},
+                           {9, 17, 7},     {130, 65, 9}};
   // Exact zeros in a, as post-ReLU/dropout activations and gradients have
-  // them (fit averages 74%), and whole zero rows.
+  // them (fit averages 74%), half of them -0 in one pattern, and whole zero
+  // rows.
   struct Zeros {
     const char* name;
     double fraction;
     bool odd_rows;
+    bool signed_zeros;
   };
-  const Zeros patterns[] = {{"dense", 0.0, false},
-                            {"50% zeros", 0.5, false},
-                            {"74% zeros", 0.74, false},
-                            {"zero rows", 0.0, true}};
+  const Zeros patterns[] = {{"dense", 0.0, false, false},
+                            {"50% zeros", 0.5, false, false},
+                            {"50% +-0", 0.5, false, true},
+                            {"74% zeros", 0.74, false, false},
+                            {"zero rows", 0.0, true, false}};
   for (const auto& s : shapes) {
     for (const Zeros& z : patterns) {
       Matrix a = Matrix::randn(s[0], s[1], rng);
       for (int i = 0; i < a.rows(); ++i) {
         for (int k = 0; k < a.cols(); ++k) {
           if ((z.odd_rows && i % 2 == 1) || rng.bernoulli(z.fraction)) {
-            a(i, k) = 0.0F;
+            a(i, k) = z.signed_zeros && rng.bernoulli(0.5) ? -0.0F : 0.0F;
           }
         }
       }

@@ -1,4 +1,8 @@
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -133,6 +137,106 @@ TEST(AdamTest, GradClipBoundsUpdate) {
   const float after = model.parameters()[0]->value()(0, 0);
   // Step magnitude is lr * clipped unit direction ~ lr, not lr * 1e6.
   EXPECT_LT(std::abs(after - before), 1.5F);
+}
+
+/// One Adam step over flat float arrays, written out element by element
+/// from Kingma & Ba with the library's decoupled decay and global-norm clip.
+struct ReferenceAdam {
+  AdamConfig cfg;
+  std::vector<std::vector<float>> m;
+  std::vector<std::vector<float>> v;
+  long t = 0;
+
+  void step(std::vector<std::vector<float>>& values,
+            const std::vector<std::vector<float>>& grads) {
+    ++t;
+    const float bias1 = 1.0F - std::pow(cfg.beta1, static_cast<float>(t));
+    const float bias2 = 1.0F - std::pow(cfg.beta2, static_cast<float>(t));
+    float clip = 1.0F;
+    if (cfg.grad_clip > 0.0F) {
+      double total = 0.0;
+      for (const auto& g : grads) {
+        for (float x : g) total += static_cast<double>(x) * x;
+      }
+      const double norm = std::sqrt(total);
+      if (norm > cfg.grad_clip) clip = static_cast<float>(cfg.grad_clip / norm);
+    }
+    m.resize(values.size());
+    v.resize(values.size());
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      m[k].resize(values[k].size(), 0.0F);
+      v[k].resize(values[k].size(), 0.0F);
+      for (std::size_t i = 0; i < values[k].size(); ++i) {
+        const float g = grads[k][i] * clip;
+        m[k][i] = cfg.beta1 * m[k][i] + (1.0F - cfg.beta1) * g;
+        v[k][i] = cfg.beta2 * v[k][i] + ((1.0F - cfg.beta2) * g) * g;
+        const float denom = std::sqrt(v[k][i] / bias2) + cfg.eps;
+        float update = (cfg.lr * (m[k][i] / bias1)) / denom;
+        if (cfg.weight_decay > 0.0F) {
+          update = update + (cfg.lr * cfg.weight_decay) * values[k][i];
+        }
+        values[k][i] = values[k][i] - update;
+      }
+    }
+  }
+};
+
+bool same_bits(const Matrix& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), y.size() * sizeof(float)) == 0;
+}
+
+TEST(AdamTest, StepMatchesScalarReference) {
+  // Sizes below, at and past one AVX2 vector, and one with a long body and
+  // a tail; the clip is off, inactive (norm far below it) and active.
+  const std::pair<int, int> shapes[] = {{1, 1}, {7, 1}, {2, 4}, {3, 3},
+                                        {1, 4099}};
+  for (KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2}) {
+    if (!kernel_isa_available(isa)) continue;
+    for (float decay : {0.0F, 0.01F}) {
+      for (float clip : {0.0F, 1e6F, 0.5F}) {
+        const AdamConfig cfg{.lr = 0.01F, .weight_decay = decay,
+                             .grad_clip = clip};
+        Rng rng(31);
+        std::vector<Parameter> params;
+        for (const auto& [rows, cols] : shapes) {
+          params.emplace_back("p", Matrix::randn(rows, cols, rng));
+        }
+        std::vector<Parameter*> ptrs;
+        std::vector<std::vector<float>> values;
+        for (Parameter& p : params) {
+          ptrs.push_back(&p);
+          values.emplace_back(p.value().data(),
+                              p.value().data() + p.value().size());
+        }
+        Adam opt(ptrs, cfg);
+        ReferenceAdam ref{cfg, {}, {}, 0};
+        const std::string where = std::string(kernel_isa_name(isa)) +
+                                  " decay=" + std::to_string(decay) +
+                                  " clip=" + std::to_string(clip);
+        for (int step = 0; step < 3; ++step) {
+          std::vector<std::vector<float>> grads;
+          for (Parameter& p : params) {
+            p.mutable_grad() = Matrix::randn(p.value().rows(),
+                                             p.value().cols(), rng, 0.3F);
+            grads.emplace_back(p.mutable_grad().data(),
+                               p.mutable_grad().data() + p.size());
+          }
+          opt.step_isa(isa);
+          ref.step(values, grads);
+          const AdamState state = opt.export_state();
+          for (std::size_t k = 0; k < params.size(); ++k) {
+            EXPECT_TRUE(same_bits(params[k].value(), values[k]))
+                << where << " step " << step << " param " << k;
+            EXPECT_TRUE(same_bits(state.m[k], ref.m[k]))
+                << where << " step " << step << " param " << k;
+            EXPECT_TRUE(same_bits(state.v[k], ref.v[k]))
+                << where << " step " << step << " param " << k;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ModuleTest, ZeroGradClearsAccumulation) {

@@ -10,6 +10,7 @@
 
 #include "core/metrics.h"
 #include "core/predictor.h"
+#include "nn/layers.h"
 #include "support/parallel.h"
 #include "train/batch_plan.h"
 #include "train/feature_cache.h"
@@ -631,6 +632,29 @@ TEST(FeatureCacheTest, SampleUidsAreUniquePerConstruction) {
   // Copies denote the same sample and keep its identity.
   const Sample copy = a[0];
   EXPECT_EQ(copy.uid, a[0].uid);
+}
+
+// ----- parameter snapshots -----
+
+TEST(SnapshotTest, RestoreChecksEveryShapeBeforeWriting) {
+  Rng rng(5);
+  Linear wide(2, 3, rng);  // W 2x3, b 1x3
+  Linear tall(3, 2, rng);  // W 3x2, b 1x2: same count, other shapes
+  const std::vector<Matrix> before = snapshot_parameters(tall);
+  EXPECT_THROW(restore_parameters(tall, snapshot_parameters(wide)),
+               std::invalid_argument);
+  const std::vector<Matrix> after = snapshot_parameters(tall);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_TRUE(after[i] == before[i]) << "parameter " << i;
+  }
+
+  Linear same(3, 2, rng);
+  restore_parameters(same, before);
+  const std::vector<Matrix> restored = snapshot_parameters(same);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_TRUE(restored[i] == before[i]) << "parameter " << i;
+  }
 }
 
 // ----- LeafGradRedirect -----
