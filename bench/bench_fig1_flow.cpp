@@ -65,7 +65,7 @@ void BM_GnnInference(benchmark::State& state) {
   GraphRegressor model(
       mc, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf), rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict(gt, feats));
+    benchmark::DoNotOptimize(model.predict_batch(gt, feats)[0]);
   }
   state.SetLabel(gnn_kind_name(mc.kind));
 }
@@ -96,7 +96,7 @@ void BM_HierarchicalInference(benchmark::State& state) {
     const auto inferred = classifier.infer_types(gt, base_feats);
     const Matrix feats = InputFeatureBuilder::build(
         p.graph, Approach::kKnowledgeInfused, &inferred);
-    benchmark::DoNotOptimize(regressor.predict(gt, feats));
+    benchmark::DoNotOptimize(regressor.predict_batch(gt, feats)[0]);
   }
 }
 BENCHMARK(BM_HierarchicalInference);

@@ -42,8 +42,11 @@ flake a tight per-pair gate. Per-pair overheads are still printed and
 outliers flagged informationally. Same-machine, same-run pairs need no
 normalization, so this is the one comparison tight thresholds (5%) can
 gate reliably in CI. Times prefer cpu_time over real_time: the pair gate
-measures added work, not scheduling. Every --pair-b entry must find a
-partner; A entries without a B are noted but never fail.
+measures added work, not scheduling. When the artifact holds "median"
+aggregates (bench_micro --benchmark_repetitions=N), each variant's time is
+its median over the repetitions; otherwise it is the variant's single run.
+Every --pair-b entry must find a partner; A entries without a B are noted
+but never fail.
 
 Exit status: 0 = no regression, 1 = at least one regression, 2 = usage or
 parse error.
@@ -117,7 +120,8 @@ def load_entries(path):
 def load_times(path):
     """Returns {name: time} for pair mode — per-iteration time in the
     artifact's own unit (consistent within one file, which is all a ratio
-    needs). Prefers cpu_time for google-benchmark records."""
+    needs). Prefers cpu_time for google-benchmark records, and their
+    median aggregates when the artifact has them."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -125,13 +129,19 @@ def load_times(path):
         fail(f"cannot read {path}: {e}")
     times = {}
     if isinstance(doc, dict) and "benchmarks" in doc:
-        for b in doc["benchmarks"]:
-            if b.get("run_type") == "aggregate":
-                continue
+        medians = [b for b in doc["benchmarks"]
+                   if b.get("run_type") == "aggregate"
+                   and b.get("aggregate_name") == "median"]
+        runs = medians or [b for b in doc["benchmarks"]
+                           if b.get("run_type") != "aggregate"]
+        for b in runs:
+            # A median's run_name is its variant's name without the
+            # "_median" suffix.
+            name = b.get("run_name", b["name"])
             if "cpu_time" in b:
-                times[b["name"]] = float(b["cpu_time"])
+                times[name] = float(b["cpu_time"])
             elif "real_time" in b:
-                times[b["name"]] = float(b["real_time"])
+                times[name] = float(b["real_time"])
     elif isinstance(doc, dict) and "entries" in doc:
         for e in doc["entries"]:
             if e.get("unit", "") in TIME_UNITS:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for bench_compare.py's per-unit comparison directions.
+"""Unit tests for bench_compare.py: per-unit comparison directions and the
+pair gate's median and single-run paths.
 
 Run with: python3 -m unittest discover -s scripts -p 'test_*.py'
 """
@@ -50,6 +51,56 @@ class BenchCompareDirectionTest(unittest.TestCase):
 
     def test_unknown_unit_is_a_parse_error(self):
         self.assertEqual(self.compare("furlongs", 1.0, 1.0), 2)
+
+
+class BenchComparePairTest(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self.tmp.cleanup)
+
+    def pair(self, records):
+        """Exit status of the 5% pair gate over a google-benchmark artifact
+        holding `records`."""
+        path = os.path.join(self.tmp.name, "pair.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump({"benchmarks": records}, f)
+        return subprocess.run(
+            [sys.executable, SCRIPT, "--pair", path, "--pair-a", "BM_A/",
+             "--pair-b", "BM_AObs/", "--threshold=0.05"],
+            capture_output=True, text=True).returncode
+
+    @staticmethod
+    def repetitions(family, times, median):
+        """One iteration record per repetition plus the median aggregate,
+        as bench_micro --benchmark_repetitions writes them."""
+        name = f"{family}/0/1/real_time"
+        records = [{"name": name, "run_name": name, "run_type": "iteration",
+                    "repetition_index": i, "cpu_time": t}
+                   for i, t in enumerate(times)]
+        records.append({"name": name + "_median", "run_name": name,
+                        "run_type": "aggregate", "aggregate_name": "median",
+                        "cpu_time": median})
+        return records
+
+    def test_median_aggregates_gate_the_pair(self):
+        # The last B repetition doubles (a burst of host load); the
+        # medians put the overhead at 3%, within the 5% bound.
+        noisy = (self.repetitions("BM_A", [100.0, 101.0, 99.0], 100.0) +
+                 self.repetitions("BM_AObs", [103.0, 102.0, 200.0], 103.0))
+        self.assertEqual(self.pair(noisy), 0)
+        # Medians 10% apart fail however the single runs fall.
+        slow = (self.repetitions("BM_A", [100.0, 100.0, 120.0], 100.0) +
+                self.repetitions("BM_AObs", [110.0, 110.0, 100.0], 110.0))
+        self.assertEqual(self.pair(slow), 1)
+
+    def test_single_runs_without_aggregates(self):
+        runs = [{"name": "BM_A/0/1/real_time", "run_type": "iteration",
+                 "cpu_time": 100.0},
+                {"name": "BM_AObs/0/1/real_time", "run_type": "iteration",
+                 "cpu_time": 104.0}]
+        self.assertEqual(self.pair(runs), 0)
+        runs[1]["cpu_time"] = 110.0
+        self.assertEqual(self.pair(runs), 1)
 
 
 if __name__ == "__main__":

@@ -10,60 +10,13 @@
 
 namespace gnnhls {
 
-namespace {
-
-/// Classifier training hooks shared by QorPredictor -I and
-/// NodeTypePredictor: BCE over the three binary type tasks.
-Trainer::Hooks classifier_hooks(const NodeClassifier& classifier) {
-  Trainer::Hooks hooks;
-  hooks.forward = [&classifier](Tape& tape, const GraphTensors& gt,
-                                const Matrix& feats, Rng& rng) {
-    return classifier.forward(tape, gt, feats, rng, true);
-  };
-  hooks.loss = [](Tape& tape, const Var& logits, const Matrix& labels) {
-    return tape.bce_with_logits_loss(logits, labels);
-  };
-  return hooks;
-}
-
-/// Fresh seeded node classifier on off-the-shelf features.
-std::unique_ptr<NodeClassifier> make_classifier(const ModelConfig& mc,
-                                                std::uint64_t seed) {
-  Rng init_rng(seed * 7919 + 13);
-  return std::make_unique<NodeClassifier>(
-      mc, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf), init_rng);
-}
-
-/// Classifier data plan: off-the-shelf features, node-type label rows —
-/// both served from the FeatureCache.
-BatchPlan classifier_plan(const std::vector<Sample>& samples,
-                          const std::vector<int>& train_idx,
-                          const TrainConfig& tc) {
-  const std::uint64_t order_seed = tc.seed * 31 + 7;
-  return BatchPlan::build(
-      samples, train_idx, tc.batch_size,
-      [](const Sample& s) -> const Matrix& {
-        return FeatureCache::global().features(s, Approach::kOffTheShelf);
-      },
-      [](const Sample& s) {
-        return FeatureCache::global().node_type_labels(s);
-      },
-      Rng(order_seed),
-      // Cores depend only on (membership, off-the-shelf features): the -I
-      // hierarchy's classifier refit and the standalone NodeTypePredictor
-      // share one assembly per (seed, split).
-      BatchPlan::share_key("train/cls", order_seed, tc.batch_size, samples,
-                           train_idx));
-}
-
-}  // namespace
-
 QorPredictor::QorPredictor(Approach approach, ModelConfig model_cfg,
                            TrainConfig train_cfg, InfusedInference infused)
     : approach_(approach),
       model_cfg_(model_cfg),
       train_cfg_(train_cfg),
-      infused_(infused) {}
+      infused_(infused),
+      classifier_(model_cfg, train_cfg) {}
 
 bool QorPredictor::pure_inference_features() const {
   return approach_ != Approach::kKnowledgeInfused ||
@@ -73,23 +26,10 @@ bool QorPredictor::pure_inference_features() const {
 Matrix QorPredictor::infused_features(const Sample& s) const {
   // Hierarchical inference: self-inferred resource types replace labels.
   // Only the classifier-independent base features are cacheable.
-  GNNHLS_CHECK(classifier_ != nullptr, "predict before fit");
   const Matrix& base =
       FeatureCache::global().features(s, Approach::kOffTheShelf);
-  const auto inferred = classifier_->infer_types(s.tensors, base);
+  const auto inferred = classifier_.classifier().infer_types(s.tensors, base);
   return InputFeatureBuilder::build(s.graph(), approach_, &inferred);
-}
-
-void QorPredictor::fit_classifier(const std::vector<Sample>& samples,
-                                  const std::vector<int>& train_idx,
-                                  std::uint64_t seed) {
-  classifier_ = make_classifier(model_cfg_, seed);
-  TrainConfig tc = train_cfg_;
-  tc.seed = seed;
-  BatchPlan plan = classifier_plan(samples, train_idx, tc);
-  Trainer trainer(*classifier_, tc, classifier_hooks(*classifier_),
-                  seed * 17 + 3);
-  trainer.fit(plan, FitOptions{});  // no validation hook: last epoch kept
 }
 
 void QorPredictor::init_regressor(std::uint64_t seed) {
@@ -141,7 +81,13 @@ FitReport QorPredictor::fit(const std::vector<Sample>& samples,
   if (!warm) {
     if (approach_ == Approach::kKnowledgeInfused &&
         infused_ == InfusedInference::kSelfInferred) {
-      fit_classifier(samples, split.train, seed);
+      // A fresh fit whose empty val split runs no validation, so the last
+      // epoch is kept. The hierarchy never warm-starts its classifier, so
+      // its Adam moments would only hold memory.
+      FitOptions cls_opts;
+      cls_opts.seed = seed;
+      classifier_.fit(samples, SplitIndices{split.train, {}, {}}, cls_opts);
+      classifier_.release_optimizer_state();
     }
     init_regressor(seed);
   }
@@ -339,20 +285,47 @@ FitReport NodeTypePredictor::fit(const std::vector<Sample>& samples,
                                  const FitOptions& opts) {
   tune_malloc_for_tensor_workloads();
   const std::uint64_t seed = opts.seed != 0 ? opts.seed : train_cfg_.seed;
-  const bool warm = opts.warm_start && classifier_ != nullptr;
-  if (!warm) {
-    classifier_ = make_classifier(model_cfg_, seed);
+  if (!opts.warm_start || classifier_ == nullptr) {
+    Rng init_rng(seed * 7919 + 13);
+    classifier_ = std::make_unique<NodeClassifier>(
+        model_cfg_, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf),
+        init_rng);
     adam_state_.reset();
   }
   TrainConfig tc = train_cfg_;
   tc.seed = seed;
-  BatchPlan plan = classifier_plan(samples, split.train, tc);
-  Trainer::Hooks hooks = classifier_hooks(*classifier_);
-  hooks.validate = [&] {
-    const NodeClassifierScores val = evaluate(samples, split.val);
-    return (val.dsp + val.lut + val.ff) / 3.0;
+  // Off-the-shelf features and node-type label rows, both served from the
+  // FeatureCache. Cores depend only on (membership, off-the-shelf
+  // features): the -I hierarchy's classifier fit and a standalone fit
+  // share one assembly per (seed, split).
+  const std::uint64_t order_seed = seed * 31 + 7;
+  BatchPlan plan = BatchPlan::build(
+      samples, split.train, tc.batch_size,
+      [](const Sample& s) -> const Matrix& {
+        return FeatureCache::global().features(s, Approach::kOffTheShelf);
+      },
+      [](const Sample& s) {
+        return FeatureCache::global().node_type_labels(s);
+      },
+      Rng(order_seed),
+      BatchPlan::share_key("train/cls", order_seed, tc.batch_size, samples,
+                           split.train));
+  Trainer::Hooks hooks;
+  hooks.forward = [&classifier = *classifier_](Tape& tape,
+                                               const GraphTensors& gt,
+                                               const Matrix& feats, Rng& rng) {
+    return classifier.forward(tape, gt, feats, rng, true);
   };
-  hooks.higher_is_better = true;
+  hooks.loss = [](Tape& tape, const Var& logits, const Matrix& labels) {
+    return tape.bce_with_logits_loss(logits, labels);
+  };
+  if (!split.val.empty()) {
+    hooks.validate = [&] {
+      const NodeClassifierScores val = evaluate(samples, split.val);
+      return (val.dsp + val.lut + val.ff) / 3.0;
+    };
+    hooks.higher_is_better = true;
+  }
   Trainer trainer(*classifier_, tc, std::move(hooks), seed * 17 + 3);
   return trainer.fit(plan, opts, &adam_state_);
 }

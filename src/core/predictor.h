@@ -47,6 +47,47 @@ namespace gnnhls {
 /// node-classifier would buy (used by the hierarchy ablation bench).
 enum class InfusedInference { kSelfInferred, kOracle };
 
+// ----- node-level classification (paper Table 3) -----
+
+struct NodeClassifierScores {
+  // accuracy per binary task, paper column order
+  double dsp = 0.0;
+  double lut = 0.0;
+  double ff = 0.0;
+};
+
+class NodeTypePredictor {
+ public:
+  NodeTypePredictor(ModelConfig model_cfg, TrainConfig train_cfg);
+
+  /// Trains on samples[split.train] under the given options (seed override,
+  /// epoch budget, warm start from the current classifier, validation
+  /// policy — kBestEpoch selects by validation mean accuracy, higher
+  /// better). FitReport::val_curve carries the per-epoch mean accuracy. An
+  /// empty split.val runs no validation: the last epoch is kept and the
+  /// report's validation fields stay empty.
+  FitReport fit(const std::vector<Sample>& samples, const SplitIndices& split,
+                const FitOptions& opts);
+
+  NodeClassifierScores evaluate(const std::vector<Sample>& samples,
+                                const std::vector<int>& idx) const;
+
+  /// Frees the optimizer moments fit() keeps for a later warm start, which
+  /// then resumes the weights with fresh moments.
+  void release_optimizer_state() { adam_state_.reset(); }
+
+  const NodeClassifier& classifier() const {
+    GNNHLS_CHECK(classifier_ != nullptr, "classifier before fit");
+    return *classifier_;
+  }
+
+ private:
+  ModelConfig model_cfg_;
+  TrainConfig train_cfg_;
+  std::unique_ptr<NodeClassifier> classifier_;
+  std::optional<AdamState> adam_state_;  // kept epoch's optimizer moments
+};
+
 class QorPredictor {
  public:
   QorPredictor(Approach approach, ModelConfig model_cfg, TrainConfig train_cfg,
@@ -132,9 +173,6 @@ class QorPredictor {
   /// replace the ground-truth type annotations.
   Matrix infused_features(const Sample& s) const;
 
-  void fit_classifier(const std::vector<Sample>& samples,
-                      const std::vector<int>& train_idx, std::uint64_t seed);
-
   /// Fresh seeded regressor init (drops the optimizer checkpoint).
   void init_regressor(std::uint64_t seed);
 
@@ -152,7 +190,7 @@ class QorPredictor {
   TrainConfig train_cfg_;
   InfusedInference infused_;
   Metric metric_ = Metric::kLut;
-  std::unique_ptr<NodeClassifier> classifier_;  // only for -I
+  NodeTypePredictor classifier_;  // fitted only for -I self-inferred
   std::unique_ptr<GraphRegressor> regressor_;
 
   // --- refit state (valid after fit) ---
@@ -164,38 +202,6 @@ class QorPredictor {
   std::optional<AdamState> adam_state_;  // kept epoch's optimizer moments
   std::uint64_t fit_seed_ = 0;           // effective seed of the last fresh fit
   int refits_ = 0;
-};
-
-// ----- node-level classification (paper Table 3) -----
-
-struct NodeClassifierScores {
-  // accuracy per binary task, paper column order
-  double dsp = 0.0;
-  double lut = 0.0;
-  double ff = 0.0;
-};
-
-class NodeTypePredictor {
- public:
-  NodeTypePredictor(ModelConfig model_cfg, TrainConfig train_cfg);
-
-  /// Trains on samples[split.train] under the given options (seed override,
-  /// epoch budget, warm start from the current classifier, validation
-  /// policy — kBestEpoch selects by validation mean accuracy, higher
-  /// better). FitReport::val_curve carries the per-epoch mean accuracy.
-  FitReport fit(const std::vector<Sample>& samples, const SplitIndices& split,
-                const FitOptions& opts);
-
-  NodeClassifierScores evaluate(const std::vector<Sample>& samples,
-                                const std::vector<int>& idx) const;
-
-  const NodeClassifier& classifier() const { return *classifier_; }
-
- private:
-  ModelConfig model_cfg_;
-  TrainConfig train_cfg_;
-  std::unique_ptr<NodeClassifier> classifier_;
-  std::optional<AdamState> adam_state_;  // kept epoch's optimizer moments
 };
 
 }  // namespace gnnhls

@@ -30,17 +30,10 @@ Var GraphRegressor::forward(Tape& tape, const GraphTensors& gt,
   return head_->forward(tape, pooled);
 }
 
-float GraphRegressor::predict(const GraphTensors& gt,
-                              const Matrix& features) const {
-  Tape tape;
-  Rng rng(0);  // dropout disabled when training=false, value unused
-  return forward(tape, gt, features, rng, /*training=*/false).value()(0, 0);
-}
-
 std::vector<float> GraphRegressor::predict_batch(
     const GraphTensors& gt, const Matrix& features) const {
   Tape tape;
-  Rng rng(0);
+  Rng rng(0);  // dropout disabled when training=false, value unused
   const Var pred = forward(tape, gt, features, rng, /*training=*/false);
   std::vector<float> out(static_cast<std::size_t>(pred.rows()));
   for (int g = 0; g < pred.rows(); ++g) {

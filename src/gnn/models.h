@@ -39,11 +39,9 @@ class GraphRegressor : public Module {
   Var forward(Tape& tape, const GraphTensors& gt, const Matrix& features,
               Rng& rng, bool training) const;
 
-  /// Convenience inference (no-grad usage; still builds a throwaway tape).
-  float predict(const GraphTensors& gt, const Matrix& features) const;
-
-  /// Batched inference over a merged batch view: one encoded prediction per
-  /// member graph, in member order.
+  /// Inference (a throwaway tape, no dropout): one encoded prediction per
+  /// member graph of a merged batch view, in member order; a plain
+  /// single-graph GraphTensors gives one.
   std::vector<float> predict_batch(const GraphTensors& gt,
                                    const Matrix& features) const;
 

@@ -1,10 +1,14 @@
 // Parameter containers and the Module base class.
 //
-// A Parameter is a persistent autograd leaf: its VarNode survives across
-// tapes, so gradients from successive forward passes accumulate until the
-// optimizer consumes and zeroes them.
+// A Parameter is a persistent autograd leaf: it owns its VarNode, which
+// survives across tapes, so gradients from successive forward passes
+// accumulate until the optimizer consumes and zeroes them. The node lives
+// behind a unique_ptr, so moving a Parameter (a std::vector<Parameter>
+// that grows, say) keeps its node's address and every Var handed out by
+// var() stays valid for the Parameter's lifetime.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,19 +20,20 @@ class Parameter {
  public:
   Parameter() = default;
   Parameter(std::string name, Matrix value)
-      : name_(std::move(name)), var_(make_leaf(std::move(value), true)) {}
+      : name_(std::move(name)),
+        node_(std::make_unique<VarNode>(std::move(value), true)) {}
 
   const std::string& name() const { return name_; }
-  const Var& var() const { return var_; }
-  const Matrix& value() const { return var_.value(); }
-  Matrix& mutable_value() { return var_.node()->value; }
-  Matrix& mutable_grad() { return var_.node()->grad; }
-  void zero_grad() { var_.node()->grad.fill(0.0F); }
-  std::size_t size() const { return var_.value().size(); }
+  Var var() const { return Var(node_.get()); }
+  const Matrix& value() const { return node_->value; }
+  Matrix& mutable_value() { return node_->value; }
+  Matrix& mutable_grad() { return node_->grad; }
+  void zero_grad() { node_->grad.fill(0.0F); }
+  std::size_t size() const { return node_->value.size(); }
 
  private:
   std::string name_;
-  Var var_;
+  std::unique_ptr<VarNode> node_;
 };
 
 /// Base class for anything holding trainable parameters. Subclasses register

@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 
 namespace gnnhls {
 
 namespace {
 
-bool any_requires_grad(const std::vector<Var>& parents) {
-  return std::any_of(parents.begin(), parents.end(),
+template <class Vars>
+bool any_requires_grad(const Vars& vars) {
+  return std::any_of(vars.begin(), vars.end(),
                      [](const Var& v) { return v.requires_grad(); });
 }
 
@@ -114,7 +116,7 @@ LeafGradRedirect::LeafGradRedirect(const std::vector<Var>& leaves,
     const Var& leaf = leaves[i];
     GNNHLS_CHECK(leaf.valid(), "LeafGradRedirect: invalid leaf");
     if (!leaf.requires_grad()) continue;
-    frame->sinks.emplace(leaf.node().get(), &sinks[i]);
+    frame->sinks.emplace(leaf.node(), &sinks[i]);
   }
   tl_redirect = frame.release();
 }
@@ -124,42 +126,26 @@ LeafGradRedirect::~LeafGradRedirect() {
   tl_redirect = nullptr;
 }
 
-Var make_leaf(Matrix value, bool requires_grad) {
-  auto node = std::make_shared<VarNode>();
-  node->value = std::move(value);
-  node->requires_grad = requires_grad;
-  // Persistent leaves keep eager storage: optimizers and callers read it.
-  if (requires_grad) {
-    node->grad = Matrix::zeros(node->value.rows(), node->value.cols());
-  }
-  return Var(node);
-}
-
 Var Tape::leaf(Matrix value, bool requires_grad) {
-  Var v = make_leaf(std::move(value), requires_grad);
-  ops_.push_back(v.node());
-  return v;
+  return Var(&nodes_.emplace_back(std::move(value), requires_grad));
 }
 
-Var Tape::use(const Var& v) {
-  GNNHLS_CHECK(v.valid(), "use: invalid Var");
-  return v;
-}
-
-Var Tape::record(Matrix value, std::vector<Var> parents,
-                 std::function<void(VarNode&)> backprop) {
-  auto node = std::make_shared<VarNode>();
-  node->value = std::move(value);
-  node->requires_grad = any_requires_grad(parents);
-  node->parents.reserve(parents.size());
-  for (const auto& p : parents) node->parents.push_back(p.node());
-  if (node->requires_grad) {
+Var Tape::record(Matrix value, bool requires_grad, Backprop backprop) {
+  VarNode& node = nodes_.emplace_back();
+  node.value = std::move(value);
+  node.requires_grad = requires_grad;
+  if (requires_grad) {
     // Gradient storage is allocated lazily in backward(), so pure inference
     // (predict paths) never pays for gradient buffers.
-    node->backprop = std::move(backprop);
+    node.backprop = std::move(backprop);
   }
-  ops_.push_back(node);
-  return Var(node);
+  return Var(&node);
+}
+
+Var Tape::record(Matrix value, std::initializer_list<Var> inputs,
+                 Backprop backprop) {
+  return record(std::move(value), any_requires_grad(inputs),
+                std::move(backprop));
 }
 
 void Tape::backward(const Var& loss) {
@@ -170,8 +156,8 @@ void Tape::backward(const Var& loss) {
   Matrix& seed = loss.node()->grad;
   if (seed.empty()) seed = Matrix::zeros(1, 1);
   seed(0, 0) += 1.0F;
-  for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
-    VarNode& n = **it;
+  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
+    VarNode& n = *it;
     // An empty grad means no path from the loss reached this node, so its
     // backprop would only add zeros: skip it.
     if (!n.backprop || n.grad.empty()) continue;
@@ -558,7 +544,7 @@ Var Tape::concat_cols(const std::vector<Var>& parts) {
     }
     offset += p.cols();
   }
-  return record(std::move(out), parts, [parts](VarNode& n) {
+  return record(std::move(out), any_requires_grad(parts), [parts](VarNode& n) {
     int off = 0;
     for (const auto& p : parts) {
       if (p.requires_grad()) {

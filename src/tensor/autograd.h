@@ -2,10 +2,19 @@
 //
 // A Tape records every operation in creation order (which is a topological
 // order, since an op can only consume previously created Vars); backward()
-// walks it in reverse. Parameters are persistent leaf VarNodes owned by nn
-// modules — their gradients accumulate across forward passes until the
-// optimizer zeroes them, so minibatching over graphs is a plain
+// walks it in reverse. Parameters (nn/module.h) are persistent leaves owned
+// by nn modules — their gradients accumulate across forward passes until
+// the optimizer zeroes them, so minibatching over graphs is a plain
 // gradient-accumulation loop.
+//
+// Ownership: every VarNode has exactly one owner. A Tape owns the nodes it
+// records and its leaf()s, at stable addresses, and frees them all when it
+// is destroyed; a Parameter owns its persistent node. A Var is a plain,
+// trivially copyable handle (a VarNode pointer) and owns nothing: a Var is
+// valid while the Tape that recorded it, or the Parameter that owns it, is
+// alive. Parameter is the one way to build a leaf that outlives a tape.
+// A backprop reaches its inputs through the Var handles it captured, so
+// nodes keep no parent edges.
 //
 // Graph structure enters through four index-based ops: gather_rows (edge
 // source lookup), scatter_add_rows (message aggregation), the segment_*
@@ -24,8 +33,10 @@
 // difference.
 #pragma once
 
+#include <deque>
 #include <functional>
-#include <memory>
+#include <initializer_list>
+#include <type_traits>
 #include <vector>
 
 #include "support/rng.h"
@@ -35,23 +46,29 @@
 namespace gnnhls {
 
 struct VarNode {
+  VarNode() = default;
+  /// A leaf (a Parameter's node or a Tape::leaf). One that requires grad
+  /// holds a zeroed grad from creation.
+  VarNode(Matrix v, bool needs_grad)
+      : value(std::move(v)), requires_grad(needs_grad) {
+    if (requires_grad) grad = Matrix::zeros(value.rows(), value.cols());
+  }
+
   Matrix value;
-  /// Persistent leaves (make_leaf, Tape::leaf) with requires_grad hold it
-  /// from creation. An op node's grad exists only during backward(), from
-  /// its first contribution until its backprop has run; after backward()
-  /// it is unspecified.
+  /// Leaves that require grad hold it from creation. An op node's grad
+  /// exists only during backward(), from its first contribution until its
+  /// backprop has run; after backward() it is unspecified.
   Matrix grad;
   bool requires_grad = false;
-  std::vector<std::shared_ptr<VarNode>> parents;
-  /// Hands this node's grad down into its parents' grads; may consume it.
+  /// Hands this node's grad down into its inputs' grads; may consume it.
   std::function<void(VarNode&)> backprop;
 };
 
-/// Value-semantics handle to a VarNode (cheap to copy).
+/// Non-owning handle to a VarNode (see the file comment for its lifetime).
 class Var {
  public:
   Var() = default;
-  explicit Var(std::shared_ptr<VarNode> node) : node_(std::move(node)) {}
+  explicit Var(VarNode* node) : node_(node) {}
 
   bool valid() const { return node_ != nullptr; }
   const Matrix& value() const { return node_->value; }
@@ -59,14 +76,12 @@ class Var {
   bool requires_grad() const { return node_->requires_grad; }
   int rows() const { return node_->value.rows(); }
   int cols() const { return node_->value.cols(); }
-  const std::shared_ptr<VarNode>& node() const { return node_; }
+  VarNode* node() const { return node_; }
 
  private:
-  std::shared_ptr<VarNode> node_;
+  VarNode* node_ = nullptr;
 };
-
-/// Creates a persistent leaf (used by nn::Parameter). Not tied to any tape.
-Var make_leaf(Matrix value, bool requires_grad);
+static_assert(std::is_trivially_copyable_v<Var>);
 
 /// RAII scope that redirects gradient accumulation for the given persistent
 /// leaves (parameters) into caller-owned buffers on the *current thread*.
@@ -92,13 +107,13 @@ class LeafGradRedirect {
 
 class Tape {
  public:
+  Tape() = default;
+  /// Vars point into the tape's nodes: a tape neither copies nor moves.
+  Tape(const Tape&) = delete;
+  Tape& operator=(const Tape&) = delete;
+
   /// Tape-scoped constant/input leaf.
   Var leaf(Matrix value, bool requires_grad = false);
-
-  /// Checks that `v` is valid and returns it. Parameters need no
-  /// registration: backward reaches a persistent leaf as the parent of the
-  /// ops that use it, and those ops' nodes hold it alive.
-  Var use(const Var& v);
 
   // ----- dense ops -----
   Var matmul(const Var& a, const Var& b);
@@ -169,13 +184,19 @@ class Tape {
   /// grads of op nodes are unspecified afterwards.
   void backward(const Var& loss);
 
-  std::size_t size() const { return ops_.size(); }
+  std::size_t size() const { return nodes_.size(); }
 
  private:
-  Var record(Matrix value, std::vector<Var> parents,
-             std::function<void(VarNode&)> backprop);
+  using Backprop = std::function<void(VarNode&)>;
 
-  std::vector<std::shared_ptr<VarNode>> ops_;
+  /// Appends an op node. It requires grad as given or, from an input
+  /// list, iff one of the inputs does; only then does it keep its backprop.
+  Var record(Matrix value, bool requires_grad, Backprop backprop);
+  Var record(Matrix value, std::initializer_list<Var> inputs,
+             Backprop backprop);
+
+  /// Creation order; a deque never moves its elements as it grows.
+  std::deque<VarNode> nodes_;
 };
 
 }  // namespace gnnhls

@@ -294,7 +294,7 @@ TEST_P(BatchRoundTripTest, RegressorBatchPredictionsMatchPerGraph) {
       model.predict_batch(batch.merged, GraphBatch::stack_features(fparts));
   ASSERT_EQ(batched.size(), samples.size());
   for (std::size_t g = 0; g < samples.size(); ++g) {
-    const float single = model.predict(samples[g].tensors, feats[g]);
+    const float single = model.predict_batch(samples[g].tensors, feats[g])[0];
     EXPECT_NEAR(batched[g], single, 1e-4F) << gnn_kind_name(GetParam());
   }
 }
@@ -362,8 +362,8 @@ TEST(BatchRoundTripTest, SingletonBatchIsBitwiseIdentical) {
       InputFeatureBuilder::build(samples[0].graph(), Approach::kOffTheShelf);
   const GraphBatch batch = GraphBatch::build({&samples[0].tensors});
   const Matrix stacked = GraphBatch::stack_features({&feats});
-  EXPECT_EQ(model.predict(batch.merged, stacked),
-            model.predict(samples[0].tensors, feats));
+  EXPECT_EQ(model.predict_batch(batch.merged, stacked),
+            model.predict_batch(samples[0].tensors, feats));
 }
 
 // ----- thread pool -----
@@ -537,7 +537,8 @@ TEST(DeterministicKernelsTest, SegmentOpGradsBitIdenticalAcrossThreadCounts) {
     Matrix base_value, base_grad;
     for (int threads : kKernelThreadCounts) {
       KernelPoolGuard pool(threads);
-      Var leaf = make_leaf(input, /*requires_grad=*/true);
+      const Parameter param("input", input);
+      const Var leaf = param.var();
       Tape tape;
       const Var summed = tape.scatter_add_rows(leaf, seg);
       const Var spread = tape.gather_rows(summed, seg);

@@ -63,7 +63,7 @@ TEST(EdgeCaseTest, RegressorPredictsOnTinyGraph) {
       mc, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf), rng);
   const Matrix feats =
       InputFeatureBuilder::build(s.graph(), Approach::kOffTheShelf);
-  EXPECT_TRUE(std::isfinite(model.predict(s.tensors, feats)));
+  EXPECT_TRUE(std::isfinite(model.predict_batch(s.tensors, feats)[0]));
 }
 
 TEST(EdgeCaseTest, EncoderConfigValidation) {

@@ -273,8 +273,8 @@ TEST(GraphRegressorTest, PoolingModesDiffer) {
   GraphRegressor mean_model(
       mean_cfg, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf),
       rng2);
-  EXPECT_NE(sum_model.predict(s.tensors, feats),
-            mean_model.predict(s.tensors, feats));
+  EXPECT_NE(sum_model.predict_batch(s.tensors, feats),
+            mean_model.predict_batch(s.tensors, feats));
 }
 
 TEST(NodeClassifierTest, LogitsShapeAndInference) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/module.h"
 #include "tensor/autograd.h"
 
 namespace gnnhls::testing {
@@ -78,9 +79,10 @@ inline void expect_leaf_gradients_match(
 inline void expect_gradient_matches(
     Matrix input, const std::function<Var(Tape&, const Var&)>& fn,
     float h = 1e-2F, float tol = 2e-2F) {
-  const Var leaf = make_leaf(std::move(input), /*requires_grad=*/true);
+  const Parameter leaf("input", std::move(input));
   expect_leaf_gradients_match(
-      {leaf}, [&](Tape& tape) { return fn(tape, leaf); }, h, tol);
+      {leaf.var()}, [&](Tape& tape) { return fn(tape, leaf.var()); }, h,
+      tol);
 }
 
 }  // namespace gnnhls::testing

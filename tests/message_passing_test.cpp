@@ -107,21 +107,21 @@ Var gather_matmul_scatter(Tape& t, const Layout& layout, const Var& x,
 
 RunResult run_gather_scatter(const Layout& layout, const Matrix& x,
                              const std::vector<float>& coeff) {
-  const Var leaf = make_leaf(x, /*requires_grad=*/true);
+  const Parameter leaf("x", x);
   Tape t;
-  const Var out = gather_scatter(t, layout, leaf, coeff);
+  const Var out = gather_scatter(t, layout, leaf.var(), coeff);
   t.backward(t.sum_all(t.mul(out, out)));  // nonlinear loss: grads carry out
-  return {out.value(), leaf.grad(), Matrix()};
+  return {out.value(), leaf.var().grad(), Matrix()};
 }
 
 RunResult run_gather_matmul_scatter(const Layout& layout, const Matrix& x,
                                     const Matrix& w) {
-  const Var xl = make_leaf(x, /*requires_grad=*/true);
-  const Var wl = make_leaf(w, /*requires_grad=*/true);
+  const Parameter xl("x", x);
+  const Parameter wl("w", w);
   Tape t;
-  const Var out = gather_matmul_scatter(t, layout, xl, wl);
+  const Var out = gather_matmul_scatter(t, layout, xl.var(), wl.var());
   t.backward(t.sum_all(t.mul(out, out)));
-  return {out.value(), xl.grad(), wl.grad()};
+  return {out.value(), xl.var().grad(), wl.var().grad()};
 }
 
 // ----- composition-level bit-identity across pool widths -----
@@ -191,12 +191,12 @@ TEST(MessagePassingGradientTest,
 
   // d/dx with the weight held constant.
   testing::expect_gradient_matches(x, [&](Tape& t, const Var& v) {
-    const Var out = gather_matmul_scatter(t, layout, v, make_leaf(w, false));
+    const Var out = gather_matmul_scatter(t, layout, v, t.leaf(w));
     return t.sum_all(t.mul(out, out));
   });
   // d/dw with the features held constant.
   testing::expect_gradient_matches(w, [&](Tape& t, const Var& v) {
-    const Var out = gather_matmul_scatter(t, layout, make_leaf(x, false), v);
+    const Var out = gather_matmul_scatter(t, layout, t.leaf(x), v);
     return t.sum_all(t.mul(out, out));
   });
 }

@@ -210,12 +210,62 @@ TEST(AutogradTest, BackwardOnConstantThrows) {
 }
 
 TEST(AutogradTest, GradientAccumulatesAcrossTapes) {
-  const Var p = make_leaf(Matrix(1, 1, 2.0F), true);
+  const Parameter p("p", Matrix(1, 1, 2.0F));
   for (int pass = 0; pass < 3; ++pass) {
     Tape tape;
-    tape.backward(tape.scale(tape.use(p), 1.0F));
+    tape.backward(tape.scale(p.var(), 1.0F));
   }
-  EXPECT_FLOAT_EQ(p.grad()(0, 0), 3.0F);
+  EXPECT_FLOAT_EQ(p.var().grad()(0, 0), 3.0F);
+}
+
+// ----- node ownership: a Var is a handle into its owner -----
+
+TEST(NodeOwnershipTest, ParameterVarsSurviveVectorReallocation) {
+  // Moving a Parameter must not move its node: Vars taken before the
+  // vector reallocates still read the values and route the gradients.
+  std::vector<Parameter> params;
+  std::vector<Var> vars;
+  params.emplace_back("p0", Matrix(2, 3, 1.0F));
+  vars.push_back(params.back().var());
+  const std::size_t first_capacity = params.capacity();
+  for (int i = 1; i < 9; ++i) {
+    params.emplace_back("p" + std::to_string(i),
+                        Matrix(2, 3, static_cast<float>(i + 1)));
+    vars.push_back(params.back().var());
+  }
+  ASSERT_GT(params.capacity(), first_capacity) << "never reallocated";
+  Tape tape;
+  Var loss = tape.scale(tape.sum_all(vars[0]), 1.0F);
+  for (std::size_t i = 1; i < vars.size(); ++i) {
+    EXPECT_EQ(vars[i].value()(1, 2), static_cast<float>(i + 1));
+    const float weight = static_cast<float>(i + 1);
+    loss = tape.add(loss, tape.scale(tape.sum_all(vars[i]), weight));
+  }
+  tape.backward(loss);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(vars[i].node(), params[i].var().node()) << i;
+    const Matrix& g = params[i].var().grad();
+    for (std::size_t k = 0; k < g.size(); ++k) {
+      EXPECT_EQ(g.data()[k], static_cast<float>(i + 1)) << i;
+    }
+  }
+}
+
+TEST(NodeOwnershipTest, LongTapeBackpropsToParameter) {
+  // x_{k+1} = 1 * x_k + w over n steps gives x_n = (n + 1) w, so every
+  // entry of dsum(x_n)/dw is n + 1 (exact in float). Thousands of nodes
+  // recorded after x_0 must not move the nodes the early Vars point at.
+  const Parameter w("w", make_test_matrix(2, 3));
+  const int n = 5001;
+  Tape tape;
+  Var x = w.var();
+  for (int k = 0; k < n; ++k) x = tape.add(tape.scale(x, 1.0F), w.var());
+  ASSERT_GT(tape.size(), 10000U);
+  tape.backward(tape.sum_all(x));
+  const Matrix& g = w.var().grad();
+  for (std::size_t k = 0; k < g.size(); ++k) {
+    EXPECT_EQ(g.data()[k], static_cast<float>(n + 1)) << k;
+  }
 }
 
 // ----- lazy backward: accumulation order, dead branches, redirect -----
@@ -225,7 +275,8 @@ TEST(LazyBackwardTest, VarUsedTwiceByOneOp) {
   // and the second is added: add(x, x) must give 2, mul(x, x) 2x per entry
   // (through y = 3 * w, so 6 and 18w at the leaf).
   const Matrix w0 = make_test_matrix(2, 3);
-  const Var w = make_leaf(w0, true);
+  Parameter wp("w", w0);
+  const Var w = wp.var();
   {
     Tape tape;
     const Var x = tape.scale(w, 3.0F);
@@ -234,7 +285,7 @@ TEST(LazyBackwardTest, VarUsedTwiceByOneOp) {
   for (std::size_t i = 0; i < w0.size(); ++i) {
     EXPECT_FLOAT_EQ(w.grad().data()[i], 6.0F);
   }
-  w.node()->grad.fill(0.0F);
+  wp.zero_grad();
   {
     Tape tape;
     const Var x = tape.scale(w, 3.0F);
@@ -248,7 +299,8 @@ TEST(LazyBackwardTest, VarUsedTwiceByOneOp) {
 TEST(LazyBackwardTest, VarUsedTwiceByOneOpUnderRedirect) {
   // Redirected sinks start empty, so the leaf itself takes the move-in path.
   const Matrix w0 = make_test_matrix(2, 3);
-  const Var w = make_leaf(w0, true);
+  const Parameter wp("w", w0);
+  const Var w = wp.var();
   std::vector<Matrix> sinks;
   {
     LeafGradRedirect redirect({w}, sinks);
@@ -280,7 +332,8 @@ TEST(LazyBackwardTest, ElementwiseAndMatmulShareAnInput) {
   Matrix w0(2, 2);
   w0(0, 0) = 0.5F; w0(0, 1) = -1.0F;
   w0(1, 0) = 2.0F; w0(1, 1) = 0.25F;
-  const Var x = make_leaf(x0, true);
+  const Parameter xp("x", x0);
+  const Var x = xp.var();
   Tape tape;
   const Var y = tape.scale(x, 2.0F);
   const Var w = tape.leaf(w0);
@@ -300,8 +353,10 @@ TEST(LazyBackwardTest, DeadBranchIsNotBackpropagated) {
   // A branch that never reaches the loss gets no grad, so its backprop
   // never runs: a NaN in it cannot leak into its inputs' grads (a sweep
   // that pushed zeros through it would compute 0 * NaN).
-  const Var live = make_leaf(make_test_matrix(2, 2), true);
-  const Var dead_in = make_leaf(make_test_matrix(2, 2), true);
+  const Parameter live_p("live", make_test_matrix(2, 2));
+  const Parameter dead_p("dead_in", make_test_matrix(2, 2));
+  const Var live = live_p.var();
+  const Var dead_in = dead_p.var();
   Tape tape;
   const Var nan = tape.leaf(Matrix(2, 2, std::nanf("")));
   const Var dead = tape.mul(tape.sigmoid(dead_in), nan);

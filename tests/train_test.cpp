@@ -441,6 +441,51 @@ TEST(RefitTest, ClassifierFitReportIsReproducible) {
   EXPECT_EQ(b.fit(samples, split, FitOptions{}).best_val, report.best_val);
 }
 
+TEST(RefitTest, ClassifierFitWithoutValSplitKeepsLastEpoch) {
+  // The -I hierarchy fits its classifier this way: no validation runs, the
+  // report's validation fields stay empty, and the weights are the final
+  // epoch's — those of a validated fit that keeps its final epoch.
+  const auto samples = small_corpus(24, 2222);
+  const SplitIndices split =
+      split_80_10_10(static_cast<int>(samples.size()), 6);
+  ModelConfig mc;
+  mc.kind = GnnKind::kGcn;
+  mc.hidden = 8;
+  mc.layers = 2;
+  TrainConfig tc;
+  tc.epochs = 5;
+  tc.lr = 1e-2F;
+  tc.batch_size = 4;
+  FitOptions opts;
+  opts.epochs = 3;
+  NodeTypePredictor unvalidated(mc, tc);
+  const FitReport report =
+      unvalidated.fit(samples, SplitIndices{split.train, {}, {}}, opts);
+  EXPECT_TRUE(report.val_curve.empty());
+  EXPECT_EQ(report.best_epoch, -1);
+  EXPECT_EQ(report.epochs_run, opts.epochs);
+
+  opts.validation = FitOptions::Validation::kFinalEpoch;
+  NodeTypePredictor validated(mc, tc);
+  EXPECT_EQ(validated.fit(samples, split, opts).val_curve.size(), 3U);
+  const auto a = snapshot_parameters(unvalidated.classifier());
+  const auto b = snapshot_parameters(validated.classifier());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a[i] == b[i]) << "parameter " << i;
+  }
+
+  // With its moments released, a warm start resumes the weights only.
+  unvalidated.release_optimizer_state();
+  FitOptions warm;
+  warm.warm_start = true;
+  warm.epochs = 1;
+  EXPECT_FALSE(
+      unvalidated.fit(samples, SplitIndices{split.train, {}, {}}, warm)
+          .warm_started);
+  EXPECT_TRUE(validated.fit(samples, split, warm).warm_started);
+}
+
 // ----- BatchPlan rotation -----
 
 TEST(BatchPlanTest, MembershipFixedAcrossEpochRotations) {
@@ -665,7 +710,8 @@ TEST(LeafGradRedirectTest, RedirectsLeafGradsAndLeavesSharedGradUntouched) {
   w(0, 1) = -2.0F;
   w(1, 0) = 0.5F;
   w(1, 1) = 3.0F;
-  const Var leaf = make_leaf(w, true);
+  Parameter param("w", w);
+  const Var leaf = param.var();
 
   // Reference: plain backward accumulates into the leaf's own grad.
   {
@@ -674,7 +720,7 @@ TEST(LeafGradRedirectTest, RedirectsLeafGradsAndLeavesSharedGradUntouched) {
     tape.backward(tape.sum_all(tape.matmul(x, leaf)));
   }
   const Matrix direct = leaf.grad();
-  leaf.node()->grad.fill(0.0F);
+  param.zero_grad();
 
   // Redirected: grads land in the sink; the shared grad stays zero.
   std::vector<Matrix> sinks;
