@@ -1,7 +1,6 @@
 #include "core/predictor.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "gnn/graph_batch.h"
@@ -139,10 +138,6 @@ FitReport QorPredictor::refit(const std::vector<Sample>& new_samples,
   const std::uint64_t gen = static_cast<std::uint64_t>(refits_);
   const std::uint64_t seed = opts.seed != 0 ? opts.seed : fit_seed_;
 
-  // Pay the delta's feature construction once, up front, in input order —
-  // every later touch (plan assembly, scoring) is a FeatureCache hit.
-  FeatureCache::global().warm(new_samples, approach_);
-
   const int base = static_cast<int>(corpus_.size());
   corpus_.insert(corpus_.end(), new_samples.begin(), new_samples.end());
   std::vector<int> delta_idx(new_samples.size());
@@ -223,54 +218,29 @@ std::vector<double> QorPredictor::predict_many(
 double QorPredictor::evaluate_mape(const std::vector<Sample>& samples,
                                    const std::vector<int>& idx) const {
   GNNHLS_CHECK(regressor_ != nullptr, "evaluate before fit");
-  std::vector<double> pred, truth;
-  pred.reserve(idx.size());
-  truth.reserve(idx.size());
+  // Consecutive batch_size chunks of idx, one predict_many call each, fanned
+  // out on the thread pool. Each chunk fills its own slot range and its
+  // math does not depend on the pool, so the result is bit-identical to a
+  // serial chunk loop at any pool width.
   const std::size_t bs =
       static_cast<std::size_t>(std::max(train_cfg_.batch_size, 1));
-  if (!pure_inference_features()) {
-    // Hierarchical self-inferred features depend on the trained classifier,
-    // so the chunk unions cannot come from the sample-keyed core cache;
-    // keep the serial predict_many chunk loop.
-    std::vector<const Sample*> chunk;
-    chunk.reserve(bs);
-    for (std::size_t pos = 0; pos < idx.size(); pos += bs) {
-      const std::size_t end = std::min(pos + bs, idx.size());
-      chunk.clear();
-      for (std::size_t i = pos; i < end; ++i) {
-        const Sample& s = samples[static_cast<std::size_t>(idx[i])];
-        chunk.push_back(&s);
-        truth.push_back(metric_of(s.truth, metric_));
-      }
-      for (double p : predict_many(chunk)) pred.push_back(p);
-    }
-  } else {
-    // Sharded evaluation: the chunks come from an eval-side BatchPlan (union
-    // cores shared across epochs and refits via the BatchCoreCache; one-graph
-    // chunks are the samples themselves) and the per-chunk forwards fan out
-    // on the thread pool, each filling its own pre-sized slot range. Chunk
-    // boundaries and per-chunk math are exactly the serial loop's, so the
-    // result is bit-identical to serial evaluation at any pool width.
-    const BatchPlan plan = BatchPlan::build_eval(
-        samples, idx, static_cast<int>(bs), feature_fn(),
-        BatchPlan::share_key(
-            "eval/a" + std::to_string(static_cast<int>(approach_)),
-            /*order_seed=*/0, static_cast<int>(bs), samples, idx));
-    for (int i : idx) {
-      truth.push_back(
-          metric_of(samples[static_cast<std::size_t>(i)].truth, metric_));
-    }
-    pred.assign(idx.size(), 0.0);
-    parallel_shards(plan.num_batches(), [&](int b) {
-      const BatchPlan::Item& item = plan.item(b);
-      const std::vector<float> encoded =
-          regressor_->predict_batch(item.tensors(), item.features());
-      const std::size_t base = static_cast<std::size_t>(b) * bs;
-      for (std::size_t j = 0; j < encoded.size(); ++j) {
-        pred[base + j] = decode_target(encoded[j], metric_);
-      }
-    });
+  std::vector<double> pred(idx.size()), truth;
+  truth.reserve(idx.size());
+  for (int i : idx) {
+    truth.push_back(
+        metric_of(samples[static_cast<std::size_t>(i)].truth, metric_));
   }
+  parallel_shards(static_cast<int>((idx.size() + bs - 1) / bs), [&](int c) {
+    const std::size_t pos = static_cast<std::size_t>(c) * bs;
+    const std::size_t end = std::min(pos + bs, idx.size());
+    std::vector<const Sample*> chunk;
+    chunk.reserve(end - pos);
+    for (std::size_t i = pos; i < end; ++i) {
+      chunk.push_back(&samples[static_cast<std::size_t>(idx[i])]);
+    }
+    const std::vector<double> p = predict_many(chunk);
+    std::copy(p.begin(), p.end(), pred.begin() + static_cast<long>(pos));
+  });
   return mape(pred, truth);
 }
 

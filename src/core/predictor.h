@@ -110,11 +110,11 @@ class QorPredictor {
   /// opts.warm_start (the default policy) the regressor resumes from the
   /// selected weights + Adam moments; otherwise it re-initializes and
   /// retrains over the grown corpus. Prior segments' batch unions are
-  /// BatchCoreCache hits and the delta's features are warmed through the
-  /// FeatureCache, so a refit costs O(delta assembly + epochs), not a
-  /// from-scratch rebuild. The -I hierarchy keeps its classifier: feedback
-  /// refits sharpen the regressor only. Validation still scores the
-  /// original split.val.
+  /// BatchCoreCache hits and only the delta's features and unions are
+  /// built, so a refit costs O(delta assembly + epochs), not a from-scratch
+  /// rebuild. The -I hierarchy keeps its classifier: feedback refits
+  /// sharpen the regressor only. Validation still scores the original
+  /// split.val.
   FitReport refit(const std::vector<Sample>& new_samples,
                   const FitOptions& opts = refit_defaults());
 
@@ -149,10 +149,11 @@ class QorPredictor {
   std::vector<double> predict_many(
       const std::vector<const Sample*>& samples) const;
 
-  /// MAPE over an index subset, batch_size samples per regressor forward
-  /// (GraphBatch unions; a one-sample chunk runs on the sample itself).
-  /// Feature matrices come from the process-wide FeatureCache, so per-epoch
-  /// validation and bench tables stop rebuilding identical tensors per call.
+  /// MAPE over an index subset: consecutive batch_size chunks of idx, each
+  /// scored by one predict_many call (the inference path, -I classifier
+  /// included), fanned out on the global thread pool with every chunk
+  /// writing its own slots. Bit-identical to a serial chunk loop at any
+  /// pool width. Serves per-epoch and refit validation and test MAPE.
   double evaluate_mape(const std::vector<Sample>& samples,
                        const std::vector<int>& idx) const;
 

@@ -9,6 +9,7 @@
 #include "obs/trace.h"
 #include "support/check.h"
 #include "support/parallel.h"
+#include "train/feature_cache.h"
 
 namespace gnnhls {
 
@@ -172,6 +173,12 @@ Explorer::Explorer(const DesignSpace& space, const Scorer& scorer,
   for (std::size_t i = 0; i < points.size(); ++i) {
     base_candidates_.push_back(
         DseCandidate{points[i], std::move(lowered[i]), {}, {}, false, 0.0});
+  }
+}
+
+Explorer::~Explorer() {
+  for (const DseCandidate& c : base_candidates_) {
+    FeatureCache::global().evict(c.sample.uid);
   }
 }
 

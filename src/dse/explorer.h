@@ -262,6 +262,13 @@ class Explorer {
   /// holds one feature matrix per candidate per Explorer, not per run.
   Explorer(const DesignSpace& space, const Scorer& scorer,
            DseConfig cfg = {});
+  /// Evicts the candidates' FeatureCache entries: their uids are fresh per
+  /// Explorer, so nothing else would, and a long-lived process would keep
+  /// one feature matrix per candidate per exploration. DseResult copies
+  /// keep the uids and rebuild their features on demand.
+  ~Explorer();
+  Explorer(const Explorer&) = delete;
+  Explorer& operator=(const Explorer&) = delete;
 
   /// Scores + synthesizes EVERY candidate; fronts and best are computed
   /// on full ground truth (hls_runs == space.size()).

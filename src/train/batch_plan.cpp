@@ -156,7 +156,7 @@ void BatchPlan::set_items(const std::vector<Sample>& samples,
                           const FeatureFn& feature_of,
                           const LabelFn& label_of) {
   // Per-plan labels: built serially (label_of may hit shared caches).
-  std::vector<Matrix> labels(label_of ? samples.size() : 0);
+  std::vector<Matrix> labels(samples.size());
   items_.resize(chunks.size());
   for (std::size_t b = 0; b < chunks.size(); ++b) {
     Item& item = items_[b];
@@ -170,7 +170,6 @@ void BatchPlan::set_items(const std::vector<Sample>& samples,
       item.tensors_ = &s.tensors;
       item.features_ = &feature_of(s);
     }
-    if (!label_of) continue;
     std::vector<const Matrix*> lparts;
     lparts.reserve(chunks[b].size());
     for (int i : chunks[b]) {
@@ -230,21 +229,6 @@ BatchPlan BatchPlan::build_segments(const std::vector<Sample>& samples,
     all_cores.insert(all_cores.end(), cores.begin(), cores.end());
   }
   plan.set_items(samples, all_chunks, all_cores, feature_of, label_of);
-  return plan;
-}
-
-BatchPlan BatchPlan::build_eval(const std::vector<Sample>& samples,
-                                const std::vector<int>& idx, int batch_size,
-                                const FeatureFn& feature_of,
-                                const std::string& share_key) {
-  GNNHLS_CHECK(!idx.empty(), "BatchPlan: empty evaluation set");
-  BatchPlan plan{Rng(0)};  // eval plans never draw from the rotation rng
-  plan.batch_size_ = batch_size;
-  const std::vector<std::vector<int>> chunks =
-      chunk_membership(idx, batch_size);
-  plan.set_items(samples, chunks,
-                 cores_for(samples, chunks, feature_of, share_key), feature_of,
-                 nullptr);
   return plan;
 }
 

@@ -19,14 +19,16 @@
 // GraphBatch union plus the stacked feature matrix — is additionally a pure
 // function of the feature variant. That immutable half lives in a
 // BatchCore; plans built with a non-empty share_key route their cores
-// through the process-wide BatchCoreCache, so same-split refits (e.g. the
-// same corpus fitted per metric, or per-epoch validation evaluation) reuse
-// one assembly instead of rebuilding identical unions. Cores never point at
-// sample storage (the one-graph pointers live on the per-plan Item), and a
-// plan made only of one-graph batches makes no cache entry. Labels stay
-// per-plan (they encode the fitted metric). Cache hits change nothing
-// numerically: the membership shuffle still runs (same Rng draw stream),
-// only the assembly is skipped.
+// through the process-wide BatchCoreCache, so fits over the same split (the
+// same corpus fitted per metric, a refit's prior segments, or the -I
+// hierarchy's classifier fit and a standalone one) reuse one assembly
+// instead of rebuilding identical unions. Evaluation builds no plan: it
+// scores QorPredictor::predict_many chunks. Cores never point at sample
+// storage (the one-graph pointers live on the per-plan Item), and a plan
+// made only of one-graph batches makes no cache entry. Labels stay per-plan
+// (they encode the fitted metric). Cache hits change nothing numerically:
+// the membership shuffle still runs (same Rng draw stream), only the
+// assembly is skipped.
 #pragma once
 
 #include <functional>
@@ -145,17 +147,9 @@ class BatchPlan {
                                   int batch_size, const FeatureFn& feature_of,
                                   const LabelFn& label_of, Rng rotation_rng);
 
-  /// Evaluation-side plan: consecutive chunks of `idx` in input order (no
-  /// shuffle, no labels, no rotation), sharing the same core cache. Used by
-  /// sharded evaluate_mape.
-  static BatchPlan build_eval(const std::vector<Sample>& samples,
-                              const std::vector<int>& idx, int batch_size,
-                              const FeatureFn& feature_of,
-                              const std::string& share_key = {});
-
   /// Composes a BatchCoreCache key. `tag` must encode the feature variant
-  /// (and train/eval kind), order_seed the membership shuffle seed (0 for
-  /// eval plans), and idx the sample subset; the samples' uids pin corpus
+  /// (and the model the plan trains), order_seed the membership shuffle
+  /// seed, and idx the sample subset; the samples' uids pin corpus
   /// identity.
   static std::string share_key(const std::string& tag,
                                std::uint64_t order_seed, int batch_size,
@@ -177,8 +171,7 @@ class BatchPlan {
   explicit BatchPlan(Rng order_rng) : order_rng_(order_rng) {}
 
   /// Fills items_ (and the identity visit order) from fixed membership
-  /// chunks and their cores (null for one-graph chunks). label_of may be
-  /// empty (evaluation plans carry no labels).
+  /// chunks and their cores (null for one-graph chunks).
   void set_items(const std::vector<Sample>& samples,
                  const std::vector<std::vector<int>>& chunks,
                  const std::vector<BatchCorePtr>& cores,

@@ -12,7 +12,7 @@
 // the same origin strings can never alias a stale entry. The classifier-
 // inferred feature variant of the knowledge-infused approach depends on
 // model parameters and is deliberately NOT cacheable here — only its
-// off-the-shelf base features are (see QorPredictor::predict).
+// off-the-shelf base features are (see QorPredictor::predict_many).
 #pragma once
 
 #include <atomic>
@@ -47,9 +47,7 @@ class FeatureCache {
   /// Bulk prefetch: builds and caches features(s, a) for every sample, in
   /// input order (a deterministic fill order keeps hit/miss accounting
   /// reproducible). Returns the number of entries that were newly built.
-  /// Refit rounds warm the feedback delta here before plan assembly so the
-  /// new samples' feature construction is paid once, up front, off the
-  /// training path.
+  /// Lets a caller pay feature construction up front, off a timed path.
   std::size_t warm(const std::vector<Sample>& samples, Approach a);
 
   /// Drops every entry (tests; long-lived processes discarding a dataset).
@@ -58,9 +56,11 @@ class FeatureCache {
   void clear();
 
   /// Drops every variant cached for one sample uid. Invalidates references
-  /// to those entries only — the TCP endpoint calls this after a decoded
-  /// request's response is written (each wire sample mints a fresh uid, so
-  /// without eviction a long-running server grows the cache per request).
+  /// to those entries only. Owners of short-lived uids call this: the TCP
+  /// endpoint after a decoded request's response is written (each wire
+  /// sample mints a fresh uid), and an Explorer's destructor for its
+  /// candidates (lowered under fresh uids per Explorer). Without eviction a
+  /// long-running process grows the cache per request or exploration.
   void evict(std::uint64_t uid);
 
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }

@@ -10,6 +10,7 @@
 #include "dse/explorer.h"
 #include "suites/variants.h"
 #include "support/parallel.h"
+#include "train/feature_cache.h"
 
 namespace gnnhls {
 namespace {
@@ -274,6 +275,30 @@ TEST(ExplorerTest, BitIdenticalAcrossThreadCounts) {
     const Explorer explorer(space, scorer);
     expect_identical_results(serial_exh, explorer.exhaustive());
     expect_identical_results(serial_sh, explorer.successive_halving());
+  }
+}
+
+// Each Explorer lowers its candidates under fresh uids and scoring caches
+// their features; destroying the explorer drops them again, so repeated
+// explorations leave the process-wide FeatureCache where it was.
+TEST(ExplorerTest, DestroyedExplorerEvictsItsCandidateFeatures) {
+  const DesignSpace space = small_space();
+  const PredictorScorer scorer = direct_scorer();  // fits, caching its corpus
+  const std::size_t before = FeatureCache::global().entries();
+  DseResult first;
+  for (int round = 0; round < 3; ++round) {
+    DseResult r;
+    {
+      const Explorer explorer(space, scorer);
+      r = explorer.successive_halving();
+      EXPECT_GT(FeatureCache::global().entries(), before);
+    }
+    EXPECT_EQ(FeatureCache::global().entries(), before) << "round " << round;
+    if (round == 0) {
+      first = r;
+    } else {
+      expect_identical_results(first, r);
+    }
   }
 }
 

@@ -1,9 +1,10 @@
 // train/ subsystem tests: sharded-epoch determinism (shards=N bit-identical
 // to shards=1, at batch_size 1 and above), BatchPlan membership stability
 // across epoch rotations, one-graph batches that are their member sample,
-// and FeatureCache hit semantics.
+// FeatureCache hit semantics, and evaluate_mape as predict_many chunks.
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -181,6 +182,51 @@ TEST(ShardedTrainingTest, BatchSizeOneBitIdenticalAcrossShardsAndPools) {
       for (std::size_t i = 0; i < params.size(); ++i) {
         EXPECT_TRUE(params[i] == ref_params[i])
             << "pool " << pool << " shards " << shards << " parameter " << i;
+      }
+    }
+  }
+}
+
+// evaluate_mape is one path for every approach: consecutive batch_size
+// chunks of the index list, each scored by one predict_many call. -I chunks
+// run the classifier per sample; multi-graph chunks run as one union.
+TEST(EvaluateMapeTest, EqualsPredictManyChunksForEveryApproach) {
+  const auto samples = small_corpus(30, 8642);
+  const SplitIndices split =
+      split_80_10_10(static_cast<int>(samples.size()), 4);
+  ModelConfig mc;
+  mc.kind = GnnKind::kGcn;
+  mc.hidden = 12;
+  mc.layers = 2;
+  TrainConfig tc;
+  tc.epochs = 2;
+  tc.lr = 1e-2F;
+  tc.seed = 23;
+  // Scored over the whole corpus: 30 samples leave a short last chunk.
+  std::vector<int> idx(samples.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  for (Approach a : {Approach::kOffTheShelf, Approach::kKnowledgeInfused}) {
+    for (int bs : {1, 4}) {
+      tc.batch_size = bs;
+      QorPredictor p(a, mc, tc);
+      p.fit(samples, split, Metric::kLut, FitOptions{});
+      const std::size_t step = static_cast<std::size_t>(bs);
+      std::vector<double> pred, truth;
+      for (std::size_t pos = 0; pos < idx.size(); pos += step) {
+        std::vector<const Sample*> chunk;
+        for (std::size_t i = pos; i < std::min(pos + step, idx.size()); ++i) {
+          const Sample& s = samples[static_cast<std::size_t>(idx[i])];
+          chunk.push_back(&s);
+          truth.push_back(metric_of(s.truth, Metric::kLut));
+        }
+        for (double v : p.predict_many(chunk)) pred.push_back(v);
+      }
+      const double want = mape(pred, truth);
+      for (int pool : {1, 4}) {
+        PoolGuard guard(pool);
+        EXPECT_EQ(p.evaluate_mape(samples, idx), want)
+            << "approach " << static_cast<int>(a) << " batch_size " << bs
+            << " pool " << pool;
       }
     }
   }
@@ -562,23 +608,16 @@ TEST(BatchPlanTest, OneGraphBatchesAreTheirMembers) {
       },
       Rng(42),
       BatchPlan::share_key("test/one-graph", 42, 1, samples, train_idx));
-  const BatchPlan eval = BatchPlan::build_eval(
-      samples, train_idx, /*batch_size=*/1, feature_of,
-      BatchPlan::share_key("test/one-graph-eval", 0, 1, samples, train_idx));
   // No union was assembled and no cache entry was made.
   EXPECT_EQ(BatchCoreCache::global().misses(), misses_before);
 
   ASSERT_EQ(plan.num_batches(), static_cast<int>(samples.size()));
-  ASSERT_EQ(eval.num_batches(), static_cast<int>(samples.size()));
-  const BatchPlan* plans[] = {&plan, &eval};
-  for (const BatchPlan* p : plans) {
-    for (int b = 0; b < p->num_batches(); ++b) {
-      const BatchPlan::Item& item = p->item(b);
-      ASSERT_EQ(item.members().size(), 1U);
-      const Sample& s = samples[static_cast<std::size_t>(item.members()[0])];
-      EXPECT_EQ(&item.tensors(), &s.tensors);
-      EXPECT_EQ(&item.features(), &feature_of(s));
-    }
+  for (int b = 0; b < plan.num_batches(); ++b) {
+    const BatchPlan::Item& item = plan.item(b);
+    ASSERT_EQ(item.members().size(), 1U);
+    const Sample& s = samples[static_cast<std::size_t>(item.members()[0])];
+    EXPECT_EQ(&item.tensors(), &s.tensors);
+    EXPECT_EQ(&item.features(), &feature_of(s));
   }
 
   // Epoch e visits the samples in the order of the (e+1)-th in-place
