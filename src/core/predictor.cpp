@@ -91,8 +91,8 @@ FitReport QorPredictor::fit(const std::vector<Sample>& samples,
     init_regressor(seed);
   }
 
-  // Retain the corpus and split (Sample copies keep their uids, so cached
-  // features and batch cores stay shared) for later refit() segments.
+  // Retain the corpus and split for later refit() segments. Clearing the
+  // segments frees the previous fit's cores before this fit assembles.
   corpus_ = samples;
   split_ = split;
   fit_seed_ = seed;
@@ -101,21 +101,15 @@ FitReport QorPredictor::fit(const std::vector<Sample>& samples,
 
   // -I trains on ground-truth type bits (knowledge infusion), so training
   // features are a pure function of (sample, approach) for every approach
-  // and come from the FeatureCache. Plan cores depend only on (seed, split,
-  // approach) — never on the fitted metric, which lives in the labels — so
-  // per-metric refits over the same split share one union assembly through
-  // the BatchCoreCache.
+  // and come from the FeatureCache.
   const std::uint64_t order_seed = seed * 31 + 1;
-  const std::string key = BatchPlan::share_key(
-      "train/reg/a" + std::to_string(static_cast<int>(approach_)), order_seed,
-      train_cfg_.batch_size, corpus_, split.train);
   BatchPlan plan =
       BatchPlan::build(corpus_, split.train, train_cfg_.batch_size,
-                       feature_fn(), label_fn(), Rng(order_seed), key);
-  // Segment 0 of any future refit: the same (idx, seed, key) triple this
-  // plan resolved its cores under, so the refit's base segment is a pure
-  // BatchCoreCache hit.
-  segments_.push_back(BatchPlan::Segment{split.train, order_seed, key});
+                       feature_fn(), label_fn(), Rng(order_seed));
+  // Segment 0 of any future refit: the plan's batches are exactly those of
+  // build_segments over (split.train, order_seed), so its cores carry over.
+  segments_.push_back(
+      BatchPlan::Segment{split.train, order_seed, plan.cores()});
 
   Trainer trainer(*regressor_, train_cfg_, regressor_hooks(), seed * 17 + 2);
   return trainer.fit(plan, opts, &adam_state_);
@@ -154,13 +148,7 @@ FitReport QorPredictor::refit(const std::vector<Sample>& new_samples,
   // functions of (fit seed, generation): refit trajectories are reproducible
   // but decorrelated across rounds).
   const std::uint64_t seg_seed = seed * 31 + 1 + gen * 0x9E3779B9ULL;
-  BatchPlan::Segment seg;
-  seg.idx = delta_idx;
-  seg.order_seed = seg_seed;
-  seg.share_key = BatchPlan::share_key(
-      "train/reg/a" + std::to_string(static_cast<int>(approach_)), seg_seed,
-      train_cfg_.batch_size, corpus_, delta_idx);
-  segments_.push_back(std::move(seg));
+  segments_.push_back(BatchPlan::Segment{std::move(delta_idx), seg_seed, {}});
 
   BatchPlan plan = BatchPlan::build_segments(
       corpus_, segments_, train_cfg_.batch_size, feature_fn(), label_fn(),
@@ -265,10 +253,8 @@ FitReport NodeTypePredictor::fit(const std::vector<Sample>& samples,
   TrainConfig tc = train_cfg_;
   tc.seed = seed;
   // Off-the-shelf features and node-type label rows, both served from the
-  // FeatureCache. Cores depend only on (membership, off-the-shelf
-  // features): the -I hierarchy's classifier fit and a standalone fit
-  // share one assembly per (seed, split).
-  const std::uint64_t order_seed = seed * 31 + 7;
+  // FeatureCache. The classifier never refits, so its cores go with the
+  // plan.
   BatchPlan plan = BatchPlan::build(
       samples, split.train, tc.batch_size,
       [](const Sample& s) -> const Matrix& {
@@ -277,9 +263,7 @@ FitReport NodeTypePredictor::fit(const std::vector<Sample>& samples,
       [](const Sample& s) {
         return FeatureCache::global().node_type_labels(s);
       },
-      Rng(order_seed),
-      BatchPlan::share_key("train/cls", order_seed, tc.batch_size, samples,
-                           split.train));
+      Rng(seed * 31 + 7));
   Trainer::Hooks hooks;
   hooks.forward = [&classifier = *classifier_](Tape& tape,
                                                const GraphTensors& gt,

@@ -21,8 +21,8 @@
 //
 // Online refit (model-in-the-loop DSE): fit() retains the corpus, split and
 // the selected epoch's optimizer moments; refit(new_samples, opts) then
-// appends ground-truth feedback as a new BatchPlan *segment* — prior
-// segments' unions come back as BatchCoreCache hits, only the delta is
+// appends ground-truth feedback as a new BatchPlan *segment* — the
+// predictor keeps every segment's assembled unions, so only the delta is
 // assembled — and continues training warm-started from the selected model's
 // weights and Adam state. The refit trajectory is a pure function of
 // (checkpoint, feedback samples, FitOptions), so it inherits the Trainer's
@@ -109,12 +109,11 @@ class QorPredictor {
   /// as a fresh training segment and continues training. With
   /// opts.warm_start (the default policy) the regressor resumes from the
   /// selected weights + Adam moments; otherwise it re-initializes and
-  /// retrains over the grown corpus. Prior segments' batch unions are
-  /// BatchCoreCache hits and only the delta's features and unions are
-  /// built, so a refit costs O(delta assembly + epochs), not a from-scratch
-  /// rebuild. The -I hierarchy keeps its classifier: feedback refits
-  /// sharpen the regressor only. Validation still scores the original
-  /// split.val.
+  /// retrains over the grown corpus. The predictor keeps prior segments'
+  /// batch unions and builds only the delta's features and unions, so a
+  /// refit costs O(delta assembly + epochs), not a from-scratch rebuild.
+  /// The -I hierarchy keeps its classifier: feedback refits sharpen the
+  /// regressor only. Validation still scores the original split.val.
   FitReport refit(const std::vector<Sample>& new_samples,
                   const FitOptions& opts = refit_defaults());
 
@@ -198,7 +197,8 @@ class QorPredictor {
   std::vector<Sample> corpus_;  // training-time samples + appended feedback
   SplitIndices split_;          // indices into corpus_ (val/test stay fixed)
   /// One entry per training segment: [0] the original split.train, then one
-  /// per refit delta. Each pins the share_key its fit resolved cores under.
+  /// per refit delta. Each owns its assembled batch unions (BatchCore), so
+  /// they live until the next fresh fit or the predictor's destruction.
   std::vector<BatchPlan::Segment> segments_;
   std::optional<AdamState> adam_state_;  // kept epoch's optimizer moments
   std::uint64_t fit_seed_ = 0;           // effective seed of the last fresh fit

@@ -18,6 +18,9 @@ std::vector<BatchCorePtr> assemble_cores(
     const std::vector<Sample>& samples,
     const std::vector<std::vector<int>>& chunks,
     const BatchPlan::FeatureFn& feature_of) {
+  if (std::none_of(chunks.begin(), chunks.end(), is_union)) {
+    return std::vector<BatchCorePtr>(chunks.size());
+  }
   // Prefetch features serially: feature_of typically fills the shared
   // FeatureCache, and a deterministic fill order keeps hit/miss accounting
   // reproducible for tests regardless of pool width.
@@ -67,88 +70,7 @@ std::vector<std::vector<int>> chunk_membership(const std::vector<int>& order,
   return chunks;
 }
 
-std::vector<BatchCorePtr> cores_for(
-    const std::vector<Sample>& samples,
-    const std::vector<std::vector<int>>& chunks,
-    const BatchPlan::FeatureFn& feature_of, const std::string& share_key) {
-  // Nothing to assemble or share: a plan of one-graph batches makes no
-  // cache entry.
-  if (std::none_of(chunks.begin(), chunks.end(), is_union)) {
-    return std::vector<BatchCorePtr>(chunks.size());
-  }
-  if (share_key.empty()) return assemble_cores(samples, chunks, feature_of);
-  std::vector<BatchCorePtr> cores =
-      BatchCoreCache::global().lookup(share_key, [&] {
-        return assemble_cores(samples, chunks, feature_of);
-      });
-  GNNHLS_CHECK_EQ(cores.size(), chunks.size(), "BatchPlan: core count");
-#ifndef NDEBUG
-  // A stale share_key (wrong seed / uid set) would silently train on the
-  // wrong unions; membership is cheap to verify.
-  for (std::size_t b = 0; b < chunks.size(); ++b) {
-    GNNHLS_CHECK(cores[b] == nullptr ? !is_union(chunks[b])
-                                     : cores[b]->members == chunks[b],
-                 "BatchPlan: cached core membership mismatch (bad share_key)");
-  }
-#endif
-  return cores;
-}
-
 }  // namespace
-
-// ----- BatchCoreCache -----
-
-BatchCoreCache& BatchCoreCache::global() {
-  static BatchCoreCache* cache = new BatchCoreCache();  // leaked on purpose
-  return *cache;
-}
-
-std::vector<BatchCorePtr> BatchCoreCache::lookup(const std::string& key,
-                                                 const BuildFn& build) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  std::vector<BatchCorePtr> cores = build();
-  map_.emplace(key, cores);
-  return cores;
-}
-
-std::uint64_t BatchCoreCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t BatchCoreCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-void BatchCoreCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-}
-
-// ----- BatchPlan -----
-
-std::string BatchPlan::share_key(const std::string& tag,
-                                 std::uint64_t order_seed, int batch_size,
-                                 const std::vector<Sample>& samples,
-                                 const std::vector<int>& idx) {
-  std::string key = tag;
-  key += '|';
-  key += std::to_string(order_seed);
-  key += '|';
-  key += std::to_string(batch_size);
-  for (int i : idx) {
-    key += '|';
-    key += std::to_string(samples[static_cast<std::size_t>(i)].uid);
-  }
-  return key;
-}
 
 void BatchPlan::set_items(const std::vector<Sample>& samples,
                           const std::vector<std::vector<int>>& chunks,
@@ -186,50 +108,66 @@ void BatchPlan::set_items(const std::vector<Sample>& samples,
 BatchPlan BatchPlan::build(const std::vector<Sample>& samples,
                            const std::vector<int>& train_idx, int batch_size,
                            const FeatureFn& feature_of, const LabelFn& label_of,
-                           Rng order_rng, const std::string& share_key) {
+                           Rng order_rng) {
   GNNHLS_CHECK(!train_idx.empty(), "BatchPlan: empty training set");
   BatchPlan plan(order_rng);
   plan.batch_size_ = batch_size;
-  // Fix membership from one shuffle. The shuffle always runs (also on a
-  // core-cache hit) so the plan's Rng stream is independent of cache state.
+  // Fix membership from one shuffle of the plan's own Rng stream.
   std::vector<int> order = train_idx;
   plan.order_rng_.shuffle(order);
   const std::vector<std::vector<int>> chunks =
       chunk_membership(order, batch_size);
   plan.set_items(samples, chunks,
-                 cores_for(samples, chunks, feature_of, share_key), feature_of,
+                 assemble_cores(samples, chunks, feature_of), feature_of,
                  label_of);
   return plan;
 }
 
 BatchPlan BatchPlan::build_segments(const std::vector<Sample>& samples,
-                                    const std::vector<Segment>& segments,
+                                    std::vector<Segment>& segments,
                                     int batch_size,
                                     const FeatureFn& feature_of,
                                     const LabelFn& label_of, Rng rotation_rng) {
   GNNHLS_CHECK(!segments.empty(), "build_segments: no segments");
   BatchPlan plan(rotation_rng);
   plan.batch_size_ = batch_size;
-  // Resolve each segment's cores independently: same shuffle + chunking a
-  // plain build() over (idx, order_seed) would produce, so a segment that
-  // was previously fitted under the same share_key is a cache hit and only
-  // genuinely new segments pay assembly.
+  // Each segment's membership is the shuffle + chunking a plain build()
+  // over (idx, order_seed) produces; only segments without cores yet pay
+  // assembly, and they keep what they assembled.
   std::vector<std::vector<int>> all_chunks;
   std::vector<BatchCorePtr> all_cores;
-  for (const Segment& seg : segments) {
+  for (Segment& seg : segments) {
     GNNHLS_CHECK(!seg.idx.empty(), "build_segments: empty segment");
     std::vector<int> order = seg.idx;
     Rng seg_rng(seg.order_seed);
     seg_rng.shuffle(order);
     const std::vector<std::vector<int>> chunks =
         chunk_membership(order, batch_size);
-    const std::vector<BatchCorePtr> cores =
-        cores_for(samples, chunks, feature_of, seg.share_key);
+    if (seg.cores.empty()) {
+      seg.cores = assemble_cores(samples, chunks, feature_of);
+    }
+    // Carried cores must be this membership's: cores from another seed or
+    // index set would silently train on the wrong unions.
+    GNNHLS_CHECK_EQ(seg.cores.size(), chunks.size(),
+                    "build_segments: segment core count");
+    for (std::size_t b = 0; b < chunks.size(); ++b) {
+      const BatchCorePtr& core = seg.cores[b];
+      GNNHLS_CHECK(core == nullptr ? !is_union(chunks[b])
+                                   : core->members == chunks[b],
+                   "build_segments: segment cores do not match its batches");
+    }
     all_chunks.insert(all_chunks.end(), chunks.begin(), chunks.end());
-    all_cores.insert(all_cores.end(), cores.begin(), cores.end());
+    all_cores.insert(all_cores.end(), seg.cores.begin(), seg.cores.end());
   }
   plan.set_items(samples, all_chunks, all_cores, feature_of, label_of);
   return plan;
+}
+
+std::vector<BatchCorePtr> BatchPlan::cores() const {
+  std::vector<BatchCorePtr> cores;
+  cores.reserve(items_.size());
+  for (const Item& item : items_) cores.push_back(item.core_);
+  return cores;
 }
 
 const std::vector<int>& BatchPlan::next_epoch_batch_order() {

@@ -14,28 +14,20 @@
 // exactly the order e+1 in-place reshuffles of the training indices give:
 // the order a sample-at-a-time loop would draw from the same Rng.
 //
-// Cross-fit sharing: membership is a pure function of (ordered sample uids,
-// batch_size, order seed), and a multi-graph batch's expensive half — the
-// GraphBatch union plus the stacked feature matrix — is additionally a pure
-// function of the feature variant. That immutable half lives in a
-// BatchCore; plans built with a non-empty share_key route their cores
-// through the process-wide BatchCoreCache, so fits over the same split (the
-// same corpus fitted per metric, a refit's prior segments, or the -I
-// hierarchy's classifier fit and a standalone one) reuse one assembly
-// instead of rebuilding identical unions. Evaluation builds no plan: it
-// scores QorPredictor::predict_many chunks. Cores never point at sample
-// storage (the one-graph pointers live on the per-plan Item), and a plan
-// made only of one-graph batches makes no cache entry. Labels stay per-plan
-// (they encode the fitted metric). Cache hits change nothing numerically:
-// the membership shuffle still runs (same Rng draw stream), only the
-// assembly is skipped.
+// Ownership: a multi-graph batch's expensive half — the GraphBatch union
+// plus the stacked feature matrix — is a pure function of its membership
+// and the feature variant. That immutable half lives in a BatchCore, held
+// by the plan's Items, so a plain build() frees its cores with the plan.
+// Segment::cores keeps them across plans (see build_segments): QorPredictor
+// owns its refit segments, so each refit assembles only its new segment.
+// There is no process-wide core cache. Evaluation builds no plan: it scores
+// QorPredictor::predict_many chunks. Cores never point at sample storage
+// (the one-graph pointers live on the per-plan Item). Labels stay per-plan
+// (they encode the fitted metric).
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dataset/dataset.h"
@@ -56,27 +48,18 @@ struct BatchCore {
 
 using BatchCorePtr = std::shared_ptr<const BatchCore>;
 
-/// Process-wide cache of BatchCore sequences keyed by BatchPlan::share_key
-/// strings. Thread-safe; the builder runs under the cache lock, so
-/// concurrent lookups of the same key build once.
+/// No-op stand-in for the retired process-wide core cache: cores now belong
+/// to their plan and to the QorPredictor that refits on them, so there is
+/// nothing to clear. It stays only because perfbench/perfbench.cpp calls
+/// BatchCoreCache::global().clear(); release it with the other
+/// perfbench-pinned names (ROADMAP item 8).
 class BatchCoreCache {
  public:
-  static BatchCoreCache& global();
-
-  using BuildFn = std::function<std::vector<BatchCorePtr>()>;
-  /// Returns the core sequence for `key`, invoking `build` on first use.
-  std::vector<BatchCorePtr> lookup(const std::string& key,
-                                   const BuildFn& build);
-
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  void clear();
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::vector<BatchCorePtr>> map_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  static BatchCoreCache& global() {
+    static BatchCoreCache stub;
+    return stub;
+  }
+  void clear() {}
 };
 
 class BatchPlan {
@@ -112,55 +95,49 @@ class BatchPlan {
   /// Builds the rotation over samples[train_idx] (batch_size >= 1).
   /// order_rng drives both the membership-fixing shuffle and the per-epoch
   /// reshuffles. Union assembly fans out on the global thread pool.
-  /// A non-empty share_key (see the share_key helper) routes the cores
-  /// through the BatchCoreCache: the key must pin every input the cores
-  /// depend on — uid sequence, batch size, order seed, feature variant.
   static BatchPlan build(const std::vector<Sample>& samples,
                          const std::vector<int>& train_idx, int batch_size,
                          const FeatureFn& feature_of, const LabelFn& label_of,
-                         Rng order_rng, const std::string& share_key = {});
+                         Rng order_rng);
 
-  /// One independently-shuffled, independently-cached slice of a segmented
-  /// plan (see build_segments). A refit models its corpus as segments —
-  /// [original training set, feedback round 1, feedback round 2, ...] —
-  /// where every previously-fitted segment keys the exact cores its own fit
-  /// built, so growing the corpus re-assembles only the new segment's
-  /// unions.
+  /// One independently-shuffled slice of a segmented plan (see
+  /// build_segments). A refit models its corpus as segments — [original
+  /// training set, feedback round 1, feedback round 2, ...] — and keeps
+  /// each segment's cores, so growing the corpus assembles only the new
+  /// segment's unions.
   struct Segment {
-    std::vector<int> idx;            // sample indices into `samples`
-    std::uint64_t order_seed = 0;    // membership-shuffle seed (this segment)
-    std::string share_key;           // BatchCoreCache key; "" = don't share
+    std::vector<int> idx;          // sample indices into `samples`
+    std::uint64_t order_seed = 0;  // membership-shuffle seed (this segment)
+    /// One entry per batch in build order, null for a one-graph batch;
+    /// empty until assembled. Valid only for the (samples, idx, order_seed,
+    /// batch_size, feature variant) it was built from.
+    std::vector<BatchCorePtr> cores;
   };
 
   /// Builds a rotation whose batches are the concatenation of each segment's
   /// independently chunked membership: segment s's idx is shuffled with
-  /// Rng(s.order_seed), chunked to batch_size, and its cores resolved
-  /// through s.share_key — a segment whose (idx, order_seed, batch_size,
-  /// feature variant) match a prior build()/build_segments() call is a pure
-  /// cache hit, which is what makes refit deltas cheap. Epoch 0 visits the
-  /// concatenated build order; later epochs reshuffle the visit order with
-  /// rotation_rng (membership never changes). Labels are rebuilt per plan.
-  /// Batch boundaries never span segments, so trailing partial batches per
+  /// Rng(s.order_seed) and chunked to batch_size — the batches
+  /// build(s.idx, Rng(s.order_seed)) gives — and a segment whose cores are
+  /// still empty gets them assembled and stored, while a segment that
+  /// carries cores reuses them. Epoch 0 visits the concatenated build
+  /// order; later epochs reshuffle the visit order with rotation_rng
+  /// (membership never changes). Labels are rebuilt per plan. Batch
+  /// boundaries never span segments, so trailing partial batches per
   /// segment are kept as-is.
   static BatchPlan build_segments(const std::vector<Sample>& samples,
-                                  const std::vector<Segment>& segments,
+                                  std::vector<Segment>& segments,
                                   int batch_size, const FeatureFn& feature_of,
                                   const LabelFn& label_of, Rng rotation_rng);
-
-  /// Composes a BatchCoreCache key. `tag` must encode the feature variant
-  /// (and the model the plan trains), order_seed the membership shuffle
-  /// seed, and idx the sample subset; the samples' uids pin corpus
-  /// identity.
-  static std::string share_key(const std::string& tag,
-                               std::uint64_t order_seed, int batch_size,
-                               const std::vector<Sample>& samples,
-                               const std::vector<int>& idx);
 
   int batch_size() const { return batch_size_; }
   int num_batches() const { return static_cast<int>(items_.size()); }
   const Item& item(int b) const {
     return items_[static_cast<std::size_t>(b)];
   }
+
+  /// The batches' cores in build order (null for a one-graph batch): a
+  /// build() plan's cores as the Segment::cores of its (idx, order seed).
+  std::vector<BatchCorePtr> cores() const;
 
   /// Advances to the next epoch and returns its batch visit order (a
   /// permutation of [0, num_batches)). The first call returns the build

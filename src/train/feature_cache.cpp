@@ -39,13 +39,8 @@ const Matrix& FeatureCache::node_type_labels(const Sample& s) {
   });
 }
 
-std::size_t FeatureCache::warm(const std::vector<Sample>& samples,
-                               Approach a) {
-  const std::uint64_t misses_before =
-      misses_.load(std::memory_order_relaxed);
+void FeatureCache::warm(const std::vector<Sample>& samples, Approach a) {
   for (const Sample& s : samples) features(s, a);
-  return static_cast<std::size_t>(misses_.load(std::memory_order_relaxed) -
-                                  misses_before);
 }
 
 void FeatureCache::clear() {

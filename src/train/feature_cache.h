@@ -46,9 +46,9 @@ class FeatureCache {
 
   /// Bulk prefetch: builds and caches features(s, a) for every sample, in
   /// input order (a deterministic fill order keeps hit/miss accounting
-  /// reproducible). Returns the number of entries that were newly built.
-  /// Lets a caller pay feature construction up front, off a timed path.
-  std::size_t warm(const std::vector<Sample>& samples, Approach a);
+  /// reproducible). Lets a caller pay feature construction up front, off a
+  /// timed path.
+  void warm(const std::vector<Sample>& samples, Approach a);
 
   /// Drops every entry (tests; long-lived processes discarding a dataset).
   /// Invalidates every outstanding reference: must not race with fits,

@@ -1,14 +1,20 @@
 // train/ subsystem tests: sharded-epoch determinism (shards=N bit-identical
-// to shards=1, at batch_size 1 and above), BatchPlan membership stability
-// across epoch rotations, one-graph batches that are their member sample,
-// FeatureCache hit semantics, and evaluate_mape as predict_many chunks.
+// to shards=1, at batch_size 1 and above), concurrent fits bit-identical to
+// serial ones, BatchPlan membership stability across epoch rotations,
+// one-graph batches that are their member sample, segments that reproduce a
+// plain build and keep their cores, FeatureCache hit semantics, and
+// evaluate_mape as predict_many chunks.
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.h"
 #include "core/metrics.h"
 #include "core/predictor.h"
 #include "nn/layers.h"
@@ -232,6 +238,61 @@ TEST(EvaluateMapeTest, EqualsPredictManyChunksForEveryApproach) {
   }
 }
 
+TEST(ConcurrentFitTest, ParallelFitsAreBitIdenticalToSerialFits) {
+  // Fits over one corpus, seed and split, run as the table benches run
+  // them: on run_parallel threads. The -I predictor builds a classifier and
+  // a regressor plan; the two metrics build the same regressor batches.
+  PoolGuard pool(2);
+  const auto samples = small_corpus(32, 3131);
+  const SplitIndices split =
+      split_80_10_10(static_cast<int>(samples.size()), 3);
+  ModelConfig mc;
+  mc.kind = GnnKind::kGcn;
+  mc.hidden = 12;
+  mc.layers = 2;
+  mc.dropout = 0.2F;
+  TrainConfig tc;
+  tc.epochs = 3;
+  tc.lr = 1e-2F;
+  tc.seed = 13;
+  tc.batch_size = 4;
+  tc.shards = 2;
+  const std::vector<std::pair<Approach, Metric>> fits = {
+      {Approach::kKnowledgeInfused, Metric::kLut},
+      {Approach::kOffTheShelf, Metric::kLut},
+      {Approach::kOffTheShelf, Metric::kFf}};
+
+  struct Outcome {
+    std::vector<Matrix> params;
+    double test_mape = 0.0;
+  };
+  const auto run = [&](int threads) {
+    std::vector<Outcome> out(fits.size());
+    std::vector<std::function<void()>> jobs;
+    for (std::size_t j = 0; j < fits.size(); ++j) {
+      jobs.push_back([&, j] {
+        QorPredictor p(fits[j].first, mc, tc);
+        p.fit(samples, split, fits[j].second, FitOptions{});
+        out[j].params = snapshot_parameters(p.regressor());
+        out[j].test_mape = p.evaluate_mape(samples, split.test);
+      });
+    }
+    run_parallel(std::move(jobs), threads);
+    return out;
+  };
+
+  const std::vector<Outcome> serial = run(1);
+  const std::vector<Outcome> parallel = run(3);
+  for (std::size_t j = 0; j < fits.size(); ++j) {
+    EXPECT_EQ(parallel[j].test_mape, serial[j].test_mape) << "fit " << j;
+    ASSERT_EQ(parallel[j].params.size(), serial[j].params.size());
+    for (std::size_t i = 0; i < serial[j].params.size(); ++i) {
+      EXPECT_TRUE(parallel[j].params[i] == serial[j].params[i])
+          << "fit " << j << " parameter " << i;
+    }
+  }
+}
+
 // ----- FitOptions / online refit -----
 
 TEST(RefitTest, FitReportCurveAndBestEpoch) {
@@ -310,6 +371,8 @@ TEST(RefitTest, FitReportCurveAndBestEpoch) {
 TEST(RefitTest, RefitBitIdenticalAcrossShardsAndThreads) {
   const auto samples = small_corpus(36, 808);
   const auto delta = small_corpus(8, 909);  // fresh ground truth to feed back
+  // A second round reuses the first delta's retained segment.
+  const auto delta2 = small_corpus(6, 1010);
   const SplitIndices split =
       split_80_10_10(static_cast<int>(samples.size()), 4);
   ModelConfig mc;
@@ -333,6 +396,7 @@ TEST(RefitTest, RefitBitIdenticalAcrossShardsAndThreads) {
     p.fit(samples, split, Metric::kLut, FitOptions{});
     const FitReport r = p.refit(delta);
     EXPECT_TRUE(r.warm_started);
+    p.refit(delta2);
     serial_params = snapshot_parameters(p.regressor());
     serial_val = p.evaluate_mape(samples, split.test);
   }
@@ -342,6 +406,7 @@ TEST(RefitTest, RefitBitIdenticalAcrossShardsAndThreads) {
     QorPredictor p(Approach::kOffTheShelf, mc, tc);
     p.fit(samples, split, Metric::kLut, FitOptions{});
     p.refit(delta);
+    p.refit(delta2);
     const std::vector<Matrix> sharded_params =
         snapshot_parameters(p.regressor());
     ASSERT_EQ(serial_params.size(), sharded_params.size());
@@ -432,10 +497,7 @@ TEST(RefitTest, BatchSizeOneRefitRunsThroughSegments) {
     tc.shards = shards;
     QorPredictor p(Approach::kOffTheShelf, mc, tc);
     p.fit(samples, split, Metric::kLut, FitOptions{});
-    const std::uint64_t misses_before = BatchCoreCache::global().misses();
     const FitReport r = p.refit(delta);
-    // The grown corpus trains as one-graph batches: no union, no cache entry.
-    EXPECT_EQ(BatchCoreCache::global().misses(), misses_before);
     EXPECT_TRUE(r.warm_started);
     const long per_epoch =
         static_cast<long>((split.train.size() + delta.size() + 3) / 4);
@@ -598,7 +660,6 @@ TEST(BatchPlanTest, OneGraphBatchesAreTheirMembers) {
   const auto feature_of = [](const Sample& s) -> const Matrix& {
     return FeatureCache::global().features(s, Approach::kOffTheShelf);
   };
-  const std::uint64_t misses_before = BatchCoreCache::global().misses();
   BatchPlan plan = BatchPlan::build(
       samples, train_idx, /*batch_size=*/1, feature_of,
       [](const Sample& s) {
@@ -606,10 +667,9 @@ TEST(BatchPlanTest, OneGraphBatchesAreTheirMembers) {
                       encode_target(metric_of(s.truth, Metric::kLut),
                                     Metric::kLut));
       },
-      Rng(42),
-      BatchPlan::share_key("test/one-graph", 42, 1, samples, train_idx));
-  // No union was assembled and no cache entry was made.
-  EXPECT_EQ(BatchCoreCache::global().misses(), misses_before);
+      Rng(42));
+  // No union was assembled.
+  for (const BatchCorePtr& core : plan.cores()) EXPECT_EQ(core, nullptr);
 
   ASSERT_EQ(plan.num_batches(), static_cast<int>(samples.size()));
   for (int b = 0; b < plan.num_batches(); ++b) {
@@ -631,6 +691,62 @@ TEST(BatchPlanTest, OneGraphBatchesAreTheirMembers) {
     for (int b : order) visited.push_back(plan.item(b).members()[0]);
     EXPECT_EQ(visited, per_sample) << "epoch " << epoch;
   }
+}
+
+TEST(BatchPlanTest, SegmentReproducesPlainBuildAndKeepsItsCores) {
+  const auto samples = small_corpus(30, 5150);
+  // 21 samples at batch size 4: five unions and a trailing one-graph batch.
+  std::vector<int> idx(21);
+  std::iota(idx.begin(), idx.end(), 2);
+  const auto feature_of = [](const Sample& s) -> const Matrix& {
+    return FeatureCache::global().features(s, Approach::kOffTheShelf);
+  };
+  const auto label_of = [](const Sample& s) {
+    return Matrix(1, 1,
+                  encode_target(metric_of(s.truth, Metric::kLut),
+                                Metric::kLut));
+  };
+  const std::uint64_t seed = 77;
+  const BatchPlan plain =
+      BatchPlan::build(samples, idx, 4, feature_of, label_of, Rng(seed));
+  std::vector<BatchPlan::Segment> segments{BatchPlan::Segment{idx, seed, {}}};
+  const BatchPlan segmented = BatchPlan::build_segments(
+      samples, segments, 4, feature_of, label_of, Rng(99));
+
+  // The segment has build(idx, Rng(seed))'s batches, bit for bit.
+  ASSERT_EQ(plain.num_batches(), 6);
+  ASSERT_EQ(segmented.num_batches(), plain.num_batches());
+  for (int b = 0; b < plain.num_batches(); ++b) {
+    const BatchPlan::Item& want = plain.item(b);
+    const BatchPlan::Item& got = segmented.item(b);
+    EXPECT_EQ(got.members(), want.members()) << "batch " << b;
+    EXPECT_EQ(got.tensors().num_nodes, want.tensors().num_nodes);
+    EXPECT_EQ(got.tensors().num_graphs, want.tensors().num_graphs);
+    EXPECT_EQ(got.tensors().src.size(), want.tensors().src.size());
+    EXPECT_EQ(got.tensors().dst.size(), want.tensors().dst.size());
+    ASSERT_EQ(got.features().rows(), want.features().rows());
+    ASSERT_EQ(got.features().cols(), want.features().cols());
+    EXPECT_EQ(std::memcmp(got.features().data(), want.features().data(),
+                          want.features().size() * sizeof(float)),
+              0)
+        << "batch " << b;
+    EXPECT_TRUE(got.labels == want.labels);
+  }
+
+  // The segment keeps the cores it assembled: a later plan reuses them and
+  // assembles only a new segment.
+  const std::vector<BatchCorePtr> kept = segments[0].cores;
+  EXPECT_EQ(kept, segmented.cores());
+  EXPECT_EQ(std::count(kept.begin(), kept.end(), nullptr), 1);
+  segments.push_back(BatchPlan::Segment{{0, 1, 23, 24, 25}, 5, {}});
+  const BatchPlan grown = BatchPlan::build_segments(
+      samples, segments, 4, feature_of, label_of, Rng(99));
+  EXPECT_EQ(segments[0].cores, kept);
+  ASSERT_EQ(segments[1].cores.size(), 2U);
+  EXPECT_NE(segments[1].cores[0], nullptr);
+  std::vector<BatchCorePtr> all = kept;
+  all.insert(all.end(), segments[1].cores.begin(), segments[1].cores.end());
+  EXPECT_EQ(grown.cores(), all);
 }
 
 // ----- FeatureCache -----
