@@ -43,15 +43,15 @@ class QorEnsemble {
               int members,
               InfusedInference infused = InfusedInference::kSelfInferred);
 
-  /// Fits every member on the same corpus/split/metric; member k trains
-  /// with effective seed (opts.seed, else TrainConfig::seed) + k. Returns
+  /// Fits every member from a fresh init on the same corpus/split/metric;
+  /// member k trains with effective seed (opts.seed, else TrainConfig::seed) + k. Returns
   /// member 0's report (bitwise the single-model fit's report).
   FitReport fit(const std::vector<Sample>& samples, const SplitIndices& split,
                 Metric metric, const FitOptions& opts = {});
 
   /// Feeds the same ground-truth delta to every member's refit; each member
-  /// continues from its own checkpoint with its own seed stream. Returns
-  /// member 0's report.
+  /// resumes its own kept weights and Adam moments with its own seed stream
+  /// and keeps its last epoch. Returns member 0's report.
   FitReport refit(const std::vector<Sample>& new_samples,
                   const FitOptions& opts = QorPredictor::refit_defaults());
 

@@ -61,9 +61,6 @@ Trainer::Hooks QorPredictor::regressor_hooks() const {
     // One prediction row per member graph; MSE averages over the batch.
     return tape.mse_loss(pred, target);
   };
-  // Validation model selection. NOTE: -I validates through the full
-  // hierarchical path (classifier bits), matching deployment.
-  hooks.validate = [this] { return evaluate_mape(corpus_, split_.val); };
   return hooks;
 }
 
@@ -75,21 +72,15 @@ FitReport QorPredictor::fit(const std::vector<Sample>& samples,
                "fit: empty train/val split");
   tune_malloc_for_tensor_workloads();  // epochs of tape churn ahead
   const std::uint64_t seed = opts.seed != 0 ? opts.seed : train_cfg_.seed;
-  const bool warm = opts.warm_start && regressor_ != nullptr;
 
-  if (!warm) {
-    if (approach_ == Approach::kKnowledgeInfused &&
-        infused_ == InfusedInference::kSelfInferred) {
-      // A fresh fit whose empty val split runs no validation, so the last
-      // epoch is kept. The hierarchy never warm-starts its classifier, so
-      // its Adam moments would only hold memory.
-      FitOptions cls_opts;
-      cls_opts.seed = seed;
-      classifier_.fit(samples, SplitIndices{split.train, {}, {}}, cls_opts);
-      classifier_.release_optimizer_state();
-    }
-    init_regressor(seed);
+  if (approach_ == Approach::kKnowledgeInfused &&
+      infused_ == InfusedInference::kSelfInferred) {
+    // An empty val split runs no validation, so the last epoch is kept.
+    FitOptions cls_opts;
+    cls_opts.seed = seed;
+    classifier_.fit(samples, SplitIndices{split.train, {}, {}}, cls_opts);
   }
+  init_regressor(seed);
 
   // Retain the corpus and split for later refit() segments. Clearing the
   // segments frees the previous fit's cores before this fit assembles.
@@ -111,15 +102,17 @@ FitReport QorPredictor::fit(const std::vector<Sample>& samples,
   segments_.push_back(
       BatchPlan::Segment{split.train, order_seed, plan.cores()});
 
-  Trainer trainer(*regressor_, train_cfg_, regressor_hooks(), seed * 17 + 2);
+  // Validation model selection. NOTE: -I validates through the full
+  // hierarchical path (classifier bits), matching deployment.
+  Trainer::Hooks hooks = regressor_hooks();
+  hooks.validate = [this] { return evaluate_mape(corpus_, split_.val); };
+  Trainer trainer(*regressor_, train_cfg_, std::move(hooks), seed * 17 + 2);
   return trainer.fit(plan, opts, &adam_state_);
 }
 
 FitOptions QorPredictor::refit_defaults() {
   FitOptions opts;
-  opts.warm_start = true;
   opts.epochs = 6;
-  opts.validation = FitOptions::Validation::kFinalEpoch;
   return opts;
 }
 
@@ -137,13 +130,6 @@ FitReport QorPredictor::refit(const std::vector<Sample>& new_samples,
   std::vector<int> delta_idx(new_samples.size());
   std::iota(delta_idx.begin(), delta_idx.end(), base);
 
-  if (!opts.warm_start) {
-    // Cold refit: retrain from a fresh seeded init over the grown corpus
-    // (the -I classifier is kept either way — feedback refits sharpen the
-    // regressor only).
-    init_regressor(seed);
-  }
-
   // The delta becomes its own segment with generation-salted seeds (pure
   // functions of (fit seed, generation): refit trajectories are reproducible
   // but decorrelated across rounds).
@@ -154,6 +140,8 @@ FitReport QorPredictor::refit(const std::vector<Sample>& new_samples,
       corpus_, segments_, train_cfg_.batch_size, feature_fn(), label_fn(),
       Rng(seed * 31 + 11 + gen));
 
+  // Resume the kept weights and moments; with no validate hook the Trainer
+  // keeps the last epoch.
   Trainer trainer(*regressor_, train_cfg_, regressor_hooks(),
                   seed * 17 + 2 + gen * 0x85EBCA6BULL);
   return trainer.fit(plan, opts, &adam_state_);
@@ -243,13 +231,10 @@ FitReport NodeTypePredictor::fit(const std::vector<Sample>& samples,
                                  const FitOptions& opts) {
   tune_malloc_for_tensor_workloads();
   const std::uint64_t seed = opts.seed != 0 ? opts.seed : train_cfg_.seed;
-  if (!opts.warm_start || classifier_ == nullptr) {
-    Rng init_rng(seed * 7919 + 13);
-    classifier_ = std::make_unique<NodeClassifier>(
-        model_cfg_, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf),
-        init_rng);
-    adam_state_.reset();
-  }
+  Rng init_rng(seed * 7919 + 13);
+  classifier_ = std::make_unique<NodeClassifier>(
+      model_cfg_, InputFeatureBuilder::feature_dim(Approach::kOffTheShelf),
+      init_rng);
   TrainConfig tc = train_cfg_;
   tc.seed = seed;
   // Off-the-shelf features and node-type label rows, both served from the
@@ -281,7 +266,7 @@ FitReport NodeTypePredictor::fit(const std::vector<Sample>& samples,
     hooks.higher_is_better = true;
   }
   Trainer trainer(*classifier_, tc, std::move(hooks), seed * 17 + 3);
-  return trainer.fit(plan, opts, &adam_state_);
+  return trainer.fit(plan, opts);
 }
 
 NodeClassifierScores NodeTypePredictor::evaluate(

@@ -15,15 +15,15 @@
 // The paper's training recipe (Adam, fixed epoch budget, minibatch
 // accumulation, best-validation-epoch parameter selection) lives in the
 // src/train/ subsystem: each fit here builds a BatchPlan over cached feature
-// tensors (FeatureCache) and hands the epochs, the validation policy and the
+// tensors (FeatureCache) and hands the epochs, the validation hook and the
 // optimizer checkpoint to the sharded Trainer; this file keeps only model
 // construction, the validation score, and inference.
 //
-// Online refit (model-in-the-loop DSE): fit() retains the corpus, split and
-// the selected epoch's optimizer moments; refit(new_samples, opts) then
-// appends ground-truth feedback as a new BatchPlan *segment* — the
-// predictor keeps every segment's assembled unions, so only the delta is
-// assembled — and continues training warm-started from the selected model's
+// Online refit (model-in-the-loop DSE): fit() always starts fresh and
+// retains the corpus, split and the selected epoch's optimizer moments;
+// refit(new_samples, opts) then appends ground-truth feedback as a new
+// BatchPlan *segment* — the predictor keeps every segment's assembled
+// unions, so only the delta is assembled — and always resumes the kept
 // weights and Adam state. The refit trajectory is a pure function of
 // (checkpoint, feedback samples, FitOptions), so it inherits the Trainer's
 // bit-identity across thread and shard counts.
@@ -60,21 +60,17 @@ class NodeTypePredictor {
  public:
   NodeTypePredictor(ModelConfig model_cfg, TrainConfig train_cfg);
 
-  /// Trains on samples[split.train] under the given options (seed override,
-  /// epoch budget, warm start from the current classifier, validation
-  /// policy — kBestEpoch selects by validation mean accuracy, higher
-  /// better). FitReport::val_curve carries the per-epoch mean accuracy. An
-  /// empty split.val runs no validation: the last epoch is kept and the
-  /// report's validation fields stay empty.
+  /// Trains a freshly initialized classifier on samples[split.train] under
+  /// the given options (seed override, epoch budget) and keeps the epoch
+  /// with the best validation mean accuracy; FitReport::val_curve carries
+  /// the per-epoch mean accuracy. An empty split.val runs no validation:
+  /// the last epoch is kept and the report's validation fields stay empty.
+  /// The classifier never refits, so no optimizer state outlives the call.
   FitReport fit(const std::vector<Sample>& samples, const SplitIndices& split,
                 const FitOptions& opts);
 
   NodeClassifierScores evaluate(const std::vector<Sample>& samples,
                                 const std::vector<int>& idx) const;
-
-  /// Frees the optimizer moments fit() keeps for a later warm start, which
-  /// then resumes the weights with fresh moments.
-  void release_optimizer_state() { adam_state_.reset(); }
 
   const NodeClassifier& classifier() const {
     GNNHLS_CHECK(classifier_ != nullptr, "classifier before fit");
@@ -85,7 +81,6 @@ class NodeTypePredictor {
   ModelConfig model_cfg_;
   TrainConfig train_cfg_;
   std::unique_ptr<NodeClassifier> classifier_;
-  std::optional<AdamState> adam_state_;  // kept epoch's optimizer moments
 };
 
 class QorPredictor {
@@ -94,33 +89,35 @@ class QorPredictor {
                InfusedInference infused = InfusedInference::kSelfInferred);
 
   /// Trains (classifier first for -I, then regressor) on samples[split.train]
-  /// for one metric under the given options. Fresh fits (re)initialize the
-  /// model from the effective seed (opts.seed, else TrainConfig::seed);
-  /// opts.warm_start continues from the current weights + Adam moments when
-  /// the model has already been fitted. Validation runs per epoch; the
-  /// validation policy decides whether the best epoch's parameters (and
-  /// optimizer state) are restored. Retains the corpus and split for
-  /// subsequent refit() calls.
+  /// for one metric under the given options. Always starts fresh: the model
+  /// is (re)initialized from the effective seed (opts.seed, else
+  /// TrainConfig::seed) and Adam from zero moments. Validation MAPE on
+  /// split.val runs per epoch, and the best epoch's parameters and optimizer
+  /// moments are restored. Retains the corpus and split for subsequent
+  /// refit() calls and drops every earlier refit's feedback.
   FitReport fit(const std::vector<Sample>& samples, const SplitIndices& split,
                 Metric metric, const FitOptions& opts);
 
   /// Online refit: appends `new_samples` (ground truth gathered since the
   /// last fit/refit, e.g. a DSE round's HLS results) to the retained corpus
-  /// as a fresh training segment and continues training. With
-  /// opts.warm_start (the default policy) the regressor resumes from the
-  /// selected weights + Adam moments; otherwise it re-initializes and
-  /// retrains over the grown corpus. The predictor keeps prior segments'
-  /// batch unions and builds only the delta's features and unions, so a
-  /// refit costs O(delta assembly + epochs), not a from-scratch rebuild.
-  /// The -I hierarchy keeps its classifier: feedback refits sharpen the
-  /// regressor only. Validation still scores the original split.val.
+  /// as a fresh training segment and continues training. Always resumes
+  /// the kept weights + Adam moments and keeps the last epoch: no
+  /// validation runs, because the original split.val no longer represents
+  /// the feedback distribution (the report's validation fields stay
+  /// empty). The predictor keeps prior segments' batch unions and builds
+  /// only the delta's features and unions, so a refit costs O(delta
+  /// assembly + epochs), not a from-scratch rebuild. The -I hierarchy keeps
+  /// its classifier: feedback refits sharpen the regressor only.
+  ///
+  /// Feedback accumulates: the corpus and its segments grow by one delta
+  /// per refit until the next fit(), so a model reused across explorations
+  /// trains each refit over every earlier exploration's feedback and holds
+  /// those unions. Call fit() (or use a fresh predictor) to start over.
   FitReport refit(const std::vector<Sample>& new_samples,
                   const FitOptions& opts = refit_defaults());
 
-  /// The refit() policy tuned for DSE feedback rounds: warm start, a small
-  /// epoch budget, final-epoch validation (feedback is drawn from the
-  /// explored design space, so the original validation split no longer
-  /// selects well for it).
+  /// The refit() options tuned for DSE feedback rounds: a small epoch
+  /// budget, the fit's seed.
   static FitOptions refit_defaults();
 
   /// Number of refit() calls since the last fresh fit.
@@ -181,8 +178,8 @@ class QorPredictor {
   BatchPlan::FeatureFn feature_fn() const;
   BatchPlan::LabelFn label_fn() const;
 
-  /// Regressor hooks: forward, batch-mean MSE, and validation MAPE on the
-  /// retained split (lower is better).
+  /// Regressor hooks: forward and batch-mean MSE. fit() adds validation
+  /// MAPE on the retained split; refit() validates nothing.
   Trainer::Hooks regressor_hooks() const;
 
   Approach approach_;

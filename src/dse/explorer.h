@@ -93,7 +93,8 @@ struct DseResult {
   /// Candidate indices synthesized early and fed back, one entry per
   /// feedback round, each sorted ascending.
   std::vector<std::vector<int>> fed_back;
-  /// What each refit reported (epochs run, warm start, val curve).
+  /// What each refit reported: epochs run and optimizer steps. Refits run
+  /// no validation, so the validation fields stay empty.
   std::vector<FitReport> refit_reports;
   /// The acquisition strategy that drove pruning and feedback selection.
   Acquisition acquisition = Acquisition::kPredictedRank;
@@ -231,8 +232,9 @@ struct ActiveConfig {
   int feedback_rounds = 1;
   /// Candidate ranking for pruning AND feedback selection.
   Acquisition acquisition = Acquisition::kPredictedRank;
-  /// Passed to the model's refit() each feedback round (warm start, small
-  /// epoch budget, final-epoch validation by default).
+  /// Passed to the model's refit() each feedback round (a small epoch
+  /// budget by default). Every refit resumes the model's kept weights and
+  /// Adam moments and keeps its last epoch.
   FitOptions refit = QorPredictor::refit_defaults();
 };
 

@@ -152,11 +152,15 @@ ServingScheduler::Ticket ServingScheduler::submit_ref(int model,
       return ticket;
     }
     const std::int64_t now = now_us();
+    // now >= 0, so kNoDeadline - now cannot overflow; a deadline past the
+    // representable horizon saturates to "none" instead of wrapping.
+    const bool unbounded =
+        opts.deadline_us == 0 || opts.deadline_us >= kNoDeadline - now;
     Entry e{model,
             std::move(sample),
             std::move(promise),
             now,
-            opts.deadline_us == 0 ? kNoDeadline : now + opts.deadline_us,
+            unbounded ? kNoDeadline : now + opts.deadline_us,
             opts.priority,
             next_seq_++};
     // Ordered insert keeps the queue in urgency order, so the head is

@@ -137,7 +137,8 @@ class SampleRef {
 struct SubmitOptions {
   /// Deadline relative to submit time, in microseconds. 0 = no deadline.
   /// Negative = already expired (an upstream SLA minus elapsed time can go
-  /// negative by arrival) — fails fast with AdmitStatus::kExpired.
+  /// negative by arrival) — fails fast with AdmitStatus::kExpired. A
+  /// deadline past the clock's representable horizon counts as none.
   std::int64_t deadline_us = 0;
   /// Higher values are served first (before any lower-priority request,
   /// regardless of deadlines). Default 0.

@@ -1,19 +1,18 @@
 // FitOptions / FitReport — the training entry-point contract of every fit
 // loop in the library (QorPredictor, NodeTypePredictor, Trainer).
 //
-// FitOptions carries warm starts (continue from the current weights and
-// Adam moments instead of re-initializing), per-call epoch budgets (a refit
-// round is a handful of epochs, not a full training run), a seed override,
-// and a validation policy (best-epoch selection is right for a from-scratch
-// fit; a warm refit on feedback data usually wants the final weights,
-// because the original validation split no longer represents the
-// distribution being refit on). FitReport returns the full validation
-// curve, the selected epoch, and how much work actually ran. The owner
-// resolves the seed and fresh-vs-warm init; Trainer::fit runs the rest.
+// The entry point decides how a call starts and what it keeps, and no
+// option does: a fit starts from a fresh seeded init and keeps its best
+// validation epoch; QorPredictor::refit resumes the kept weights and Adam
+// moments and keeps its last epoch, because the original validation split
+// no longer represents the feedback distribution being refit on. FitOptions
+// carries only the per-call epoch budget (a refit round is a handful of
+// epochs, not a full training run) and a seed override. FitReport returns
+// the validation curve, the selected epoch, and how much work actually ran.
 //
 // Determinism: a fit's trajectory is a pure function of (model init or
-// warm-start weights, data plan, TrainConfig, FitOptions) — nothing here
-// depends on thread counts, so warm-started refits inherit the Trainer's
+// resumed weights and moments, data plan, TrainConfig, FitOptions) —
+// nothing here depends on thread counts, so refits inherit the Trainer's
 // bit-identity contract unchanged.
 #pragma once
 
@@ -24,47 +23,29 @@
 namespace gnnhls {
 
 struct FitOptions {
-  /// Continue from the model's current parameters and optimizer moments
-  /// (both captured at the previously selected epoch) instead of a fresh
-  /// seeded init. Ignored — with a fresh init — when the model has never
-  /// been fitted.
-  bool warm_start = false;
-
   /// Epoch budget for this call; < 0 keeps TrainConfig::epochs. Refit
   /// rounds typically run a small budget (see QorPredictor::refit_defaults).
   int epochs = -1;
 
   /// Seed override for this call; 0 keeps TrainConfig::seed. Drives model
-  /// init (fresh fits), batch-membership shuffles and dropout streams —
-  /// the knob deep ensembles vary between members.
+  /// init (fits), batch-membership shuffles and dropout streams — the knob
+  /// deep ensembles vary between members.
   std::uint64_t seed = 0;
-
-  /// What the fit keeps when the epoch budget is exhausted.
-  enum class Validation {
-    /// Restore the parameters (and optimizer moments) of the epoch with the
-    /// best validation score — the paper's model-selection recipe.
-    kBestEpoch,
-    /// Keep the final epoch's parameters; validation is still evaluated and
-    /// reported per epoch, but never drives a restore. The default for
-    /// feedback refits, whose validation split is out-of-distribution.
-    kFinalEpoch,
-  };
-  Validation validation = Validation::kBestEpoch;
 };
 
 struct FitReport {
   /// Best validation score seen (MAPE for regressors — lower is better;
-  /// mean accuracy for classifiers — higher is better).
+  /// mean accuracy for classifiers — higher is better). NaN when the call
+  /// ran no validation (a refit, or a fit without a validation split).
   double best_val = std::numeric_limits<double>::quiet_NaN();
-  /// Epoch index of best_val (0-based); -1 when no epoch ran.
+  /// Epoch index of best_val (0-based); -1 when no epoch was validated.
   int best_epoch = -1;
   /// Epochs actually executed (the FitOptions/TrainConfig budget).
   int epochs_run = 0;
   /// Optimizer steps taken over all epochs.
   long steps = 0;
-  /// True when this call continued from previous weights + Adam moments.
-  bool warm_started = false;
-  /// Per-epoch validation trajectory, entry e = score after epoch e.
+  /// Per-epoch validation trajectory, entry e = score after epoch e; empty
+  /// when the call ran no validation.
   std::vector<double> val_curve;
 };
 

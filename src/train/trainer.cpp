@@ -47,18 +47,18 @@ Trainer::Trainer(Module& model, TrainConfig cfg, Hooks hooks,
 FitReport Trainer::fit(BatchPlan& plan, const FitOptions& opts,
                        std::optional<AdamState>* checkpoint) {
   FitReport report;
-  report.warm_started = checkpoint != nullptr && checkpoint->has_value();
-  if (report.warm_started) opt_.import_state(**checkpoint);
+  if (checkpoint != nullptr && checkpoint->has_value()) {
+    opt_.import_state(**checkpoint);
+  }
   const int epochs = opts.epochs >= 0 ? opts.epochs : cfg_.epochs;
-  const bool select_best =
-      hooks_.validate && opts.validation == FitOptions::Validation::kBestEpoch;
-  // The selected epoch's weights and moments, kept together: a later warm
-  // start must resume from the SELECTED model.
+  // The selected epoch's weights and moments, kept together: a later
+  // resume must start from the SELECTED model.
   std::vector<Matrix> best_params;
   AdamState best_opt;
-  // Warm starts resume moments but restart the lr schedule over THIS call's
-  // budget: a refit is its own short anneal, not a continuation of the
-  // original schedule (whose decay points were sized for the full budget).
+  // A resume keeps the moments but restarts the lr schedule over THIS
+  // call's budget: a refit is its own short anneal, not a continuation of
+  // the original schedule (whose decay points were sized for the full
+  // budget).
   const long steps_before = opt_.step_count();
   for (int epoch = 0; epoch < epochs; ++epoch) {
     const ObsSpan epoch_span(cfg_.obs.trace, "epoch", "train");
@@ -72,10 +72,8 @@ FitReport Trainer::fit(BatchPlan& plan, const FitOptions& opts,
     if (report.best_epoch < 0 || better) {
       report.best_val = val;
       report.best_epoch = epoch;
-      if (select_best) {
-        best_params = snapshot_parameters(model_);
-        best_opt = opt_.export_state();
-      }
+      best_params = snapshot_parameters(model_);
+      if (checkpoint != nullptr) best_opt = opt_.export_state();
     }
   }
   report.epochs_run = epochs;

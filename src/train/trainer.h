@@ -5,9 +5,10 @@
 // One Trainer serves every fit loop in the library (QoR regressor, the
 // hierarchical approach's node classifier, the standalone NodeTypePredictor)
 // through its hooks: forward (model tape construction over a graph view),
-// loss, and an optional validation score. It runs the whole FitOptions
-// contract — warm start from an optimizer checkpoint, epoch budget,
-// validation policy — and fills the whole FitReport. Data comes from a
+// loss, and an optional validation score. It runs the epoch budget,
+// resumes Adam from an optimizer checkpoint when handed one, keeps the best
+// validation epoch when a validation hook is set (the last epoch when not),
+// and fills the whole FitReport. Data comes from a
 // BatchPlan, whose batches hold batch_size graphs (a one-graph batch is the
 // sample itself). There is one epoch loop, and it is *sharded*:
 //
@@ -103,9 +104,9 @@ class Trainer {
     /// Builds the scalar loss for the view's stacked labels.
     std::function<Var(Tape&, const Var& out, const Matrix& labels)> loss;
     /// Optional validation score of the model's current weights, called on
-    /// the fit() thread after each epoch's last optimizer step. Unset: no
-    /// validation, FitReport's validation fields stay empty, and fit()
-    /// keeps the final epoch under either policy.
+    /// the fit() thread after each epoch's last optimizer step; fit() keeps
+    /// the best-scoring epoch. Unset: no validation, FitReport's validation
+    /// fields stay empty, and fit() keeps the final epoch.
     std::function<double()> validate;
     /// Direction of validate's score: false for lower-is-better (MAPE),
     /// true for higher-is-better (accuracy).
@@ -118,16 +119,15 @@ class Trainer {
           std::uint64_t dropout_seed);
 
   /// Runs the epoch budget (opts.epochs when >= 0, else TrainConfig::epochs)
-  /// over the plan, scoring every epoch through hooks.validate when it is
-  /// set. Under kBestEpoch the parameters and Adam moments of the
-  /// best-scoring epoch are restored at the end; under kFinalEpoch the last
-  /// epoch's are kept. `checkpoint`
-  /// carries the optimizer moments in and out: when it holds a state on
-  /// entry, Adam resumes from it (a warm start — the model must already hold
-  /// the weights that state was taken with); on return it holds the moments
-  /// of the epoch fit() kept. nullptr starts Adam fresh and hands nothing
-  /// back. Model init, plan construction and dropout_seed were resolved by
-  /// the owner from opts.warm_start / opts.seed before this call.
+  /// over the plan. With hooks.validate set, every epoch is scored and the
+  /// parameters and Adam moments of the best-scoring epoch are restored at
+  /// the end; without it the last epoch's are kept. `checkpoint` carries
+  /// the optimizer moments in and out: when it holds a state on entry, Adam
+  /// resumes from it (the model must already hold the weights that state
+  /// was taken with); on return it holds the moments of the epoch fit()
+  /// kept. nullptr starts Adam fresh and hands nothing back. Model init,
+  /// plan construction and dropout_seed were resolved by the owner from
+  /// opts.seed before this call.
   FitReport fit(BatchPlan& plan, const FitOptions& opts,
                 std::optional<AdamState>* checkpoint = nullptr);
 

@@ -597,7 +597,7 @@ TEST(ExplorerTest, ActiveHalvingBudgetAndTrace) {
   ASSERT_EQ(r.fed_back.size(), 1u);
   EXPECT_EQ(r.fed_back[0].size(), 1u);
   ASSERT_EQ(r.refit_reports.size(), 1u);
-  EXPECT_TRUE(r.refit_reports[0].warm_started);
+  EXPECT_TRUE(r.refit_reports[0].val_curve.empty());  // refits never validate
   EXPECT_EQ(r.refit_reports[0].epochs_run,
             QorPredictor::refit_defaults().epochs);
   EXPECT_EQ(r.acquisition, Acquisition::kPredictedRank);

@@ -1,5 +1,8 @@
+#include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,18 @@ LoweredProgram mac_program() {
                         bin(BinOpKind::kAdd, var("t"), lit(5))));
   f.body.push_back(ret(var("u")));
   return lower_to_dfg(f);
+}
+
+/// The hand-built mac_program plus seeded progen DFG and CDFG programs: the
+/// inputs of the scheduler property tests.
+std::vector<LoweredProgram> property_programs() {
+  std::vector<LoweredProgram> programs;
+  programs.push_back(mac_program());
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    programs.push_back(lower_to_dfg(generate_dfg_program(seed)));
+    programs.push_back(lower_to_cdfg(generate_cdfg_program(seed)));
+  }
+  return programs;
 }
 
 // ----- resource library -----
@@ -83,32 +98,38 @@ TEST(ResourceModelTest, MuxCostGrowsWithSources) {
 // ----- scheduler -----
 
 TEST(SchedulerTest, DependenciesNeverViolated) {
-  LoweredProgram p = mac_program();
   ResourceLibrary lib;
-  const ProgramSchedule ps = schedule_program(p, lib, HlsConfig{});
-  std::map<int, const OpSchedule*> sched;
-  for (const auto& bs : ps.blocks) {
-    for (const auto& os : bs.ops) sched[os.node] = &os;
-  }
-  for (const auto& e : p.graph.edges()) {
-    if (e.is_back_edge || e.type == EdgeType::kControl) continue;
-    const auto s = sched.find(e.src);
-    const auto d = sched.find(e.dst);
-    if (s == sched.end() || d == sched.end()) continue;
-    EXPECT_LE(s->second->end_cycle, d->second->end_cycle)
-        << "edge " << e.src << "->" << e.dst;
+  for (const LoweredProgram& p : property_programs()) {
+    SCOPED_TRACE(p.graph.name());
+    const ProgramSchedule ps = schedule_program(p, lib, HlsConfig{});
+    // Cycles count from each block's entry, so only an edge within one
+    // block orders its two ends.
+    std::map<int, std::pair<int, const OpSchedule*>> sched;
+    for (const auto& bs : ps.blocks) {
+      for (const auto& os : bs.ops) sched[os.node] = {bs.block_id, &os};
+    }
+    for (const auto& e : p.graph.edges()) {
+      if (e.is_back_edge || e.type == EdgeType::kControl) continue;
+      const auto s = sched.find(e.src);
+      const auto d = sched.find(e.dst);
+      if (s == sched.end() || d == sched.end()) continue;
+      if (s->second.first != d->second.first) continue;
+      EXPECT_LE(s->second.second->end_cycle, d->second.second->start_cycle)
+          << "edge " << e.src << "->" << e.dst;
+    }
   }
 }
 
 TEST(SchedulerTest, TightClockIncreasesStates) {
-  LoweredProgram p1 = mac_program();
-  LoweredProgram p2 = mac_program();
   ResourceLibrary lib;
-  const ProgramSchedule fast =
-      schedule_program(p1, lib, HlsConfig{.clock_ns = 20.0});
-  const ProgramSchedule slow =
-      schedule_program(p2, lib, HlsConfig{.clock_ns = 3.2});
-  EXPECT_GE(slow.total_states, fast.total_states);
+  for (const LoweredProgram& p : property_programs()) {
+    SCOPED_TRACE(p.graph.name());
+    const ProgramSchedule fast =
+        schedule_program(p, lib, HlsConfig{.clock_ns = 20.0});
+    const ProgramSchedule slow =
+        schedule_program(p, lib, HlsConfig{.clock_ns = 3.2});
+    EXPECT_GE(slow.total_states, fast.total_states);
+  }
 }
 
 TEST(SchedulerTest, ChainNeverExceedsBudgetWhenSplittable) {

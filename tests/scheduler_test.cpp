@@ -11,6 +11,7 @@
 // sleep-and-hope.
 #include <atomic>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -152,6 +153,24 @@ TEST(SchedulerAdmissionTest, DeadlineExpiryInQueueShedsWithoutForward) {
   EXPECT_EQ(st.batches, 1U);  // the expired request never cost a forward
   EXPECT_EQ(st.completed_in_deadline, 1U);  // no-deadline always counts
   EXPECT_EQ(st.shed_total(), 1U);
+}
+
+TEST(SchedulerAdmissionTest, HugeDeadlineSaturatesToNone) {
+  // A client-supplied deadline near INT64_MAX must not wrap when added to
+  // the submit time: it means "no deadline", never "already expired".
+  SchedFixture& fx = fixture();
+  ServingScheduler sched({&fx.lut}, virtual_cfg());
+  sched.advance_virtual_time(1);
+  SubmitOptions far;
+  far.deadline_us = std::numeric_limits<std::int64_t>::max();
+  auto t = sched.submit(0, fx.samples[0], far);
+  ASSERT_TRUE(t.accepted());
+  sched.advance_virtual_time(250);  // past the window
+  EXPECT_TRUE(sched.pump());
+  EXPECT_EQ(t.future.get(), fx.lut.predict(fx.samples[0]));
+  const SchedStats st = sched.stats();
+  EXPECT_EQ(st.shed_in_queue, 0U);
+  EXPECT_EQ(st.completed_in_deadline, 1U);
 }
 
 TEST(SchedulerAdmissionTest, SubmitAfterShutdownRejectsWithStatus) {

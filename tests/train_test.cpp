@@ -297,6 +297,7 @@ TEST(ConcurrentFitTest, ParallelFitsAreBitIdenticalToSerialFits) {
 
 TEST(RefitTest, FitReportCurveAndBestEpoch) {
   const auto samples = small_corpus(30, 515);
+  const auto delta = small_corpus(6, 616);
   const SplitIndices split =
       split_80_10_10(static_cast<int>(samples.size()), 2);
   ModelConfig mc;
@@ -310,9 +311,8 @@ TEST(RefitTest, FitReportCurveAndBestEpoch) {
   // One fit's report against the weights it deployed: `deployed` is the
   // validation score of the kept model, `higher` the score's direction
   // (MAPE lower-is-better, classifier accuracy higher-is-better).
-  const auto check = [&](const FitReport& report, FitOptions::Validation policy,
-                         double deployed, bool higher) {
-    EXPECT_FALSE(report.warm_started);
+  const auto check = [&](const FitReport& report, double deployed,
+                         bool higher) {
     EXPECT_EQ(report.epochs_run, tc.epochs);
     EXPECT_GT(report.steps, 0);
     const std::vector<double>& curve = report.val_curve;
@@ -324,48 +324,42 @@ TEST(RefitTest, FitReportCurveAndBestEpoch) {
                      : *std::min_element(curve.begin(), curve.end()));
     EXPECT_EQ(report.best_val,
               curve[static_cast<std::size_t>(report.best_epoch)]);
-    // kBestEpoch restored the selected checkpoint: the deployed validation
-    // score is the best epoch's. kFinalEpoch kept the last epoch's weights.
-    EXPECT_EQ(deployed, policy == FitOptions::Validation::kBestEpoch
-                            ? report.best_val
-                            : curve.back());
+    // The fit restored the selected checkpoint: the deployed validation
+    // score is the best epoch's.
+    EXPECT_EQ(deployed, report.best_val);
+    // The curve peaks before the last epoch, so the restore deployed
+    // weights other than the final epoch's.
+    EXPECT_LT(report.best_epoch, tc.epochs - 1);
   };
-  // The classifier's larger step makes its accuracy peak before the last
-  // epoch, as the regressor's MAPE does at tc.lr.
-  TrainConfig cls_tc = tc;
-  cls_tc.lr = 5e-2F;
-  std::vector<FitReport> qor, cls;
-  for (const FitOptions::Validation policy :
-       {FitOptions::Validation::kBestEpoch,
-        FitOptions::Validation::kFinalEpoch}) {
-    FitOptions opts;
-    opts.validation = policy;
-    {
-      SCOPED_TRACE("QorPredictor");
-      QorPredictor p(Approach::kOffTheShelf, mc, tc);
-      const FitReport report = p.fit(samples, split, Metric::kLut, opts);
-      check(report, policy, p.evaluate_mape(samples, split.val), false);
-      qor.push_back(report);
-    }
-    {
-      SCOPED_TRACE("NodeTypePredictor");
-      NodeTypePredictor n(mc, cls_tc);
-      const FitReport report = n.fit(samples, split, opts);
-      const NodeClassifierScores val = n.evaluate(samples, split.val);
-      check(report, policy, (val.dsp + val.lut + val.ff) / 3.0, true);
-      cls.push_back(report);
-    }
+  QorPredictor p(Approach::kOffTheShelf, mc, tc);
+  FitReport qor;
+  {
+    SCOPED_TRACE("QorPredictor");
+    qor = p.fit(samples, split, Metric::kLut, FitOptions{});
+    check(qor, p.evaluate_mape(samples, split.val), false);
   }
-  // The policy decides what is kept, never the trajectory; both curves peak
-  // before the last epoch, so the two policies deployed different weights.
-  EXPECT_EQ(qor[0].val_curve, qor[1].val_curve);
-  EXPECT_EQ(cls[0].val_curve, cls[1].val_curve);
-  EXPECT_LT(qor[0].best_epoch, tc.epochs - 1);
-  EXPECT_LT(cls[0].best_epoch, tc.epochs - 1);
+  {
+    SCOPED_TRACE("NodeTypePredictor");
+    // The classifier's larger step makes its accuracy peak before the last
+    // epoch, as the regressor's MAPE does at tc.lr.
+    TrainConfig cls_tc = tc;
+    cls_tc.lr = 5e-2F;
+    NodeTypePredictor n(mc, cls_tc);
+    const FitReport report = n.fit(samples, split, FitOptions{});
+    const NodeClassifierScores val = n.evaluate(samples, split.val);
+    check(report, (val.dsp + val.lut + val.ff) / 3.0, true);
+  }
+  // A refit validates nothing and keeps its last epoch.
+  const FitOptions opts = QorPredictor::refit_defaults();
+  const FitReport refit = p.refit(delta, opts);
+  EXPECT_TRUE(refit.val_curve.empty());
+  EXPECT_EQ(refit.best_epoch, -1);
+  EXPECT_EQ(refit.epochs_run, opts.epochs);
+  EXPECT_GT(refit.steps, 0);
   // A second identical fit reports the same selection.
   QorPredictor again(Approach::kOffTheShelf, mc, tc);
   EXPECT_EQ(again.fit(samples, split, Metric::kLut, FitOptions{}).best_val,
-            qor[0].best_val);
+            qor.best_val);
 }
 
 TEST(RefitTest, RefitBitIdenticalAcrossShardsAndThreads) {
@@ -394,8 +388,7 @@ TEST(RefitTest, RefitBitIdenticalAcrossShardsAndThreads) {
     tc.shards = 1;
     QorPredictor p(Approach::kOffTheShelf, mc, tc);
     p.fit(samples, split, Metric::kLut, FitOptions{});
-    const FitReport r = p.refit(delta);
-    EXPECT_TRUE(r.warm_started);
+    p.refit(delta);
     p.refit(delta2);
     serial_params = snapshot_parameters(p.regressor());
     serial_val = p.evaluate_mape(samples, split.test);
@@ -418,7 +411,7 @@ TEST(RefitTest, RefitBitIdenticalAcrossShardsAndThreads) {
   }
 }
 
-TEST(RefitTest, WarmRefitMovesDeterministicallyColdDiffers) {
+TEST(RefitTest, RefitMovesDeterministically) {
   const auto samples = small_corpus(30, 616);
   const auto delta = small_corpus(6, 717);
   const SplitIndices split =
@@ -460,19 +453,6 @@ TEST(RefitTest, WarmRefitMovesDeterministicallyColdDiffers) {
   for (std::size_t i = 0; i < warm1.size(); ++i) {
     EXPECT_TRUE(warm1[i] == warm2[i]) << "parameter " << i;
   }
-
-  // A cold refit (fresh init over the grown corpus) takes another path.
-  auto c = fit_fresh();
-  FitOptions cold = QorPredictor::refit_defaults();
-  cold.warm_start = false;
-  const FitReport cold_report = c->refit(delta, cold);
-  EXPECT_FALSE(cold_report.warm_started);
-  const std::vector<Matrix> cold_params = snapshot_parameters(c->regressor());
-  bool differs = false;
-  for (std::size_t i = 0; i < warm1.size(); ++i) {
-    if (!(warm1[i] == cold_params[i])) differs = true;
-  }
-  EXPECT_TRUE(differs);
 }
 
 TEST(RefitTest, BatchSizeOneRefitRunsThroughSegments) {
@@ -498,7 +478,6 @@ TEST(RefitTest, BatchSizeOneRefitRunsThroughSegments) {
     QorPredictor p(Approach::kOffTheShelf, mc, tc);
     p.fit(samples, split, Metric::kLut, FitOptions{});
     const FitReport r = p.refit(delta);
-    EXPECT_TRUE(r.warm_started);
     const long per_epoch =
         static_cast<long>((split.train.size() + delta.size() + 3) / 4);
     EXPECT_EQ(r.steps, r.epochs_run * per_epoch);
@@ -552,7 +531,8 @@ TEST(RefitTest, ClassifierFitReportIsReproducible) {
 TEST(RefitTest, ClassifierFitWithoutValSplitKeepsLastEpoch) {
   // The -I hierarchy fits its classifier this way: no validation runs, the
   // report's validation fields stay empty, and the weights are the final
-  // epoch's — those of a validated fit that keeps its final epoch.
+  // epoch's — validation never moves the trajectory, so they score the
+  // last entry of a validated fit's curve.
   const auto samples = small_corpus(24, 2222);
   const SplitIndices split =
       split_80_10_10(static_cast<int>(samples.size()), 6);
@@ -573,25 +553,11 @@ TEST(RefitTest, ClassifierFitWithoutValSplitKeepsLastEpoch) {
   EXPECT_EQ(report.best_epoch, -1);
   EXPECT_EQ(report.epochs_run, opts.epochs);
 
-  opts.validation = FitOptions::Validation::kFinalEpoch;
   NodeTypePredictor validated(mc, tc);
-  EXPECT_EQ(validated.fit(samples, split, opts).val_curve.size(), 3U);
-  const auto a = snapshot_parameters(unvalidated.classifier());
-  const auto b = snapshot_parameters(validated.classifier());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(a[i] == b[i]) << "parameter " << i;
-  }
-
-  // With its moments released, a warm start resumes the weights only.
-  unvalidated.release_optimizer_state();
-  FitOptions warm;
-  warm.warm_start = true;
-  warm.epochs = 1;
-  EXPECT_FALSE(
-      unvalidated.fit(samples, SplitIndices{split.train, {}, {}}, warm)
-          .warm_started);
-  EXPECT_TRUE(validated.fit(samples, split, warm).warm_started);
+  const FitReport curve = validated.fit(samples, split, opts);
+  ASSERT_EQ(curve.val_curve.size(), 3U);
+  const NodeClassifierScores last = unvalidated.evaluate(samples, split.val);
+  EXPECT_EQ((last.dsp + last.lut + last.ff) / 3.0, curve.val_curve.back());
 }
 
 // ----- BatchPlan rotation -----
