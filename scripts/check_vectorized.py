@@ -4,13 +4,13 @@
     python3 scripts/check_vectorized.py [--cxx g++] [FILE ...]
 
 Compiles each source file (default: src/tensor/autograd.cpp,
-src/nn/adam.cpp and src/tensor/matrix.cpp) at -O3 with GCC's
+src/nn/adam.cpp, src/tensor/matrix.cpp and src/tensor/segment_ops.cpp) at -O3 with GCC's
 -fopt-info-vec-optimized report and checks that every loop tagged with a
 `// vectorize: <name>` comment is reported as vectorized. The tag sits on
 the line directly above the loop's `for`, which is the line GCC reports.
 The flags are the library's Release flags with no -march, plus the
-per-file options CMakeLists.txt sets (-ffp-contract=off for matrix.cpp and
-adam.cpp), so the check holds for the baseline ISA every build gets. The
+per-file options CMakeLists.txt sets (-ffp-contract=off for matrix.cpp,
+adam.cpp and segment_ops.cpp), so the check holds for the baseline ISA every build gets. The
 kernels written in explicit AVX2 intrinsics (the 8x8 transposed copy in
 matrix.cpp, the Adam update in adam.cpp) are not loops GCC vectorizes and
 carry no tag: the ISA bit-identity tests (batch_test, nn_test) and
@@ -32,10 +32,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FILES = ["src/tensor/autograd.cpp", "src/nn/adam.cpp",
-                 "src/tensor/matrix.cpp"]
+                 "src/tensor/matrix.cpp", "src/tensor/segment_ops.cpp"]
 # Per-file compile options, as CMakeLists.txt sets them on the library.
 FILE_FLAGS = {"src/tensor/matrix.cpp": ["-ffp-contract=off"],
-              "src/nn/adam.cpp": ["-ffp-contract=off"]}
+              "src/nn/adam.cpp": ["-ffp-contract=off"],
+              "src/tensor/segment_ops.cpp": ["-ffp-contract=off"]}
 MARKER = re.compile(r"//\s*vectorize:\s*(.+?)\s*$")
 REPORT = re.compile(r"^(.+?):(\d+):\d+: optimized: "
                     r"(loop vectorized|applying unroll and jam)")

@@ -90,18 +90,18 @@ void for_each_relation(const GraphTensors& gt, Fn&& fn) {
 
 /// Per-relation transformed aggregation (RGCN mean_normalize=true, GGNN
 /// false): out_v = sum_r reduce_{(u,v) in E_r} W_r x_u over the non-empty
-/// relations; zeros when there is none.
+/// relations, all reduced in one segment_reduce node; zeros when there is
+/// none.
 Var relational_aggregate(Tape& t, const GraphTensors& gt, const Var& h,
                          const std::vector<std::unique_ptr<Linear>>& rel_lins,
                          bool mean_normalize) {
-  Var acc;
+  std::vector<SegmentPart> parts;
   for_each_relation(gt, [&](std::size_t r, const GraphTensors::Relation& rel) {
-    const Var msgs = rel_lins[r]->forward(t, t.gather_rows(h, rel.src));
-    const Var agg = mean_normalize ? t.segment_mean(msgs, rel.dst)
-                                   : t.scatter_add_rows(msgs, rel.dst);
-    acc = acc.valid() ? t.add(acc, agg) : agg;
+    parts.push_back(
+        {rel_lins[r]->forward(t, t.gather_rows(h, rel.src)), rel.dst});
   });
-  return acc.valid() ? acc : t.affine(h, 0.0F, 0.0F);
+  return parts.empty() ? t.affine(h, 0.0F, 0.0F)
+                       : t.segment_reduce(std::move(parts), mean_normalize);
 }
 
 // ----- GCN -----

@@ -401,28 +401,35 @@ Var Tape::gather_rows(const Var& a, const SegmentIndex& idx) {
   });
 }
 
-Var Tape::scatter_add_rows(const Var& a, const SegmentIndex& idx) {
-  GNNHLS_CHECK_EQ(idx.size(), a.rows(),
-                  "scatter_add_rows: one index per row required");
-  Matrix out(idx.segments(), a.cols());
-  scatter_add_rows_into(a.value(), idx.partition(), out);
-  return record(std::move(out), {a}, [a, idx](VarNode& n) {
-    if (!a.requires_grad()) return;
-    // Backward of a scatter-add is a gather-add: row-parallel, each input
-    // row reads exactly one upstream row.
-    gather_add_rows_into(n.grad, idx.ids(), zeroed_sink(a));
-  });
-}
-
-Var Tape::segment_mean(const Var& a, const SegmentIndex& idx) {
-  Var summed = scatter_add_rows(a, idx);
-  std::vector<float> inv(static_cast<std::size_t>(idx.segments()));
-  for (int s = 0; s < idx.segments(); ++s) {
-    const int c = idx.partition().count(s);
-    inv[static_cast<std::size_t>(s)] =
-        c > 0 ? 1.0F / static_cast<float>(c) : 0.0F;
+Var Tape::segment_reduce(std::vector<SegmentPart> parts, bool mean) {
+  GNNHLS_CHECK(!parts.empty(), "segment_reduce: no parts");
+  const int segments = parts.front().idx.segments();
+  const int cols = parts.front().a.cols();
+  std::vector<SegmentSource> sources;
+  sources.reserve(parts.size());
+  bool requires_grad = false;
+  for (const SegmentPart& p : parts) {
+    GNNHLS_CHECK_EQ(p.idx.size(), p.a.rows(),
+                    "segment_reduce: one index per row required");
+    GNNHLS_CHECK_EQ(p.idx.segments(), segments,
+                    "segment_reduce: parts over different segment counts");
+    GNNHLS_CHECK_EQ(p.a.cols(), cols, "segment_reduce: column mismatch");
+    sources.push_back({&p.a.value(), &p.idx.partition()});
+    requires_grad = requires_grad || p.a.requires_grad();
   }
-  return scale_rows(summed, inv);
+  Matrix out(segments, cols);
+  segment_reduce_into(sources, mean, out);
+  return record(std::move(out), requires_grad,
+                [parts = std::move(parts), mean](VarNode& n) {
+    // Last part first, as the reverse sweep over a chain of per-part
+    // reductions and adds handed them their grads: the same sums when
+    // parts share a message matrix.
+    for (auto p = parts.rbegin(); p != parts.rend(); ++p) {
+      if (p->a.requires_grad()) {
+        gather_add_rows_into(n.grad, p->idx, mean, zeroed_sink(p->a));
+      }
+    }
+  });
 }
 
 namespace {

@@ -16,10 +16,12 @@
 // A backprop reaches its inputs through the Var handles it captured, so
 // nodes keep no parent edges.
 //
-// Graph structure enters through four index-based ops: gather_rows (edge
-// source lookup), scatter_add_rows (message aggregation), the segment_*
-// reductions (per-destination mean/max/min) and segment_softmax (attention),
-// each indexed by a SegmentIndex (tensor/segment_ops.h).
+// Graph structure enters through four index-based ops, each indexed by a
+// SegmentIndex (tensor/segment_ops.h): gather_rows (edge source lookup),
+// segment_reduce (message aggregation: the per-destination sum or mean of
+// one or more message sets, so a layer's relations reduce in one node;
+// scatter_add_rows and segment_mean are its one-part case),
+// segment_max/min, and segment_softmax (attention).
 // Everything a GNN layer needs is a composition of these and the dense ops.
 //
 // Gradients are lazy. backward() allocates nothing up front: the first
@@ -105,6 +107,13 @@ class LeafGradRedirect {
   LeafGradRedirect& operator=(const LeafGradRedirect&) = delete;
 };
 
+/// One input of Tape::segment_reduce: rows of `a` with their destination
+/// segments.
+struct SegmentPart {
+  Var a;
+  SegmentIndex idx;
+};
+
 class Tape {
  public:
   Tape() = default;
@@ -153,10 +162,21 @@ class Tape {
   /// out[i,:] = a[idx[i],:]; idx.segments() must equal a.rows(). The
   /// backward scatter-accumulates through idx's partition.
   Var gather_rows(const Var& a, const SegmentIndex& idx);
+  /// out[s,:] = sum_k reduce_{i: parts[k].idx[i]==s} parts[k].a[i,:] over
+  /// the parts' common idx.segments() output rows, where reduce is the
+  /// mean (`mean` set; an empty segment gives zeros) or the sum. One node
+  /// in place of a per-part segment_mean / scatter_add_rows chained by
+  /// adds, and bit-identical to that chain in value and in every part's
+  /// gradient (segment_reduce_into).
+  Var segment_reduce(std::vector<SegmentPart> parts, bool mean);
   /// out[idx[i],:] += a[i,:] over idx.segments() output rows.
-  Var scatter_add_rows(const Var& a, const SegmentIndex& idx);
+  Var scatter_add_rows(const Var& a, const SegmentIndex& idx) {
+    return segment_reduce({{a, idx}}, false);
+  }
   /// out[s,:] = mean_{i: idx[i]==s} a[i,:]; empty segments yield zeros.
-  Var segment_mean(const Var& a, const SegmentIndex& idx);
+  Var segment_mean(const Var& a, const SegmentIndex& idx) {
+    return segment_reduce({{a, idx}}, true);
+  }
   /// Per-segment elementwise max / min; empty segments yield zeros.
   Var segment_max(const Var& a, const SegmentIndex& idx);
   Var segment_min(const Var& a, const SegmentIndex& idx);

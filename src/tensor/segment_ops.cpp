@@ -22,6 +22,28 @@ int gather_grain(int cols) {
          1;
 }
 
+/// Runs run(seg_lo, seg_hi) over destination rows [0, segments): inline
+/// when `work` output-and-input elements are too few to amortize a wakeup,
+/// else over ranges balanced by the cumulative cost profile cum() (size
+/// segments + 1, in rows of `cols` floats). Boundaries never change
+/// results, only which task owns which destination rows.
+template <typename Cum, typename Run>
+void over_destination_ranges(int segments, std::size_t work, int cols,
+                             Cum&& cum, Run&& run) {
+  if (ThreadPool::global().num_workers() == 0 || work < kMinParallelElems) {
+    run(0, segments);
+    return;
+  }
+  // min_cost keeps each range worth a wakeup, max_ranges bounds scheduling
+  // overhead.
+  const int min_cost = static_cast<int>(
+      kMinParallelElems / static_cast<std::size_t>(std::max(cols, 1)) + 1);
+  parallel_over_ranges(
+      balanced_boundaries(cum(), ThreadPool::global().num_threads() * 4,
+                          min_cost),
+      run);
+}
+
 }  // namespace
 
 SegmentPartition SegmentPartition::build(const std::vector<int>& seg,
@@ -71,26 +93,6 @@ void gather_rows_into(const Matrix& src, const std::vector<int>& idx,
   });
 }
 
-void gather_add_rows_into(const Matrix& src, const std::vector<int>& idx,
-                          Matrix& out) {
-  GNNHLS_CHECK_EQ(out.rows(), static_cast<int>(idx.size()),
-                  "gather_add_rows_into: output row count mismatch");
-  GNNHLS_CHECK_EQ(out.cols(), src.cols(),
-                  "gather_add_rows_into: column mismatch");
-  const int cols = src.cols();
-  parallel_for(0, static_cast<int>(idx.size()), gather_grain(cols),
-               [&](int lo, int hi) {
-    for (int i = lo; i < hi; ++i) {
-      const int r = idx[static_cast<std::size_t>(i)];
-      GNNHLS_CHECK(r >= 0 && r < src.rows(),
-                   "gather_add_rows_into: bad index");
-      const float* s = src.row_ptr(r);
-      float* o = out.row_ptr(i);
-      for (int j = 0; j < cols; ++j) o[j] += s[j];
-    }
-  });
-}
-
 void scatter_add_rows_into(const Matrix& src, const SegmentPartition& part,
                            Matrix& out) {
   GNNHLS_CHECK_EQ(static_cast<int>(part.order.size()), src.rows(),
@@ -112,20 +114,103 @@ void scatter_add_rows_into(const Matrix& src, const SegmentPartition& part,
       }
     }
   };
-  const std::size_t work =
-      src.size() + static_cast<std::size_t>(part.segments);
-  if (ThreadPool::global().num_workers() == 0 || work < kMinParallelElems) {
-    run(0, part.segments);
-    return;
+  // Edge-count-balanced destination ranges, so a power-law hub does not
+  // serialize on one task.
+  over_destination_ranges(
+      part.segments, src.size() + static_cast<std::size_t>(part.segments),
+      cols, [&part]() -> const std::vector<int>& { return part.offsets; },
+      run);
+}
+
+void segment_reduce_into(const std::vector<SegmentSource>& parts, bool mean,
+                         Matrix& out) {
+  const int segments = out.rows();
+  const int cols = out.cols();
+  std::size_t work = parts.size() * out.size();
+  for (const SegmentSource& p : parts) {
+    GNNHLS_CHECK_EQ(static_cast<int>(p.part->order.size()), p.src->rows(),
+                    "segment_reduce_into: partition covers different rows");
+    GNNHLS_CHECK_EQ(p.part->segments, segments,
+                    "segment_reduce_into: output row count mismatch");
+    GNNHLS_CHECK_EQ(p.src->cols(), cols,
+                    "segment_reduce_into: column mismatch");
+    work += p.src->size();
   }
-  // Edge-count-balanced destination ranges: min_cost keeps each range worth
-  // a wakeup, max_ranges bounds scheduling overhead. Boundaries never
-  // change results — only which task owns which destination rows.
-  const int min_cost = static_cast<int>(
-      kMinParallelElems / static_cast<std::size_t>(std::max(cols, 1)) + 1);
-  const std::vector<int> bounds = balanced_boundaries(
-      part.offsets, ThreadPool::global().num_threads() * 4, min_cost);
-  parallel_over_ranges(bounds, run);
+  // Reduces part k's rows of segment s from +0 into acc[0, cols) and
+  // returns the factor its sum is scaled by.
+  const auto reduce = [&](std::size_t k, int s, float* __restrict acc) {
+    const SegmentPartition& part = *parts[k].part;
+    const Matrix& src = *parts[k].src;
+    const int lo = part.offsets[static_cast<std::size_t>(s)];
+    const int hi = part.offsets[static_cast<std::size_t>(s) + 1];
+    std::fill(acc, acc + cols, 0.0F);
+    for (int e = lo; e < hi; ++e) {
+      const float* row = src.row_ptr(part.order[static_cast<std::size_t>(e)]);
+      float* a = acc;
+      // Pointer walking, as in the matmul tile loop, keeps GCC's
+      // unroll-and-jam off this nest.
+      // vectorize: segment_reduce_sum
+      for (const float* end = row + cols; row != end; ++row, ++a) *a += *row;
+    }
+    return mean && hi > lo ? 1.0F / static_cast<float>(hi - lo) : 1.0F;
+  };
+  const auto run = [&](int seg_lo, int seg_hi) {
+    std::vector<float> part_sum(parts.size() > 1 ? cols : 0);
+    float* __restrict sum = part_sum.data();
+    for (int s = seg_lo; s < seg_hi; ++s) {
+      float* __restrict o = out.row_ptr(s);
+      // The first part reduces straight into the output row.
+      const float w0 = reduce(0, s, o);
+      if (w0 != 1.0F) {
+        // vectorize: segment_reduce_scale
+        for (int j = 0; j < cols; ++j) o[j] *= w0;
+      }
+      // A later part reduces into a scratch row and is then added, empty
+      // or not: the chained add's o + +0 turns a -0 into +0.
+      for (std::size_t k = 1; k < parts.size(); ++k) {
+        const float w = reduce(k, s, sum);
+        // vectorize: segment_reduce_add
+        for (int j = 0; j < cols; ++j) o[j] += sum[j] * w;
+      }
+    }
+  };
+  over_destination_ranges(
+      segments, work, cols,
+      [&]() {
+        // Per destination row: its edges in every part plus one row write
+        // per part.
+        std::vector<int> cum(static_cast<std::size_t>(segments) + 1, 0);
+        for (std::size_t s = 0; s < cum.size(); ++s) {
+          for (const SegmentSource& p : parts) {
+            cum[s] += p.part->offsets[s] + static_cast<int>(s);
+          }
+        }
+        return cum;
+      },
+      run);
+}
+
+void gather_add_rows_into(const Matrix& src, const SegmentIndex& idx,
+                          bool mean, Matrix& out) {
+  GNNHLS_CHECK_EQ(out.rows(), idx.size(),
+                  "gather_add_rows_into: output row count mismatch");
+  GNNHLS_CHECK_EQ(src.rows(), idx.segments(),
+                  "gather_add_rows_into: one source row per segment");
+  GNNHLS_CHECK_EQ(out.cols(), src.cols(),
+                  "gather_add_rows_into: column mismatch");
+  const int cols = src.cols();
+  const SegmentPartition& part = idx.partition();
+  parallel_for(0, idx.size(), gather_grain(cols), [&](int lo, int hi) {
+    for (int i = lo; i < hi; ++i) {
+      const int r = idx[static_cast<std::size_t>(i)];
+      const float w =
+          mean ? 1.0F / static_cast<float>(part.count(r)) : 1.0F;
+      const float* __restrict s = src.row_ptr(r);
+      float* __restrict o = out.row_ptr(i);
+      // vectorize: gather_add_rows
+      for (int j = 0; j < cols; ++j) o[j] += s[j] * w;
+    }
+  });
 }
 
 void scatter_add_rows_serial(const Matrix& src, const std::vector<int>& seg,

@@ -75,24 +75,45 @@ class SegmentIndex {
 // All kernels run on the global thread pool and honor the fixed-order
 // partition reduction rule; each falls back to the serial loop inline when
 // the matrix is too small to amortize a worker wakeup. `out` must be
-// pre-shaped by the caller; accumulation kernels add into it.
+// pre-shaped by the caller; the *_add_* kernels add into it.
 
 /// out[i, :] = src[idx[i], :] (overwrite). Row-parallel: each output row is
 /// written by exactly one task.
 void gather_rows_into(const Matrix& src, const std::vector<int>& idx,
                       Matrix& out);
 
-/// out[i, :] += src[idx[i], :]. Row-parallel over i (the backward of
-/// scatter_add_rows: every output row reads one source row).
-void gather_add_rows_into(const Matrix& src, const std::vector<int>& idx,
-                          Matrix& out);
-
 /// out[s, :] += sum_{i : seg[i] == s} src[i, :], accumulated in ascending i
-/// per segment. Destination-partitioned over `part` with edge-count-balanced
-/// ranges, so power-law in-degree distributions do not serialize on one
-/// task. Bit-identical to the ascending-i serial loop.
+/// per segment (the backward of gather_rows_into). Destination-partitioned
+/// over `part` with edge-count-balanced ranges, so power-law in-degree
+/// distributions do not serialize on one task. Bit-identical to the
+/// ascending-i serial loop.
 void scatter_add_rows_into(const Matrix& src, const SegmentPartition& part,
                            Matrix& out);
+
+/// One input of segment_reduce_into: the rows of `src`, grouped by
+/// destination segment by `part`.
+struct SegmentSource {
+  const Matrix* src;
+  const SegmentPartition* part;
+};
+
+/// out[s, :] = sum over parts k, in part order, of part k's reduction at s:
+/// its rows of segment s summed from +0 in ascending source order, times
+/// 1/count when `mean` is set (overwrite). The first part is assigned and
+/// every later one added, an empty segment's +0 included, so each row
+/// equals a chain of one scatter_add_rows_into into zeros (and, for a mean,
+/// one row scale) per part joined by elementwise adds, bit for bit. Every
+/// part must cover out.rows() segments. Destination-partitioned with ranges
+/// balanced over the parts' summed edge counts.
+void segment_reduce_into(const std::vector<SegmentSource>& parts, bool mean,
+                         Matrix& out);
+
+/// out[i, :] += src[idx[i], :] * w, with w = 1/count(idx[i]) when `mean` is
+/// set and 1 otherwise: a rounded product, then a rounded add (the backward
+/// of one segment_reduce_into part). Row-parallel: each output row reads
+/// one source row.
+void gather_add_rows_into(const Matrix& src, const SegmentIndex& idx,
+                          bool mean, Matrix& out);
 
 /// Reference serial scatter-add (the historical loop: ascending i,
 /// out[seg[i]] += src[i]). Exists so tests and benches can hard-assert the

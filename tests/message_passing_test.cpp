@@ -1,10 +1,14 @@
 // The message-passing path: gather -> (scale | matmul) -> scatter
 // compositions are bit-identical at every thread-pool width on adversarial
 // edge layouts (power-law hub, empty segments, single node) and match
-// finite differences; every encoder's outputs and parameter gradients are
-// independent of the pool width, and every encoder handles an edgeless
-// graph.
+// finite differences; a multi-part segment_reduce equals the serial chain
+// of per-part reductions and adds it replaces, bit for bit; every encoder's
+// outputs and parameter gradients are independent of the pool width, and
+// every encoder handles an edgeless graph.
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -168,6 +172,163 @@ TEST(MessagePassingKernelTest, GatherMatmulScatterBitIdenticalAcrossThreads) {
       EXPECT_TRUE(run.x_grad == ref.x_grad) << ctx;
       EXPECT_TRUE(run.w_grad == ref.w_grad) << ctx;
     }
+  }
+}
+
+// ----- segment_reduce against the per-part chain it replaces -----
+
+/// One message set of a split layout: its edges' destinations and rows.
+struct EdgePart {
+  std::vector<int> dst;
+  Matrix msgs;
+};
+
+/// Splits a layout's edges into a part with no edges (every segment
+/// empty), a one-edge part and the rest, in that order.
+std::vector<EdgePart> split_edges(const Layout& layout, int cols) {
+  std::vector<EdgePart> parts(3);
+  parts[1].dst = {layout.dst.front()};
+  parts[2].dst.assign(layout.dst.begin() + 1, layout.dst.end());
+  for (std::size_t k = 0; k < parts.size(); ++k) {
+    parts[k].msgs = dense(static_cast<int>(parts[k].dst.size()), cols,
+                          5 + static_cast<int>(k));
+  }
+  return parts;
+}
+
+struct ReduceResult {
+  Matrix out;
+  std::vector<Matrix> grads;  // one per part
+};
+
+/// The chain segment_reduce replaces, built from the serial scatter: per
+/// part a scatter-add into zeros and, for a mean, a per-row scale by
+/// 1/count (0 for an empty segment); the parts joined by adds in part
+/// order. A part's gradient row e is +0 + upstream[dst[e]] * (1/count).
+ReduceResult serial_chain(const std::vector<EdgePart>& parts, int segments,
+                          bool mean, const Matrix& upstream) {
+  const int cols = upstream.cols();
+  ReduceResult r;
+  for (std::size_t k = 0; k < parts.size(); ++k) {
+    const EdgePart& p = parts[k];
+    Matrix reduced = Matrix::zeros(segments, cols);
+    scatter_add_rows_serial(p.msgs, p.dst, reduced);
+    Matrix scaled_up = upstream;
+    if (mean) {
+      std::vector<int> count(static_cast<std::size_t>(segments), 0);
+      for (const int d : p.dst) ++count[static_cast<std::size_t>(d)];
+      for (int s = 0; s < segments; ++s) {
+        const int c = count[static_cast<std::size_t>(s)];
+        const float inv = c > 0 ? 1.0F / static_cast<float>(c) : 0.0F;
+        for (int j = 0; j < cols; ++j) {
+          reduced(s, j) *= inv;
+          scaled_up(s, j) *= inv;
+        }
+      }
+    }
+    if (k == 0) {
+      r.out = reduced;
+    } else {
+      for (int s = 0; s < segments; ++s) {
+        for (int j = 0; j < cols; ++j) r.out(s, j) += reduced(s, j);
+      }
+    }
+    Matrix grad = Matrix::zeros(p.msgs.rows(), cols);
+    for (std::size_t e = 0; e < p.dst.size(); ++e) {
+      for (int j = 0; j < cols; ++j) {
+        grad(static_cast<int>(e), j) += scaled_up(p.dst[e], j);
+      }
+    }
+    r.grads.push_back(std::move(grad));
+  }
+  return r;
+}
+
+/// One segment_reduce node over the parts; the loss sum(out * upstream)
+/// hands the node exactly `upstream` as its gradient.
+ReduceResult run_segment_reduce(const std::vector<EdgePart>& parts,
+                                int segments, bool mean,
+                                const Matrix& upstream) {
+  std::vector<std::unique_ptr<Parameter>> leaves;
+  std::vector<SegmentPart> inputs;
+  for (const EdgePart& p : parts) {
+    leaves.push_back(std::make_unique<Parameter>("msgs", p.msgs));
+    inputs.push_back({leaves.back()->var(), SegmentIndex(p.dst, segments)});
+  }
+  Tape t;
+  const Var out = t.segment_reduce(inputs, mean);
+  t.backward(t.sum_all(t.mul(out, t.leaf(upstream))));
+  ReduceResult r{out.value(), {}};
+  for (const auto& leaf : leaves) r.grads.push_back(leaf->var().grad());
+  return r;
+}
+
+/// Bitwise equality: unlike Matrix::operator==, tells -0 from +0.
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+void expect_same_bits(const ReduceResult& run, const ReduceResult& ref,
+                      const std::string& ctx) {
+  EXPECT_TRUE(same_bits(run.out, ref.out)) << "forward " << ctx;
+  ASSERT_EQ(run.grads.size(), ref.grads.size()) << ctx;
+  for (std::size_t k = 0; k < ref.grads.size(); ++k) {
+    EXPECT_TRUE(same_bits(run.grads[k], ref.grads[k]))
+        << "part " << k << " grad " << ctx;
+  }
+}
+
+TEST(SegmentReduceTest, PartsBitIdenticalToSerialChainAtEveryWidth) {
+  for (const Layout& layout : edge_layouts()) {
+    const std::vector<EdgePart> split = split_edges(layout, 5);
+    const Matrix upstream = dense(layout.nodes, 5, 19);
+    // The empty part first (assigned) and last (added).
+    const std::vector<std::vector<EdgePart>> orders = {
+        split, {split[2], split[1], split[0]}};
+    for (std::size_t o = 0; o < orders.size(); ++o) {
+      for (const bool mean : {false, true}) {
+        const ReduceResult ref =
+            serial_chain(orders[o], layout.nodes, mean, upstream);
+        for (const int threads : {1, 2, 4, 8}) {
+          PoolGuard pool(threads);
+          expect_same_bits(
+              run_segment_reduce(orders[o], layout.nodes, mean, upstream),
+              ref,
+              std::string(layout.name) + " order=" + std::to_string(o) +
+                  " mean=" + (mean ? "y" : "n") +
+                  " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+TEST(SegmentReduceTest, EmptyLaterPartTurnsUnderflowedMeanIntoPlusZero) {
+  // Segment 0's mean (-denorm_min + 0) / 2 rounds to -0; the second part
+  // has no edge into segment 0, so the chain adds +0 there.
+  const float tiny = -std::numeric_limits<float>::denorm_min();
+  Matrix denormal(2, 3);
+  for (int j = 0; j < 3; ++j) denormal(0, j) = tiny;
+  const EdgePart underflow{{0, 0}, denormal};
+  const EdgePart elsewhere{{1}, dense(1, 3, 2)};
+  const Matrix upstream = dense(2, 3, 4);
+
+  const ReduceResult alone = run_segment_reduce({underflow}, 2, true, upstream);
+  for (int j = 0; j < 3; ++j) {
+    EXPECT_EQ(alone.out(0, j), 0.0F);
+    EXPECT_TRUE(std::signbit(alone.out(0, j))) << "the mean is -0 alone";
+  }
+  const std::vector<EdgePart> parts = {underflow, elsewhere};
+  const ReduceResult ref = serial_chain(parts, 2, true, upstream);
+  for (const int threads : {1, 4}) {
+    PoolGuard pool(threads);
+    const ReduceResult run = run_segment_reduce(parts, 2, true, upstream);
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_FALSE(std::signbit(run.out(0, j))) << "threads=" << threads;
+    }
+    expect_same_bits(run, ref, "threads=" + std::to_string(threads));
   }
 }
 

@@ -414,6 +414,18 @@ TEST_P(GradCheckTest, MatchesFiniteDifference) {
 const SegmentIndex kIdx({1, 0, 3, 1, 2}, 4);
 const SegmentIndex kSeg({0, 0, 1, 2, 2}, 3);
 
+/// segment_reduce over three parts into kSeg's three segments: gathered
+/// rows, a nonlinear map of every row of x (so x reaches the node by two
+/// paths), and a single row.
+Var three_part_reduce(Tape& t, const Var& x, bool mean) {
+  const Var s = t.segment_reduce(
+      {{t.gather_rows(x, kIdx), kSeg},
+       {t.tanh_act(x), SegmentIndex({2, 0, 2, 2}, 3)},
+       {t.gather_rows(x, SegmentIndex({3}, 4)), SegmentIndex({1}, 3)}},
+      mean);
+  return t.sum_all(t.mul(s, s));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Ops, GradCheckTest,
     ::testing::Values(
@@ -499,6 +511,14 @@ INSTANTIATE_TEST_SUITE_P(
                    const Var g = t.gather_rows(x, kIdx);
                    const Var s = t.segment_mean(g, kSeg);
                    return t.sum_all(t.mul(s, s));
+                 }},
+        GradCase{"segment_reduce_mean",
+                 [](Tape& t, const Var& x) {
+                   return three_part_reduce(t, x, true);
+                 }},
+        GradCase{"segment_reduce_sum",
+                 [](Tape& t, const Var& x) {
+                   return three_part_reduce(t, x, false);
                  }},
         GradCase{"segment_max",
                  [](Tape& t, const Var& x) {
