@@ -302,51 +302,90 @@ BENCHMARK(BM_MatmulTbKernelBackward)
     ->Args({1024, 300, 4})
     ->UseRealTime();
 
-/// The three products of a linear layer at a fit graph's shape (86 rows,
-/// hidden 64), with 74% exact zeros in the operand the kernel scans — the
-/// average share of post-ReLU/dropout activations and gradients in fit:
-/// the forward x*W, the input gradient dY*W^T (transpose_b) and the weight
-/// gradient x^T*dY (transpose_a). One thread, as perfbench runs its fits.
+/// Operand mix of one workload's linear layers: the share of nonzero
+/// entries in the operand the kernel scans for each product, and for the
+/// forward the share of rows with no zero at all (the rest spread the
+/// remaining nonzeros uniformly).
+struct KernelShape {
+  const char* name;
+  int rows;
+  int hidden;
+  double forward_nonzero;
+  double forward_dense_rows;
+  double transpose_b_nonzero;   // dY in dY*W^T
+  double transpose_a_x_nonzero;  // x^T in x^T*dY
+  double transpose_a_dy_nonzero;
+};
+/// Measured on perfbench's workloads: `fit` is an 86-row graph at hidden
+/// 64, `dse` a ~980-row union at hidden 32.
+constexpr KernelShape kKernelShapes[] = {
+    {"fit", 86, 64, 0.48, 0.29, 0.29, 0.48, 0.37},
+    {"dse", 980, 32, 0.47, 0.41, 0.20, 0.61, 0.21},
+};
+
+/// A [rows, cols] operand with `nonzero` of its entries nonzero: a
+/// `dense_rows` share of its rows has no zero, the others keep each entry
+/// with the probability that makes up the rest.
+Matrix operand_mix(int rows, int cols, double nonzero, double dense_rows,
+                   Rng& rng) {
+  Matrix m = Matrix::randn(rows, cols, rng);
+  const double keep = (nonzero - dense_rows) / (1.0 - dense_rows);
+  for (int i = 0; i < rows; ++i) {
+    if (rng.bernoulli(dense_rows)) continue;
+    for (int k = 0; k < cols; ++k) {
+      if (!rng.bernoulli(keep)) m(i, k) = 0.0F;
+    }
+  }
+  return m;
+}
+
+/// The three products of a linear layer at a workload's measured operand
+/// mix (kKernelShapes, by range(0)): the forward x*W, the input gradient
+/// dY*W^T (transpose_b) and the weight gradient x^T*dY (transpose_a), by
+/// range(1). One thread, as perfbench runs its fits and explorations.
 /// Report-only timings; each product is hard-checked against the serial
 /// reference first.
 void BM_MatmulKernelFitShape(benchmark::State& state) {
-  constexpr int kRows = 86;
-  constexpr int kHidden = 64;
-  const int op = static_cast<int>(state.range(0));
+  const KernelShape& shape = kKernelShapes[state.range(0)];
+  const int op = static_cast<int>(state.range(1));
+  const int rows = shape.rows;
+  const int hidden = shape.hidden;
   ThreadPool::set_global_threads(1);
   Rng rng(4);
-  auto post_relu = [&rng] {
-    Matrix m = Matrix::randn(kRows, kHidden, rng);
-    for (std::size_t i = 0; i < m.size(); ++i) {
-      if (rng.bernoulli(0.74)) m.data()[i] = 0.0F;
-    }
-    return m;
-  };
-  const Matrix x = post_relu();
-  const Matrix dy = post_relu();
-  const Matrix w = Matrix::randn(kHidden, kHidden, rng);
-  Matrix xt(kHidden, kRows);
-  for (int r = 0; r < kRows; ++r) {
-    for (int c = 0; c < kHidden; ++c) xt(c, r) = x(r, c);
+  const Matrix x = operand_mix(rows, hidden, shape.forward_nonzero,
+                               shape.forward_dense_rows, rng);
+  const Matrix dy =
+      operand_mix(rows, hidden, shape.transpose_b_nonzero, 0.0, rng);
+  const Matrix xa =
+      operand_mix(rows, hidden, shape.transpose_a_x_nonzero, 0.0, rng);
+  const Matrix dya =
+      operand_mix(rows, hidden, shape.transpose_a_dy_nonzero, 0.0, rng);
+  const Matrix w = Matrix::randn(hidden, hidden, rng);
+  Matrix xat(hidden, rows);
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < hidden; ++c) xat(c, r) = xa(r, c);
   }
   const char* const names[] = {"forward", "transpose_b", "transpose_a"};
   auto run = [&] {
     if (op == 0) return matmul(x, w);
     if (op == 1) return matmul_transpose_b(dy, w);
-    return matmul_transpose_a(x, dy);
+    return matmul_transpose_a(xa, dya);
   };
   const Matrix ref = op == 0   ? matmul_reference(x, w)
                      : op == 1 ? matmul_transpose_b_reference(dy, w)
-                               : matmul_reference(xt, dy);
+                               : matmul_reference(xat, dya);
   die_on_mismatch(same_bits(run(), ref), names[op]);
   for (auto _ : state) {
     benchmark::DoNotOptimize(run().data());
   }
-  state.SetItemsProcessed(state.iterations() * kRows * kHidden * kHidden);
-  state.SetLabel(names[op]);
+  state.SetItemsProcessed(state.iterations() * rows * hidden * hidden);
+  state.SetLabel(std::string(shape.name) + " " + names[op]);
   ThreadPool::set_global_threads(g_default_threads);
 }
-BENCHMARK(BM_MatmulKernelFitShape)->DenseRange(0, 2)->UseRealTime();
+BENCHMARK(BM_MatmulKernelFitShape)
+    ->Args({0, 0})->Args({0, 1})->Args({0, 2})
+    ->Args({1, 0})->Args({1, 1})->Args({1, 2})
+    ->UseRealTime();
 
 /// Registers one row per update variant this host can run (0 = portable,
 /// 1 = avx2).

@@ -11,9 +11,10 @@ the line directly above the loop's `for`, which is the line GCC reports.
 The flags are the library's Release flags with no -march, plus the
 per-file options CMakeLists.txt sets (-ffp-contract=off for matrix.cpp,
 adam.cpp and segment_ops.cpp), so the check holds for the baseline ISA every build gets. The
-kernels written in explicit AVX2 intrinsics (the 8x8 transposed copy in
-matrix.cpp, the Adam update in adam.cpp) are not loops GCC vectorizes and
-carry no tag: the ISA bit-identity tests (batch_test, nn_test) and
+kernels written in explicit AVX2 intrinsics (the 8x8 transposed copy and
+the 8-lane nonzero listing of the matmul row kernel in matrix.cpp, the
+Adam update in adam.cpp) are not loops GCC vectorizes and carry no tag:
+the ISA bit-identity tests (batch_test, tensor_test, nn_test) and
 bench_micro's in-bench asserts guard them instead. A file with tagged
 loops must also have no loop nest unroll-and-jammed: jamming fuses outer
 iterations into a loop the vectorizer may leave scalar while it still

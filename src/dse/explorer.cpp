@@ -345,7 +345,8 @@ DseResult Explorer::halving(const RefitFn& refit_model, int feedback_rounds,
   std::vector<int> survivors = all_indices(n);
   r.survivors_per_round.push_back(n);
   // Round 0 scores every metric over the full space (predicted_front needs
-  // them); later rounds re-score only the rank metric over the survivors.
+  // them); a later round re-scores only the rank metric over the survivors,
+  // and only when a refit has changed the model since their last score.
   score_round(r.candidates, survivors, scored_metrics(), r);
 
   // The WHOLE loop spends successive halving's ground-truth budget, no
@@ -363,41 +364,40 @@ DseResult Explorer::halving(const RefitFn& refit_model, int feedback_rounds,
     survivors.resize(static_cast<std::size_t>(keep));
     std::sort(survivors.begin(), survivors.end());
     r.survivors_per_round.push_back(keep);
-    if (keep > cfg_.top_k) {
-      if (rounds_left > 0 && budget_left > 0) {
-        --rounds_left;
-        // Feedback: synthesize the acquisition-best unsynthesized
-        // survivors early — the points most likely to matter at the end,
-        // so the spent budget usually lands inside the final set anyway —
-        // and refit on their fresh ground truth.
-        std::vector<int> feed;
-        const int want = std::min(per_round, budget_left);
-        for (int i : by_acquisition(r.candidates, survivors, acq)) {
-          if (static_cast<int>(feed.size()) >= want) break;
-          if (!r.candidates[static_cast<std::size_t>(i)].synthesized) {
-            feed.push_back(i);
-          }
-        }
-        if (!feed.empty()) {
-          std::sort(feed.begin(), feed.end());
-          synthesize(r.candidates, feed, r);
-          budget_left -= static_cast<int>(feed.size());
-          std::vector<Sample> delta;
-          delta.reserve(feed.size());
-          for (int i : feed) {
-            delta.push_back(r.candidates[static_cast<std::size_t>(i)].sample);
-          }
-          const ObsSpan refit_span(cfg_.obs.trace, "refit", "dse");
-          r.refit_reports.push_back(refit_model(delta));
-          ++r.refits;
-          r.fed_back.push_back(std::move(feed));
+    if (keep > cfg_.top_k && rounds_left > 0 && budget_left > 0) {
+      --rounds_left;
+      // Feedback: synthesize the acquisition-best unsynthesized survivors
+      // early — the points most likely to matter at the end, so the spent
+      // budget usually lands inside the final set anyway — and refit on
+      // their fresh ground truth.
+      std::vector<int> feed;
+      const int want = std::min(per_round, budget_left);
+      for (int i : by_acquisition(r.candidates, survivors, acq)) {
+        if (static_cast<int>(feed.size()) >= want) break;
+        if (!r.candidates[static_cast<std::size_t>(i)].synthesized) {
+          feed.push_back(i);
         }
       }
-      // Survivors re-score through the refitted model: THE feedback payoff
-      // (without feedback the values are unchanged by the predict_many
-      // contract, but each round exercises the batched scoring path at its
-      // shrinking size).
-      score_round(r.candidates, survivors, {cfg_.rank_metric}, r);
+      if (!feed.empty()) {
+        std::sort(feed.begin(), feed.end());
+        synthesize(r.candidates, feed, r);
+        budget_left -= static_cast<int>(feed.size());
+        std::vector<Sample> delta;
+        delta.reserve(feed.size());
+        for (int i : feed) {
+          delta.push_back(r.candidates[static_cast<std::size_t>(i)].sample);
+        }
+        {
+          const ObsSpan refit_span(cfg_.obs.trace, "refit", "dse");
+          r.refit_reports.push_back(refit_model(delta));
+        }
+        ++r.refits;
+        r.fed_back.push_back(std::move(feed));
+        // Survivors re-score through the refitted model: THE feedback
+        // payoff. A round without a refit keeps their scores: the model is
+        // unchanged, and by the predict_many contract so is every value.
+        score_round(r.candidates, survivors, {cfg_.rank_metric}, r);
+      }
     }
   }
 

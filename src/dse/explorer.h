@@ -278,11 +278,11 @@ class Explorer {
 
   /// Predictor-guided pruning: score all candidates once, then repeatedly
   /// keep the predicted-best half (never fewer than top_k, ties to the
-  /// lower index, survivors re-scored through the batched path each round)
-  /// until at most top_k survive; only survivors get a ground-truth HLS
-  /// run. front/best are computed on the survivors' truth. This is the
-  /// active loop with no feedback rounds and kPredictedRank acquisition,
-  /// whatever cfg.active says.
+  /// lower index; with no refit the first scores stand) until at most
+  /// top_k survive; only survivors get a ground-truth HLS run. front/best
+  /// are computed on the survivors' truth. This is the active loop with no
+  /// feedback rounds and kPredictedRank acquisition, whatever cfg.active
+  /// says.
   DseResult successive_halving() const;
 
   /// Refits the rank-metric model on a freshly synthesized feedback delta.
@@ -296,7 +296,9 @@ class Explorer {
   /// budget. Per pruning round (cfg.active, while feedback rounds remain):
   /// synthesize the acquisition-best unsynthesized survivors early, feed
   /// their truth to `refit_model`, then re-score the survivors through the
-  /// (now sharper) model before the next prune. The final round spends
+  /// (now sharper) model before the next prune. Survivors are re-scored
+  /// once per refit and in no other round: an unchanged model gives
+  /// unchanged scores. The final round spends
   /// whatever budget remains on the surviving set; fronts/best are computed
   /// over every synthesized candidate — early-synthesized points keep their
   /// truth even if later pruned. With feedback_rounds == 0 and

@@ -87,7 +87,9 @@ int row_grain(int inner, int cols) {
 // The kernel body below is written once, always inlined, and instantiated
 // per instruction set: a plain entry point for the build's baseline target
 // and, on x86, one compiled with target("avx2"). The compiler vectorizes the
-// tile accumulate loop over output columns for whichever target it lands in.
+// tile accumulate loops over output columns for whichever target they land
+// in; only the nonzero listing differs, written in AVX2 intrinsics for the
+// AVX2 variant.
 // AVX2 does not imply FMA, and the library builds this file with
 // -ffp-contract=off (so a user -march with FMA cannot contract the baseline
 // variant either): every output element still takes one rounded multiply and
@@ -95,11 +97,16 @@ int row_grain(int inner, int cols) {
 // same bits as the serial references.
 #define GNNHLS_ALWAYS_INLINE inline __attribute__((always_inline))
 
-/// out[0..W) += arow[k] * b[k][0..W) for each listed k = nz[0..count), in
-/// ascending k. The tile is loaded from out once, kept in registers for the
-/// whole k loop (64 floats are eight AVX2 registers) and stored once. `bcol`
-/// is b's row 0 at the tile's first column and `ldb` is b's row stride.
-template <int W>
+/// out[0..W) += arow[k] * b[k][0..W) for each listed k, in ascending k. A
+/// sparse tile lists k = nz[0..count); a dense one (kDense) runs every k in
+/// [0, count) and never reads nz. The tile is loaded from out once, kept in
+/// registers for the whole k loop (64 floats are eight AVX2 registers) and
+/// stored once. `bcol` is b's row 0 at the tile's first column and `ldb` is
+/// b's row stride. The column loops walk pointers rather than an index
+/// shared by both operands: that keeps GCC's unroll-and-jam off the nest,
+/// which would fuse two k steps into one scalar loop and spill the tile to
+/// memory every step.
+template <int W, bool kDense>
 GNNHLS_ALWAYS_INLINE void accumulate_tile(const float* __restrict arow,
                                           const int* __restrict nz, int count,
                                           const float* __restrict bcol,
@@ -107,19 +114,53 @@ GNNHLS_ALWAYS_INLINE void accumulate_tile(const float* __restrict arow,
                                           float* __restrict out) {
   float acc[W];
   for (int j = 0; j < W; ++j) acc[j] = out[j];
-  for (int n = 0; n < count; ++n) {
-    const float s = arow[nz[n]];
-    const float* brow = bcol + static_cast<std::size_t>(nz[n]) * ldb;
-    float* o = acc;
-    // The loop walks pointers rather than an index shared by both operands:
-    // that keeps GCC's unroll-and-jam off this nest, which would fuse two k
-    // steps into one scalar loop and spill the tile to memory every step.
-    // vectorize: matmul tile accumulate
-    for (const float* end = brow + W; brow != end; ++brow, ++o) {
-      *o += s * *brow;
+  if constexpr (kDense) {
+    for (int k = 0; k < count; ++k) {
+      const float s = arow[k];
+      const float* brow = bcol + static_cast<std::size_t>(k) * ldb;
+      float* o = acc;
+      // vectorize: matmul dense tile accumulate
+      for (const float* end = brow + W; brow != end; ++brow, ++o) {
+        *o += s * *brow;
+      }
+    }
+  } else {
+    for (int n = 0; n < count; ++n) {
+      const float s = arow[nz[n]];
+      const float* brow = bcol + static_cast<std::size_t>(nz[n]) * ldb;
+      float* o = acc;
+      // vectorize: matmul tile accumulate
+      for (const float* end = brow + W; brow != end; ++brow, ++o) {
+        *o += s * *brow;
+      }
     }
   }
   for (int j = 0; j < W; ++j) out[j] = acc[j];
+}
+
+/// Every column tile of one output row (64, 32 and 8 wide, then single
+/// columns) accumulates the row's terms: k = nz[0..count), or every k in
+/// [0, count) for a dense row.
+template <bool kDense>
+GNNHLS_ALWAYS_INLINE void accumulate_row(const float* __restrict arow,
+                                         const int* __restrict nz, int count,
+                                         const Matrix& b,
+                                         float* __restrict orow) {
+  const int N = b.cols();
+  int j = 0;
+  for (; j + 64 <= N; j += 64) {
+    accumulate_tile<64, kDense>(arow, nz, count, b.data() + j, N, orow + j);
+  }
+  if (j + 32 <= N) {
+    accumulate_tile<32, kDense>(arow, nz, count, b.data() + j, N, orow + j);
+    j += 32;
+  }
+  for (; j + 8 <= N; j += 8) {
+    accumulate_tile<8, kDense>(arow, nz, count, b.data() + j, N, orow + j);
+  }
+  for (; j < N; ++j) {
+    accumulate_tile<1, kDense>(arow, nz, count, b.data() + j, N, orow + j);
+  }
 }
 
 /// kBit[k] = 1 << k. Reading the bit from a table rather than shifting by
@@ -131,10 +172,10 @@ constexpr std::array<std::uint32_t, 32> kBit = [] {
   return bits;
 }();
 
-/// Writes the k where arow[k] != 0 (a NaN counts as nonzero) to nz in
-/// ascending order and returns how many there are. Each 32-wide chunk is
-/// compared at once into a bit mask whose set bits are then read off lowest
-/// first, so a zero costs no work of its own.
+/// Writes the k where arow[k] != 0 (a NaN counts as nonzero, -0 does not)
+/// to nz in ascending order and returns how many there are. Each 32-wide
+/// chunk is compared at once into a bit mask whose set bits are then read
+/// off lowest first, so a zero costs no work of its own.
 GNNHLS_ALWAYS_INLINE int list_nonzeros(const float* __restrict arow, int K,
                                        int* __restrict nz) {
   int count = 0;
@@ -151,50 +192,92 @@ GNNHLS_ALWAYS_INLINE int list_nonzeros(const float* __restrict arow, int K,
   return count;
 }
 
-/// out rows [i_lo, i_hi) of a * b. Each row first lists the k where
-/// a[i][k] != 0, then runs every column tile (64, 32 and 8 wide, then single
-/// columns) over that list. Skipping a zero term is exact for finite b: an
-/// output sum starts at +0 and can never become -0, so adding a ±0 product
-/// leaves it unchanged.
-GNNHLS_ALWAYS_INLINE void matmul_rows_body(const Matrix& a, const Matrix& b,
-                                           Matrix& out, int i_lo, int i_hi) {
-  const int N = b.cols();
-  std::vector<int> nz(static_cast<std::size_t>(a.cols()));
-  for (int i = i_lo; i < i_hi; ++i) {
-    const float* arow = a.row_ptr(i);
-    const int count = list_nonzeros(arow, a.cols(), nz.data());
-    float* orow = out.row_ptr(i);
-    int j = 0;
-    for (; j + 64 <= N; j += 64) {
-      accumulate_tile<64>(arow, nz.data(), count, b.data() + j, N, orow + j);
-    }
-    if (j + 32 <= N) {
-      accumulate_tile<32>(arow, nz.data(), count, b.data() + j, N, orow + j);
-      j += 32;
-    }
-    for (; j + 8 <= N; j += 8) {
-      accumulate_tile<8>(arow, nz.data(), count, b.data() + j, N, orow + j);
-    }
-    for (; j < N; ++j) {
-      accumulate_tile<1>(arow, nz.data(), count, b.data() + j, N, orow + j);
-    }
+/// Row i of a * b into orow, given the k where a[i][k] != 0 in
+/// nz[0..count). A row with no zero (count == K) runs the tiles over every k
+/// without reading nz. Skipping a zero term is exact for finite b: an output
+/// sum starts at +0 and can never become -0, so adding a ±0 product leaves
+/// it unchanged.
+GNNHLS_ALWAYS_INLINE void matmul_row(const float* __restrict arow,
+                                     const int* __restrict nz, int count,
+                                     int K, const Matrix& b,
+                                     float* __restrict orow) {
+  if (count == K) {
+    accumulate_row<true>(arow, nz, K, b, orow);
+  } else {
+    accumulate_row<false>(arow, nz, count, b, orow);
   }
 }
 
 using MatmulRowsFn = void (*)(const Matrix&, const Matrix&, Matrix&, int,
                               int);
 
+/// out rows [i_lo, i_hi) of a * b: each row lists its nonzero k, then runs
+/// matmul_row.
 void matmul_rows_portable(const Matrix& a, const Matrix& b, Matrix& out,
                           int i_lo, int i_hi) {
-  matmul_rows_body(a, b, out, i_lo, i_hi);
+  const int K = a.cols();
+  std::vector<int> nz(static_cast<std::size_t>(K));
+  for (int i = i_lo; i < i_hi; ++i) {
+    const int count = list_nonzeros(a.row_ptr(i), K, nz.data());
+    matmul_row(a.row_ptr(i), nz.data(), count, K, b, out.row_ptr(i));
+  }
 }
 
 #if defined(GNNHLS_KERNEL_AVX2)
+/// lanes[mask] lists the set bits of an 8-bit mask as lane indices, lowest
+/// first, with the unused lanes 0; count[mask] is how many bits are set.
+struct LaneLists {
+  alignas(32) std::int32_t lanes[256][8];
+  std::uint8_t count[256];
+};
+constexpr LaneLists kLaneLists = [] {
+  LaneLists l{};
+  for (int mask = 0; mask < 256; ++mask) {
+    for (int k = 0; k < 8; ++k) {
+      if ((mask >> k) & 1) l.lanes[mask][l.count[mask]++] = k;
+    }
+  }
+  return l;
+}();
+
+/// list_nonzeros eight lanes at a time: one compare of 8 floats against 0
+/// (not-equal or unordered, so NaN is listed and -0 is not), a movemask, and
+/// one 8-int store of k0 + the mask's lane list at nz[count]; count then
+/// advances by the mask's popcount. The store may write past the listed
+/// entries but never past nz[K): count <= k0 and k0 + 8 <= K. The K % 8
+/// tail is listed one k at a time.
+__attribute__((target("avx2"))) GNNHLS_ALWAYS_INLINE int list_nonzeros_avx2(
+    const float* __restrict arow, int K, int* __restrict nz) {
+  int count = 0;
+  int k0 = 0;
+  for (; k0 + 8 <= K; k0 += 8) {
+    const int mask = _mm256_movemask_ps(_mm256_cmp_ps(
+        _mm256_loadu_ps(arow + k0), _mm256_setzero_ps(), _CMP_NEQ_UQ));
+    const __m256i lanes = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kLaneLists.lanes[mask]));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(nz + count),
+                        _mm256_add_epi32(lanes, _mm256_set1_epi32(k0)));
+    count += kLaneLists.count[mask];
+  }
+  for (; k0 < K; ++k0) {
+    if (arow[k0] != 0.0F) nz[count++] = k0;
+  }
+  return count;
+}
+
+/// matmul_rows_portable with the 8-lane listing. The row loop is repeated
+/// rather than shared through a template: GCC does not inline a
+/// target("avx2") function into a baseline-target template instance.
 __attribute__((target("avx2"))) void matmul_rows_avx2(const Matrix& a,
                                                       const Matrix& b,
                                                       Matrix& out, int i_lo,
                                                       int i_hi) {
-  matmul_rows_body(a, b, out, i_lo, i_hi);
+  const int K = a.cols();
+  std::vector<int> nz(static_cast<std::size_t>(K));
+  for (int i = i_lo; i < i_hi; ++i) {
+    const int count = list_nonzeros_avx2(a.row_ptr(i), K, nz.data());
+    matmul_row(a.row_ptr(i), nz.data(), count, K, b, out.row_ptr(i));
+  }
 }
 #endif
 

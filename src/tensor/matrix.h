@@ -92,11 +92,13 @@ class Matrix {
 void tune_malloc_for_tensor_workloads();
 
 /// out = a * b, row-parallel on the global pool. One kernel runs every
-/// product: each row of a first lists the k where a[i][k] != 0, then each
-/// column tile of out (64, 32 or 8 wide, then single columns) is loaded
-/// once, accumulates the listed terms in registers and is stored once. It
-/// is vectorized over output columns, as AVX2 when the CPU has it (picked
-/// at run time) and the build's baseline ISA otherwise, never with FMA:
+/// product: each row of a first lists the k where a[i][k] != 0 (eight
+/// lanes per compare in the AVX2 variant), then each column tile of out
+/// (64, 32 or 8 wide, then single columns) is loaded once, accumulates the
+/// listed terms in registers and is stored once; a row with no zero runs
+/// the tiles over every k without the list. It is vectorized over output
+/// columns, as AVX2 when the CPU has it (picked at run time) and the
+/// build's baseline ISA otherwise, never with FMA:
 /// every element accumulates its terms in ascending k with separately
 /// rounded mul and add, so for finite operands the result is bit-identical
 /// to matmul_reference at any thread count, on any host.

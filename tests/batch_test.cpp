@@ -639,6 +639,76 @@ TEST(DeterministicKernelsTest, BlockedMatmulMatchesReference) {
   }
 }
 
+TEST(DeterministicKernelsTest, NonzeroListingMatchesReferenceAcrossLanes) {
+  Rng rng(41);
+  // The row kernel lists each row's nonzero k (8 lanes at a time, then the
+  // K % 8 tail, in the AVX2 variant) and runs a row with no zero without
+  // the list. K covers a tail-only row, a tail of 7 below and of 1 above
+  // whole lane groups, and long rows. N = 107 runs every tile width.
+  constexpr int kRows = 27;
+  constexpr int kCols = 107;
+  struct Pattern {
+    const char* name;
+    // Rewrites row i of a, K wide, in place.
+    void (*apply)(float* row, int i, int K);
+  };
+  const Pattern patterns[] = {
+      // Even rows hold exactly one zero (of either sign), at a lane that
+      // moves row to row; odd rows have none, so consecutive rows switch
+      // between the listed and the dense path both ways.
+      {"one zero in every other row",
+       [](float* row, int i, int K) {
+         if (i % 2 == 0) row[(i * 5) % K] = i % 4 == 0 ? 0.0F : -0.0F;
+       }},
+      // Every third row is -0 throughout (nothing listed); the rest keep
+      // half their entries.
+      {"-0 rows",
+       [](float* row, int i, int K) {
+         for (int k = 0; k < K; ++k) {
+           if (i % 3 == 0 || (k + i) % 2 == 0) row[k] = -0.0F;
+         }
+       }},
+      // One NaN, +inf or -inf per row at a moving lane, every fourth entry
+      // a denormal and every fifth a zero. A non-finite a[i][k] is listed,
+      // so it meets b exactly as in the reference.
+      {"NaN, inf and denormals",
+       [](float* row, int i, int K) {
+         for (int k = 0; k < K; ++k) {
+           if (k % 4 == 1) row[k] = 1e-40F;  // denormal
+           if (k % 5 == 3) row[k] = 0.0F;
+         }
+         const float special[] = {NAN, INFINITY, -INFINITY};
+         row[(i * 3) % K] = special[i % 3];
+       }},
+  };
+  for (int K : {7, 31, 33, 52, 700}) {
+    for (const Pattern& p : patterns) {
+      Matrix a = Matrix::randn(kRows, K, rng);
+      for (int i = 0; i < kRows; ++i) p.apply(a.row_ptr(i), i, K);
+      const Matrix b = Matrix::randn(K, kCols, rng);
+      const Matrix bt = Matrix::randn(kCols, K, rng);
+      // transpose_a of a^T scans a's rows again.
+      const Matrix at = transposed(a);
+      const Matrix ref = matmul_reference(a, b);
+      const Matrix ref_tb = matmul_transpose_b_reference(a, bt);
+      for (KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2}) {
+        if (!kernel_isa_available(isa)) continue;
+        for (int threads : kKernelThreadCounts) {
+          KernelPoolGuard pool(threads);
+          const std::string where = "K=" + std::to_string(K) + " " + p.name +
+                                    " " + kernel_isa_name(isa) + " @ " +
+                                    std::to_string(threads);
+          EXPECT_TRUE(same_bits(matmul_isa(isa, a, b), ref)) << where;
+          EXPECT_TRUE(same_bits(matmul_transpose_b_isa(isa, a, bt), ref_tb))
+              << where << " (transpose_b)";
+          EXPECT_TRUE(same_bits(matmul_transpose_a_isa(isa, at, b), ref))
+              << where << " (transpose_a)";
+        }
+      }
+    }
+  }
+}
+
 TEST(DeterministicKernelsTest, EncoderForwardBitIdenticalAcrossThreadCounts) {
   // End-to-end: a full batched GCN forward (gathers, scatters, virtual-node
   // segment means, readout) must not depend on the pool width.

@@ -356,9 +356,10 @@ TEST(ExplorerTest, HalvingRespectsGroundTruthBudget) {
   }
   ASSERT_GE(r.best, 0);
   EXPECT_TRUE(r.candidates[static_cast<std::size_t>(r.best)].synthesized);
-  // Rounds 0 scored 2 metrics over 12; round 1 re-scored 1 metric over 6.
-  EXPECT_EQ(r.scorer_calls, 3);
-  EXPECT_EQ(r.scored_graphs, 2 * 12 + 6);
+  // Round 0 scored 2 metrics over 12. No refit ever changes the model, so
+  // no later round re-scores.
+  EXPECT_EQ(r.scorer_calls, 2);
+  EXPECT_EQ(r.scored_graphs, 2 * 12);
 }
 
 TEST(ExplorerTest, HalvingAgreesWithExhaustiveOnPredictions) {
@@ -611,6 +612,34 @@ TEST(ExplorerTest, ActiveHalvingBudgetAndTrace) {
   // Single-model scorer: uncertainty stays exactly zero everywhere.
   for (const DseCandidate& c : r.candidates) {
     for (double u : c.uncertainty) EXPECT_EQ(u, 0.0);
+  }
+}
+
+TEST(ExplorerTest, ActiveRescoresOncePerRefit) {
+  const Trained& t = trained_predictors();
+  KnobGrid grid;
+  grid.clock_ns = {8.0, 10.0, 12.0, 14.0};
+  const DesignSpace space = make_kernel_design_space("gemm", grid);  // 48
+  for (int rounds : {1, 2}) {
+    QorPredictor lut = fresh_predictor(Metric::kLut);
+    const PredictorScorer scorer(lut_ff_table(lut, t.ff));
+    DseConfig cfg;
+    cfg.top_k = 3;
+    cfg.active.feedback_rounds = rounds;
+    const Explorer explorer(space, scorer, cfg);
+    const DseResult r = explorer.active_halving(lut);
+    ASSERT_EQ(r.survivors_per_round, (std::vector<int>{48, 24, 12, 6, 3}));
+    // Round 0 scores 2 metrics over 48. Each refit (the 24-survivor round,
+    // then the 12-survivor one) re-scores the rank metric over its
+    // survivors once; the rounds after the last refit score nothing.
+    ASSERT_EQ(r.refits, rounds);
+    int refit_survivors = 0;
+    for (int k = 1; k <= rounds; ++k) {
+      refit_survivors += r.survivors_per_round[static_cast<std::size_t>(k)];
+    }
+    EXPECT_EQ(r.scorer_calls, 2 + rounds) << rounds << " feedback round(s)";
+    EXPECT_EQ(r.scored_graphs, 2 * 48 + refit_survivors)
+        << rounds << " feedback round(s)";
   }
 }
 

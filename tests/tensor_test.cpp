@@ -106,6 +106,46 @@ TEST(MatrixTest, ZeroTermsSkipNonFiniteOperands) {
   }
 }
 
+TEST(MatrixTest, ZeroTermsSkipNonFiniteOperandsAcrossLanes) {
+  // ZeroTermsSkipNonFiniteOperands at K = 19: two whole 8-lane groups and a
+  // tail of 3. Row 11 of b, in the middle group, holds inf and NaN; row 0
+  // of a meets it with a zero, row 1 with a nonzero.
+  constexpr int kK = 19;
+  constexpr int kRow = 11;
+  Matrix a = make_test_matrix(2, kK);
+  a(0, kRow) = 0.0F;
+  a(1, kRow) = 2.0F;
+  Matrix b = make_test_matrix(kK, 4);
+  b(kRow, 0) = INFINITY;
+  b(kRow, 2) = NAN;
+  Matrix b_zeroed = b;
+  b_zeroed(kRow, 0) = 0.0F;
+  b_zeroed(kRow, 2) = 0.0F;
+  const Matrix ref = matmul_reference(a, b);
+  const Matrix skipped = matmul_reference(a, b_zeroed);
+  ASSERT_TRUE(std::isnan(ref(0, 0)));
+  ASSERT_TRUE(std::isinf(ref(1, 0)));
+  ASSERT_TRUE(std::isnan(ref(1, 2)));
+  Matrix at(kK, 2);  // a^T, for matmul_transpose_a
+  Matrix bt(4, kK);  // b^T, for matmul_transpose_b
+  for (int k = 0; k < kK; ++k) {
+    for (int i = 0; i < 2; ++i) at(k, i) = a(i, k);
+    for (int j = 0; j < 4; ++j) bt(j, k) = b(k, j);
+  }
+  const Matrix ref_tb = matmul_transpose_b_reference(a, bt);
+  for (KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2}) {
+    if (!kernel_isa_available(isa)) continue;
+    const Matrix outs[] = {matmul_isa(isa, a, b),
+                           matmul_transpose_a_isa(isa, at, b),
+                           matmul_transpose_b_isa(isa, a, bt)};
+    for (const Matrix& out : outs) {
+      EXPECT_TRUE(same_row_bits(out, skipped, 0)) << kernel_isa_name(isa);
+      EXPECT_TRUE(same_row_bits(out, ref, 1)) << kernel_isa_name(isa);
+    }
+    EXPECT_TRUE(same_row_bits(outs[2], ref_tb, 1)) << kernel_isa_name(isa);
+  }
+}
+
 TEST(MatrixTest, ShapeMismatchThrows) {
   Matrix a(2, 3), b(2, 3);
   EXPECT_THROW(matmul(a, b), std::invalid_argument);
