@@ -107,8 +107,9 @@ int main(int argc, char** argv) {
   constexpr int kRequests = 32;
   std::cout << "== 3. loopback client: " << kRequests
             << " requests, alternating LUT/CP ==\n";
-  // Sequential reference values, computed before the timed window (this
-  // also warms the FeatureCache, as a long-running service would be).
+  // Sequential reference values, computed before the timed window. The
+  // endpoint decodes every request into a fresh sample, which builds its
+  // own features.
   std::vector<double> expected_lut, expected_cp;
   for (const Sample& s : corpus) {
     expected_lut.push_back(lut.predict(s));

@@ -65,8 +65,8 @@ int main() {
   std::cout << "== 3. DSE load: " << kSearchers << " searcher threads x "
             << kCandidatesPerSearcher << " candidates ==\n";
   // Sequential reference values, computed BEFORE the timed window so the
-  // throughput number measures the scheduler alone (this also warms the
-  // FeatureCache, as a long-running service would be).
+  // throughput number measures the scheduler alone (this also builds the
+  // corpus samples' features, which the submitted copies share).
   std::vector<double> expected;
   expected.reserve(corpus.size());
   for (const Sample& s : corpus) expected.push_back(predictor.predict(s));

@@ -5,7 +5,6 @@
 
 #include "gnn/graph_batch.h"
 #include "support/parallel.h"
-#include "train/feature_cache.h"
 
 namespace gnnhls {
 
@@ -24,9 +23,8 @@ bool QorPredictor::pure_inference_features() const {
 
 Matrix QorPredictor::infused_features(const Sample& s) const {
   // Hierarchical inference: self-inferred resource types replace labels.
-  // Only the classifier-independent base features are cacheable.
-  const Matrix& base =
-      FeatureCache::global().features(s, Approach::kOffTheShelf);
+  // Only the classifier-independent base features are the sample's own.
+  const Matrix& base = s.features(Approach::kOffTheShelf);
   const auto inferred = classifier_.classifier().infer_types(s.tensors, base);
   return InputFeatureBuilder::build(s.graph(), approach_, &inferred);
 }
@@ -40,7 +38,7 @@ void QorPredictor::init_regressor(std::uint64_t seed) {
 
 BatchPlan::FeatureFn QorPredictor::feature_fn() const {
   return [approach = approach_](const Sample& s) -> const Matrix& {
-    return FeatureCache::global().features(s, approach);
+    return s.features(approach);
   };
 }
 
@@ -92,7 +90,7 @@ FitReport QorPredictor::fit(const std::vector<Sample>& samples,
 
   // -I trains on ground-truth type bits (knowledge infusion), so training
   // features are a pure function of (sample, approach) for every approach
-  // and come from the FeatureCache.
+  // and come from Sample::features.
   const std::uint64_t order_seed = seed * 31 + 1;
   BatchPlan plan =
       BatchPlan::build(corpus_, split.train, train_cfg_.batch_size,
@@ -155,9 +153,10 @@ std::vector<double> QorPredictor::predict_many(
     const std::vector<const Sample*>& samples) const {
   GNNHLS_CHECK(regressor_ != nullptr, "predict before fit");
   if (samples.empty()) return {};
-  // On the pure path the features point straight into the FeatureCache
-  // (zero rebuild, zero copy); the hierarchical -I path runs the classifier
-  // per sample and owns its feature matrices for the duration of the call.
+  // On the pure path the features point straight into the samples' own
+  // slots (zero rebuild, zero copy); the hierarchical -I path runs the
+  // classifier per sample and owns its feature matrices for the duration of
+  // the call.
   const bool pure = pure_inference_features();
   std::vector<Matrix> owned;
   owned.reserve(pure ? 0 : samples.size());  // fparts points into it
@@ -168,7 +167,7 @@ std::vector<double> QorPredictor::predict_many(
   for (const Sample* s : samples) {
     GNNHLS_CHECK(s != nullptr, "predict_many: null sample");
     if (pure) {
-      fparts.push_back(&FeatureCache::global().features(*s, approach_));
+      fparts.push_back(&s->features(approach_));
     } else {
       owned.push_back(infused_features(*s));
       fparts.push_back(&owned.back());
@@ -237,17 +236,14 @@ FitReport NodeTypePredictor::fit(const std::vector<Sample>& samples,
       init_rng);
   TrainConfig tc = train_cfg_;
   tc.seed = seed;
-  // Off-the-shelf features and node-type label rows, both served from the
-  // FeatureCache. The classifier never refits, so its cores go with the
-  // plan.
+  // Off-the-shelf features and node-type label rows, both the samples' own.
+  // The classifier never refits, so its cores go with the plan.
   BatchPlan plan = BatchPlan::build(
       samples, split.train, tc.batch_size,
       [](const Sample& s) -> const Matrix& {
-        return FeatureCache::global().features(s, Approach::kOffTheShelf);
+        return s.features(Approach::kOffTheShelf);
       },
-      [](const Sample& s) {
-        return FeatureCache::global().node_type_labels(s);
-      },
+      [](const Sample& s) { return s.node_type_labels(); },
       Rng(seed * 31 + 7));
   Trainer::Hooks hooks;
   hooks.forward = [&classifier = *classifier_](Tape& tape,
@@ -275,10 +271,9 @@ NodeClassifierScores NodeTypePredictor::evaluate(
   std::array<std::vector<int>, 3> pred, truth;
   for (int i : idx) {
     const Sample& s = samples[static_cast<std::size_t>(i)];
-    const Matrix& feats =
-        FeatureCache::global().features(s, Approach::kOffTheShelf);
+    const Matrix& feats = s.features(Approach::kOffTheShelf);
     const auto inferred = classifier_->infer_types(s.tensors, feats);
-    const Matrix& labels = FeatureCache::global().node_type_labels(s);
+    const Matrix& labels = s.node_type_labels();
     for (int v = 0; v < s.graph().num_nodes(); ++v) {
       const auto& t = inferred[static_cast<std::size_t>(v)];
       pred[0].push_back(t.dsp > 0.5F);

@@ -14,10 +14,10 @@
 //
 // The paper's training recipe (Adam, fixed epoch budget, minibatch
 // accumulation, best-validation-epoch parameter selection) lives in the
-// src/train/ subsystem: each fit here builds a BatchPlan over cached feature
-// tensors (FeatureCache) and hands the epochs, the validation hook and the
-// optimizer checkpoint to the sharded Trainer; this file keeps only model
-// construction, the validation score, and inference.
+// src/train/ subsystem: each fit here builds a BatchPlan over the samples'
+// own feature tensors (Sample::features) and hands the epochs, the
+// validation hook and the optimizer checkpoint to the sharded Trainer; this
+// file keeps only model construction, the validation score, and inference.
 //
 // Online refit (model-in-the-loop DSE): fit() always starts fresh and
 // retains the corpus, split and the selected epoch's optimizer moments;
@@ -139,9 +139,10 @@ class QorPredictor {
   ///
   /// Thread safety: const and safe to call concurrently from many threads
   /// after fit() returns (forward builds a private tape; feature matrices
-  /// come from the internally synchronized FeatureCache). This is the
-  /// serving scheduler's one entry point into the model. Callers control
-  /// the batch size by slicing: each call is a single forward pass.
+  /// come from Sample::features, built once under a per-slot once_flag).
+  /// This is the serving scheduler's one entry point into the model.
+  /// Callers control the batch size by slicing: each call is a single
+  /// forward pass.
   std::vector<double> predict_many(
       const std::vector<const Sample*>& samples) const;
 
@@ -161,8 +162,8 @@ class QorPredictor {
   const GraphRegressor& regressor() const { return *regressor_; }
 
  private:
-  /// True when inference features are a pure function of the sample (cached
-  /// globally); false on the hierarchical self-inferred path, whose
+  /// True when inference features are a pure function of the sample (held
+  /// by the sample); false on the hierarchical self-inferred path, whose
   /// features depend on the trained classifier.
   bool pure_inference_features() const;
 
@@ -173,7 +174,7 @@ class QorPredictor {
   /// Fresh seeded regressor init (drops the optimizer checkpoint).
   void init_regressor(std::uint64_t seed);
 
-  /// Per-sample features (FeatureCache; the pure inference features too)
+  /// Per-sample features (Sample::features; the pure inference features too)
   /// and encoded-target label row, as BatchPlan callbacks.
   BatchPlan::FeatureFn feature_fn() const;
   BatchPlan::LabelFn label_fn() const;

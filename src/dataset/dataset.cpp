@@ -1,7 +1,6 @@
 #include "dataset/dataset.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -9,9 +8,20 @@
 
 namespace gnnhls {
 
-std::uint64_t next_sample_uid() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+const Matrix& Sample::features(Approach a) const {
+  return slot(static_cast<int>(a));
+}
+
+const Matrix& Sample::node_type_labels() const { return slot(kLabelSlot); }
+
+const Matrix& Sample::slot(int i) const {
+  Slot& s = (*slots_)[static_cast<std::size_t>(i)];
+  std::call_once(s.built, [&] {
+    s.value = i == kLabelSlot ? InputFeatureBuilder::node_type_labels(graph())
+                              : InputFeatureBuilder::build(
+                                    graph(), static_cast<Approach>(i));
+  });
+  return s.value;
 }
 
 std::string metric_name(Metric m) {

@@ -129,10 +129,10 @@ void write_benchmark_sample(std::ostream& os, const Sample& sample);
 std::string encode_sample_payload(const Sample& sample);
 
 /// Rebuilds an inference-ready Sample from a decoded record: the graph and
-/// tensors move over, labels/origin copy, and a fresh uid is minted. The
-/// sample has no basic-block info (blocks are HLS-internal, not
-/// serialized), so it can be predicted on but not pushed through the HLS
-/// flow again.
+/// tensors move over, labels/origin copy, and its features start unbuilt
+/// (Sample::features builds them on first read). The sample has no
+/// basic-block info (blocks are HLS-internal, not serialized), so it can be
+/// predicted on but not pushed through the HLS flow again.
 Sample sample_from_record(BenchmarkRecord&& rec);
 
 /// Outcome of decoding a wire payload. On success `sample` is non-null and

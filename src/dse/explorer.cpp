@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "support/check.h"
 #include "support/parallel.h"
-#include "train/feature_cache.h"
 
 namespace gnnhls {
 
@@ -165,20 +164,14 @@ Explorer::Explorer(const DesignSpace& space, const Scorer& scorer,
                  "Explorer: scorer has no model for a required metric");
   }
   // Lower once, after validation: every strategy run starts from copies of
-  // these candidates (same Sample uids => one FeatureCache entry per
-  // candidate for this explorer's lifetime, however many runs happen).
+  // these candidates, which share their features (one build per candidate
+  // for this explorer's lifetime, however many runs happen).
   const std::vector<DesignPoint> points = space_.enumerate();
   std::vector<Sample> lowered = space_.lower_candidates();
   base_candidates_.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     base_candidates_.push_back(
         DseCandidate{points[i], std::move(lowered[i]), {}, {}, false, 0.0});
-  }
-}
-
-Explorer::~Explorer() {
-  for (const DseCandidate& c : base_candidates_) {
-    FeatureCache::global().evict(c.sample.uid);
   }
 }
 

@@ -259,18 +259,11 @@ class Explorer {
   /// `space` and `scorer` are borrowed and must outlive the explorer. The
   /// scorer must serve every metric in front_metrics + rank_metric.
   /// Construction lowers the whole space once (in parallel shards); both
-  /// strategies start from copies of those candidates, so repeated
-  /// explorations share one Sample uid set — the process-wide FeatureCache
-  /// holds one feature matrix per candidate per Explorer, not per run.
+  /// strategies start from copies of those candidates, and copies share
+  /// their Sample features: one feature matrix per candidate per Explorer,
+  /// not per run, freed with the last copy (DseResult copies included).
   Explorer(const DesignSpace& space, const Scorer& scorer,
            DseConfig cfg = {});
-  /// Evicts the candidates' FeatureCache entries: their uids are fresh per
-  /// Explorer, so nothing else would, and a long-lived process would keep
-  /// one feature matrix per candidate per exploration. DseResult copies
-  /// keep the uids and rebuild their features on demand.
-  ~Explorer();
-  Explorer(const Explorer&) = delete;
-  Explorer& operator=(const Explorer&) = delete;
 
   /// Scores + synthesizes EVERY candidate; fronts and best are computed
   /// on full ground truth (hls_runs == space.size()).
@@ -343,8 +336,8 @@ class Explorer {
   const DesignSpace& space_;
   const Scorer& scorer_;
   DseConfig cfg_;
-  /// Lowered once at construction; strategies copy (copies keep each
-  /// Sample's uid, the FeatureCache identity).
+  /// Lowered once at construction; strategies copy (copies share each
+  /// Sample's features).
   std::vector<DseCandidate> base_candidates_;
 };
 

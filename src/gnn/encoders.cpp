@@ -695,7 +695,10 @@ class FilmEncoder : public GnnEncoder {
              bool training) const override {
     Var h = input_->forward(t, x);
     for (std::size_t l = 0; l < self_.size(); ++l) {
-      Var acc = self_[l]->forward(t, h);
+      // Every relation's modulated messages sum in one segment_reduce
+      // node, added once onto the self term.
+      const Var self = self_[l]->forward(t, h);
+      std::vector<SegmentPart> parts;
       for_each_relation(gt, [&](std::size_t r,
                                 const GraphTensors::Relation& rel) {
         const Var msg = rel_[l][r]->forward(t, t.gather_rows(h, rel.src));
@@ -704,10 +707,11 @@ class FilmEncoder : public GnnEncoder {
         const Var gamma = t.slice_cols(film_params, 0, cfg_.hidden);
         const Var beta =
             t.slice_cols(film_params, cfg_.hidden, 2 * cfg_.hidden);
-        const Var modulated = t.relu(t.add(t.mul(gamma, msg), beta));
-        acc = t.add(acc, t.scatter_add_rows(modulated, rel.dst));
+        parts.push_back({t.relu(t.add(t.mul(gamma, msg), beta)), rel.dst});
       });
-      h = t.relu(acc);
+      h = t.relu(parts.empty()
+                     ? self
+                     : t.add(self, t.segment_reduce(std::move(parts), false)));
       h = t.dropout(h, cfg_.dropout, rng, training);
     }
     return h;

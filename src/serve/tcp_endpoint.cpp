@@ -17,7 +17,6 @@
 #include "dataset/serialize.h"
 #include "obs/trace.h"
 #include "serve/status_names.h"
-#include "train/feature_cache.h"
 
 namespace gnnhls {
 
@@ -69,9 +68,8 @@ struct TcpEndpoint::Connection {
     /// Pre-encoded frame bytes (STATS responses); when non-empty the
     /// writer sends these verbatim instead of encoding `resp`.
     std::string raw;
-    std::future<double> future;     // scheduler-backed entries only
-    std::uint64_t uid = 0;          // decoded sample uid (feature eviction)
-    bool counts_inflight = false;   // accepted by the scheduler
+    std::future<double> future;    // scheduler-backed entries only
+    bool counts_inflight = false;  // accepted by the scheduler
   };
   std::deque<Pending> pending;
   int inflight = 0;  // scheduler-accepted, not yet answered
@@ -283,7 +281,6 @@ void TcpEndpoint::handle_request(Connection& conn, RequestFrame&& req) {
         m_.rejects_backpressure->add();
       } else {
         // Decoded once; from here the sample travels by shared_ptr only.
-        p.uid = decoded.sample->uid;
         SubmitOptions opts;
         opts.deadline_us = req.deadline_us;
         opts.priority = req.priority;
@@ -409,11 +406,6 @@ void TcpEndpoint::writer_loop(std::shared_ptr<Connection> conn) {
         m_.responses_ok->add();
       } else {
         m_.rejects_sched->add();
-      }
-      // The future resolved, so no forward can still be reading this
-      // sample's cached features — safe to drop them.
-      if (p.uid != 0) {
-        FeatureCache::global().evict(p.uid);
       }
     }
     // Free the admission slot BEFORE the response bytes go out: a client

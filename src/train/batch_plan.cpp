@@ -21,9 +21,8 @@ std::vector<BatchCorePtr> assemble_cores(
   if (std::none_of(chunks.begin(), chunks.end(), is_union)) {
     return std::vector<BatchCorePtr>(chunks.size());
   }
-  // Prefetch features serially: feature_of typically fills the shared
-  // FeatureCache, and a deterministic fill order keeps hit/miss accounting
-  // reproducible for tests regardless of pool width.
+  // Read features serially, on the calling thread: the plan's callbacks need
+  // not be thread-safe (set_items reads labels the same way).
   std::vector<const Matrix*> feats(samples.size(), nullptr);
   std::vector<std::shared_ptr<BatchCore>> cores(chunks.size());
   for (std::size_t b = 0; b < chunks.size(); ++b) {
@@ -77,7 +76,7 @@ void BatchPlan::set_items(const std::vector<Sample>& samples,
                           const std::vector<BatchCorePtr>& cores,
                           const FeatureFn& feature_of,
                           const LabelFn& label_of) {
-  // Per-plan labels: built serially (label_of may hit shared caches).
+  // Per-plan labels: built serially, on the calling thread.
   std::vector<Matrix> labels(samples.size());
   items_.resize(chunks.size());
   for (std::size_t b = 0; b < chunks.size(); ++b) {

@@ -8,7 +8,7 @@
 // while amortizing assembly entirely.
 //
 // A one-graph batch is its member: its Item points straight at the
-// sample's GraphTensors and its FeatureCache matrix — no union, no copy.
+// sample's GraphTensors and its own feature matrix — no union, no copy.
 // With batch_size 1 every batch is one graph, and because a shuffle's
 // permutation depends only on the Rng draws, epoch e visits the samples in
 // exactly the order e+1 in-place reshuffles of the training indices give:
@@ -65,10 +65,9 @@ class BatchCoreCache {
 class BatchPlan {
  public:
   /// One mini-batch of the rotation. tensors()/features() are the graph
-  /// view a forward runs on: the member sample's own tensors and
-  /// FeatureCache matrix for a one-graph batch, the shared core's union and
-  /// stacked features otherwise. Valid while the plan's samples and the
-  /// FeatureCache entries live.
+  /// view a forward runs on: the member sample's own tensors and feature
+  /// matrix for a one-graph batch, the shared core's union and stacked
+  /// features otherwise. Valid while the plan's samples live.
   class Item {
    public:
     Matrix labels;  // stacked labels ([k,1] targets / [n,3] bits)
@@ -85,8 +84,9 @@ class BatchPlan {
     const Matrix* features_ = nullptr;
   };
 
-  /// Returns a stable reference to sample s's input features (the
-  /// FeatureCache hands these out; the plan never copies them per epoch).
+  /// Returns a stable reference to sample s's input features (typically
+  /// Sample::features; the plan never copies them per epoch). Called on
+  /// the building thread only, as is LabelFn.
   using FeatureFn = std::function<const Matrix&(const Sample&)>;
   /// Returns sample s's label rows: a [1,1] encoded regression target or a
   /// [num_nodes, k] node-label matrix.

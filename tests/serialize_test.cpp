@@ -210,7 +210,11 @@ TEST(SerializeNegativeTest, DecodeSamplePayloadRoundTripAndRejects) {
   // Decoded sample is inference-ready and re-encodes bit-identically.
   EXPECT_EQ(encode_sample_payload(*ok.sample), payload);
   expect_same_edges(ok.sample->tensors, samples[0].tensors);
-  EXPECT_NE(ok.sample->uid, samples[0].uid);  // fresh identity
+  // Fresh identity: the decoded sample builds its own features, same bits.
+  EXPECT_NE(&ok.sample->features(Approach::kOffTheShelf),
+            &samples[0].features(Approach::kOffTheShelf));
+  EXPECT_TRUE(ok.sample->features(Approach::kOffTheShelf) ==
+              samples[0].features(Approach::kOffTheShelf));
 
   const DecodedSample garbage = decode_sample_payload("garbage");
   EXPECT_FALSE(garbage.ok());

@@ -75,7 +75,7 @@ TEST(PredictManyTest, EmptyInputReturnsEmpty) {
 
 TEST(PredictManyTest, HierarchicalPathBitIdentical) {
   // The -I self-inferred path owns per-sample classifier-annotated feature
-  // matrices instead of reading the FeatureCache; the batched union must
+  // matrices instead of reading Sample::features; the batched union must
   // still reproduce the solo forward bit-for-bit.
   const auto samples = small_corpus(24, 929);
   const SplitIndices split =

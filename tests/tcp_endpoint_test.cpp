@@ -1,12 +1,11 @@
 // serve/tcp_endpoint.h tests: loopback end-to-end serving (bit-identity
 // with sequential predict() — including the all-14-encoder-kinds gate),
 // exact per-connection backpressure accounting, drain-answers-all on
-// stop(), feature-cache eviction, and the wire-protocol fault-injection
-// battery: garbage headers, oversized length prefixes, truncated frames,
-// torn writes split at every byte boundary of the header, and mid-request
-// client disconnects. After every fault the endpoint must still serve a
-// fresh connection — no crash, no wedge, no leaked future (ASan/TSan run
-// this whole binary in CI).
+// stop(), and the wire-protocol fault-injection battery: garbage headers,
+// oversized length prefixes, truncated frames, torn writes split at every
+// byte boundary of the header, and mid-request client disconnects. After
+// every fault the endpoint must still serve a fresh connection — no crash,
+// no wedge, no leaked future (ASan/TSan run this whole binary in CI).
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -21,7 +20,6 @@
 #include "serve/scheduler.h"
 #include "serve/tcp_endpoint.h"
 #include "serve/wire.h"
-#include "train/feature_cache.h"
 
 namespace gnnhls {
 namespace {
@@ -310,33 +308,6 @@ TEST(TcpEndpointTest, BackpressureRejectsCountedExactly) {
   ep.stop();
   EXPECT_EQ(ep.stats().rejects_backpressure, 6U);
   EXPECT_EQ(ep.stats().responses_ok, 4U);
-}
-
-TEST(TcpEndpointTest, EvictsDecodedFeaturesOnceAnswered) {
-  EndpointFixture& fx = fixture();
-  ServingScheduler sched({&fx.lut}, serving_cfg());
-  TcpEndpoint ep(sched);
-
-  // Warm the cache with the fixture corpus so the baseline is stable, then
-  // count: wire samples mint fresh uids, so without eviction each request
-  // would grow the cache by one entry forever.
-  for (const Sample& s : fx.samples) (void)fx.lut.predict(s);
-  const std::size_t baseline = FeatureCache::global().entries();
-
-  TcpClient client(ep.port());
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(client.send_request(make_request(i, fx.samples[i])));
-  }
-  for (int i = 0; i < 5; ++i) {
-    ResponseFrame resp;
-    ASSERT_TRUE(client.recv_response(resp));
-    EXPECT_EQ(resp.result, WireResult::kOk);
-  }
-  // Eviction happens on the writer thread before each response is sent, so
-  // once all responses are read the cache is back to the baseline.
-  EXPECT_EQ(FeatureCache::global().entries(), baseline);
-  client.close();
-  ep.stop();
 }
 
 // ----- well-framed rejects (connection survives) -----

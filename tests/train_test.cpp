@@ -2,14 +2,18 @@
 // to shards=1, at batch_size 1 and above), concurrent fits bit-identical to
 // serial ones, BatchPlan membership stability across epoch rotations,
 // one-graph batches that are their member sample, segments that reproduce a
-// plain build and keep their cores, FeatureCache hit semantics, and
-// evaluate_mape as predict_many chunks.
+// plain build and keep their cores, sample-owned features (built once,
+// shared by copies, concurrent first reads included), and evaluate_mape as
+// predict_many chunks.
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -17,10 +21,10 @@
 #include "core/experiment.h"
 #include "core/metrics.h"
 #include "core/predictor.h"
+#include "dataset/serialize.h"
 #include "nn/layers.h"
 #include "support/parallel.h"
 #include "train/batch_plan.h"
-#include "train/feature_cache.h"
 #include "train/trainer.h"
 
 namespace gnnhls {
@@ -571,7 +575,7 @@ TEST(BatchPlanTest, MembershipFixedAcrossEpochRotations) {
   BatchPlan plan = BatchPlan::build(
       samples, train_idx, /*batch_size=*/4,
       [](const Sample& s) -> const Matrix& {
-        return FeatureCache::global().features(s, Approach::kOffTheShelf);
+        return s.features(Approach::kOffTheShelf);
       },
       [](const Sample& s) {
         return Matrix(1, 1,
@@ -624,7 +628,7 @@ TEST(BatchPlanTest, OneGraphBatchesAreTheirMembers) {
     train_idx.push_back(i);
   }
   const auto feature_of = [](const Sample& s) -> const Matrix& {
-    return FeatureCache::global().features(s, Approach::kOffTheShelf);
+    return s.features(Approach::kOffTheShelf);
   };
   BatchPlan plan = BatchPlan::build(
       samples, train_idx, /*batch_size=*/1, feature_of,
@@ -665,7 +669,7 @@ TEST(BatchPlanTest, SegmentReproducesPlainBuildAndKeepsItsCores) {
   std::vector<int> idx(21);
   std::iota(idx.begin(), idx.end(), 2);
   const auto feature_of = [](const Sample& s) -> const Matrix& {
-    return FeatureCache::global().features(s, Approach::kOffTheShelf);
+    return s.features(Approach::kOffTheShelf);
   };
   const auto label_of = [](const Sample& s) {
     return Matrix(1, 1,
@@ -715,89 +719,107 @@ TEST(BatchPlanTest, SegmentReproducesPlainBuildAndKeepsItsCores) {
   EXPECT_EQ(grown.cores(), all);
 }
 
-// ----- FeatureCache -----
+// ----- sample-owned features -----
 
-TEST(FeatureCacheTest, HitReturnsSameMatrixAsColdBuild) {
+constexpr Approach kAllApproaches[] = {Approach::kOffTheShelf,
+                                       Approach::kKnowledgeInfused,
+                                       Approach::kKnowledgeRich};
+
+/// Every feature slot of `s` in a fixed order: one per Approach, then the
+/// node-type labels.
+std::vector<const Matrix*> slot_addresses(const Sample& s) {
+  std::vector<const Matrix*> out;
+  for (Approach a : kAllApproaches) out.push_back(&s.features(a));
+  out.push_back(&s.node_type_labels());
+  return out;
+}
+
+TEST(SampleFeaturesTest, FirstReadEqualsColdBuildAndIsKept) {
   const auto samples = small_corpus(2, 31337);
-  FeatureCache& cache = FeatureCache::global();
 
-  const std::uint64_t misses_before = cache.misses();
-  const Matrix& cached =
-      cache.features(samples[0], Approach::kOffTheShelf);
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-
-  // Cold build and cached entry are the same tensor, bit for bit.
+  // The first read and a cold build are the same tensor, bit for bit.
+  const Matrix& first = samples[0].features(Approach::kOffTheShelf);
   const Matrix direct =
       InputFeatureBuilder::build(samples[0].graph(), Approach::kOffTheShelf);
-  EXPECT_TRUE(cached == direct);
+  EXPECT_TRUE(first == direct);
 
-  // A hit returns the identical object, not a rebuild.
-  const std::uint64_t hits_before = cache.hits();
-  const Matrix& again =
-      cache.features(samples[0], Approach::kOffTheShelf);
-  EXPECT_EQ(&again, &cached);
-  EXPECT_EQ(cache.hits(), hits_before + 1);
+  // A later read returns the identical object, not a rebuild.
+  EXPECT_EQ(&samples[0].features(Approach::kOffTheShelf), &first);
 
-  // Different approach and different sample are distinct entries.
-  const Matrix& rich = cache.features(samples[0], Approach::kKnowledgeRich);
-  EXPECT_NE(&rich, &cached);
-  const Matrix& other =
-      cache.features(samples[1], Approach::kOffTheShelf);
-  EXPECT_NE(&other, &cached);
+  // Different approach and different sample are distinct slots.
+  const Matrix& rich = samples[0].features(Approach::kKnowledgeRich);
+  EXPECT_NE(&rich, &first);
+  EXPECT_TRUE(rich == InputFeatureBuilder::build(samples[0].graph(),
+                                                 Approach::kKnowledgeRich));
+  EXPECT_NE(&samples[1].features(Approach::kOffTheShelf), &first);
 
-  // Node-type labels are cached under their own key.
-  const Matrix& labels = cache.node_type_labels(samples[0]);
+  // Node-type labels have their own slot.
+  const Matrix& labels = samples[0].node_type_labels();
   EXPECT_TRUE(labels ==
               InputFeatureBuilder::node_type_labels(samples[0].graph()));
-  EXPECT_EQ(&cache.node_type_labels(samples[0]), &labels);
+  EXPECT_EQ(&samples[0].node_type_labels(), &labels);
 }
 
-TEST(FeatureCacheTest, EvictDropsEveryVariantOfOneSampleOnly) {
-  const auto samples = small_corpus(2, 4242);
-  FeatureCache& cache = FeatureCache::global();
-  const Approach kAll[] = {Approach::kOffTheShelf,
-                           Approach::kKnowledgeInfused,
-                           Approach::kKnowledgeRich};
-  // Fill every variant — one per Approach plus node-type labels — for both.
-  const std::size_t entries_before = cache.entries();
-  std::vector<const Matrix*> kept;
-  for (const Sample& s : samples) {
-    for (Approach a : kAll) kept.push_back(&cache.features(s, a));
-    kept.push_back(&cache.node_type_labels(s));
+TEST(SampleFeaturesTest, CopiesShareEverySlotFreshSamplesDoNot) {
+  const auto samples = small_corpus(1, 4242);
+  const Sample& original = samples[0];
+  const std::vector<const Matrix*> own = slot_addresses(original);
+
+  // Copies, copy-assigned samples and moved-into samples are the same
+  // sample: every variant is the original's buffer.
+  const Sample copy = original;
+  EXPECT_EQ(slot_addresses(copy), own);
+  Sample assigned = small_corpus(1, 777)[0];
+  assigned = original;
+  EXPECT_EQ(slot_addresses(assigned), own);
+  const Sample moved = std::move(assigned);
+  EXPECT_EQ(slot_addresses(moved), own);
+
+  // A separately constructed sample of the same program and a decoded one
+  // build their own buffers, with the same bits.
+  const auto rebuilt = small_corpus(1, 4242);
+  const DecodedSample decoded =
+      decode_sample_payload(encode_sample_payload(original));
+  ASSERT_TRUE(decoded.ok()) << decoded.message;
+  const std::vector<const Sample*> others = {&rebuilt[0],
+                                            decoded.sample.get()};
+  for (const Sample* other : others) {
+    const std::vector<const Matrix*> theirs = slot_addresses(*other);
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      EXPECT_NE(theirs[i], own[i]) << "slot " << i;
+      EXPECT_TRUE(*theirs[i] == *own[i]) << "slot " << i;
+    }
   }
-  ASSERT_EQ(cache.entries(), entries_before + 8);
-
-  cache.evict(samples[0].uid);
-  EXPECT_EQ(cache.entries(), entries_before + 4);
-
-  // The other sample's entries are untouched: hits on the same objects.
-  const std::uint64_t hits_before = cache.hits();
-  const std::uint64_t misses_before = cache.misses();
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(&cache.features(samples[1], kAll[i]), kept[4 + i]);
-  }
-  EXPECT_EQ(&cache.node_type_labels(samples[1]), kept[7]);
-  EXPECT_EQ(cache.hits(), hits_before + 4);
-  EXPECT_EQ(cache.misses(), misses_before);
-
-  // Every entry of the evicted sample is gone: each lookup rebuilds.
-  for (Approach a : kAll) cache.features(samples[0], a);
-  cache.node_type_labels(samples[0]);
-  EXPECT_EQ(cache.misses(), misses_before + 4);
-  EXPECT_EQ(cache.entries(), entries_before + 8);
-
-  for (const Sample& s : samples) cache.evict(s.uid);
-  EXPECT_EQ(cache.entries(), entries_before);
 }
 
-TEST(FeatureCacheTest, SampleUidsAreUniquePerConstruction) {
-  const auto a = small_corpus(3, 1);
-  std::set<std::uint64_t> uids;
-  for (const Sample& s : a) uids.insert(s.uid);
-  EXPECT_EQ(uids.size(), a.size());
-  // Copies denote the same sample and keep its identity.
-  const Sample copy = a[0];
-  EXPECT_EQ(copy.uid, a[0].uid);
+TEST(SampleFeaturesTest, ConcurrentFirstReadsOnCopiesBuildOnce) {
+  constexpr int kThreads = 8;
+  const auto samples = small_corpus(1, 2718);
+  // One copy per thread, all made before any slot is built.
+  const std::vector<Sample> copies(kThreads, samples[0]);
+  std::vector<std::vector<const Matrix*>> seen(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[static_cast<std::size_t>(t)] =
+          slot_addresses(copies[static_cast<std::size_t>(t)]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const std::vector<const Matrix*> own = slot_addresses(samples[0]);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], own) << "thread " << t;
+  }
+  for (std::size_t i = 0; i < std::size(kAllApproaches); ++i) {
+    EXPECT_TRUE(*own[i] == InputFeatureBuilder::build(samples[0].graph(),
+                                                      kAllApproaches[i]));
+  }
+  EXPECT_TRUE(*own.back() ==
+              InputFeatureBuilder::node_type_labels(samples[0].graph()));
 }
 
 // ----- parameter snapshots -----
